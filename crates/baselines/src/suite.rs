@@ -5,7 +5,7 @@ use crate::{BitwiseMaxId, FloodMax, KnockoutClique};
 use bfw_core::Bfw;
 use bfw_graph::{algo, Graph};
 use bfw_sim::message_passing::MessagePassingNetwork;
-use bfw_sim::{observe_run, Network, SimError, StateHistogram};
+use bfw_sim::{Network, SimError};
 use std::collections::HashSet;
 
 /// Communication model an algorithm runs in (Table 1's implicit
@@ -136,18 +136,7 @@ fn run_beeping<P: bfw_sim::LeaderElection>(
 ) -> Result<RunStats, SimError> {
     check_topology(graph)?;
     let mut net = Network::new(protocol, graph.clone().into(), seed);
-    let mut hist = StateHistogram::new();
-    let converged = observe_run(&mut net, &mut hist, max_rounds, |v| v.leader_count() == 1);
-    match converged {
-        Some(round) => Ok(RunStats {
-            converged_round: round,
-            distinct_states: hist.distinct_states(),
-        }),
-        None => Err(SimError::RoundBudgetExhausted {
-            max_rounds,
-            leaders_remaining: net.leader_count(),
-        }),
-    }
+    run_to_single_leader(&mut net, max_rounds)
 }
 
 /// [`run_beeping`] with the engine's instrumentation enabled (no
@@ -163,8 +152,7 @@ fn run_beeping_measured<P: bfw_sim::LeaderElection>(
     check_topology(graph)?;
     let mut net = Network::new(protocol, graph.clone().into(), seed);
     net.enable_instrumentation(None);
-    let mut hist = StateHistogram::new();
-    let converged = observe_run(&mut net, &mut hist, max_rounds, |v| v.leader_count() == 1);
+    let stats = run_to_single_leader(&mut net, max_rounds)?;
     let ledger = net
         .complexity_ledger()
         .expect("instrumentation was enabled");
@@ -175,14 +163,27 @@ fn run_beeping_measured<P: bfw_sim::LeaderElection>(
         messages: ledger.messages(),
         state_bytes: ledger.state_bytes_per_node(),
     };
+    Ok((stats, Some(complexity)))
+}
+
+/// Steps `net` to its first single-leader round, counting the distinct
+/// states (by `Debug` rendering) that appear on the way.
+fn run_to_single_leader<P: bfw_sim::LeaderElection>(
+    net: &mut Network<P>,
+    max_rounds: u64,
+) -> Result<RunStats, SimError> {
+    let mut seen: HashSet<String> = HashSet::new();
+    let converged = net.run_until(max_rounds, |v| {
+        for s in v.states {
+            seen.insert(format!("{s:?}"));
+        }
+        v.leader_count() == 1
+    });
     match converged {
-        Some(round) => Ok((
-            RunStats {
-                converged_round: round,
-                distinct_states: hist.distinct_states(),
-            },
-            Some(complexity),
-        )),
+        Some(round) => Ok(RunStats {
+            converged_round: round,
+            distinct_states: seen.len(),
+        }),
         None => Err(SimError::RoundBudgetExhausted {
             max_rounds,
             leaders_remaining: net.leader_count(),

@@ -28,7 +28,7 @@ use bfw_scenario::{
     Timeline,
 };
 use bfw_sim::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge};
-use bfw_sim::{run_trials_batched, Network};
+use bfw_sim::{run_trials, Network};
 use bfw_stats::{Summary, Table};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -148,19 +148,13 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
                     RuntimeKind::Async => sync_horizon * n as u64,
                 };
                 let spec = spec_for(&label, class, runtime, n, horizon);
-                let outcomes = run_trials_batched(
-                    trials,
-                    cfg.threads,
-                    cfg.seed ^ 0xE18,
-                    2,
-                    |seed, _scratch: &mut ()| {
-                        let outcome = run_bfw_scenario(&spec, &graph, seed)
-                            .expect("E18 specs are always valid");
-                        let latencies: Vec<u64> =
-                            outcome.recoveries.iter().map(Recovery::latency).collect();
-                        (latencies, outcome.final_leaders.len())
-                    },
-                );
+                let outcomes = run_trials(trials, cfg.threads, cfg.seed ^ 0xE18, |seed| {
+                    let outcome =
+                        run_bfw_scenario(&spec, &graph, seed).expect("E18 specs are always valid");
+                    let latencies: Vec<u64> =
+                        outcome.recoveries.iter().map(Recovery::latency).collect();
+                    (latencies, outcome.final_leaders.len())
+                });
                 let mut latencies = Vec::new();
                 let mut recoveries = 0usize;
                 let mut leaderless = 0usize;
@@ -210,12 +204,11 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     for (label, graph) in workloads(cfg.quick) {
         let n = graph.node_count();
         for runtime in [RuntimeKind::Sync, RuntimeKind::Async] {
-            let outcomes = run_trials_batched(
+            let outcomes = run_trials(
                 trials,
                 cfg.threads,
                 cfg.seed ^ 0x1E18,
-                2,
-                |seed, _scratch: &mut ()| match runtime {
+                |seed| match runtime {
                     RuntimeKind::Sync => {
                         let mut net = Network::new(Bfw::new(0.5), graph.clone().into(), seed);
                         net.run_until(sync_horizon, |v| v.leader_count() == 1)

@@ -18,7 +18,7 @@
 use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_scenario::{run_bfw_scenario, KernelKind, ScenarioSpec, Timeline};
 use bfw_scenario::{Recovery, ScenarioEvent};
-use bfw_sim::run_trials_batched;
+use bfw_sim::run_trials;
 use bfw_stats::{Summary, Table};
 
 /// The crash + heal schedule every topology is subjected to.
@@ -96,27 +96,17 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         let graph = spec.build();
         let scenario = scenario_for(spec, horizon, graph.node_count());
         let disruptions = scenario.timeline.entries().len();
-        // Sharded-seed batches: each worker claims 4 consecutive seeds
-        // per atomic fetch. This sweep keeps no state between trials,
-        // so the per-worker scratch slot stays empty.
-        let outcomes = run_trials_batched(
-            trials,
-            cfg.threads,
-            cfg.seed ^ 0xC1124,
-            4,
-            |seed, _scratch: &mut ()| {
-                let outcome = run_bfw_scenario(&scenario, &graph, seed)
-                    .expect("churn scenario timing is always valid");
-                let latencies: Vec<u64> =
-                    outcome.recoveries.iter().map(Recovery::latency).collect();
-                (
-                    latencies,
-                    outcome.leader_flaps,
-                    outcome.pending_disruption.is_some(),
-                    outcome.final_leaders.is_empty(),
-                )
-            },
-        );
+        let outcomes = run_trials(trials, cfg.threads, cfg.seed ^ 0xC1124, |seed| {
+            let outcome = run_bfw_scenario(&scenario, &graph, seed)
+                .expect("churn scenario timing is always valid");
+            let latencies: Vec<u64> = outcome.recoveries.iter().map(Recovery::latency).collect();
+            (
+                latencies,
+                outcome.leader_flaps,
+                outcome.pending_disruption.is_some(),
+                outcome.final_leaders.is_empty(),
+            )
+        });
         let mut latencies = Vec::new();
         let mut flaps = Vec::new();
         let mut recoveries = 0usize;

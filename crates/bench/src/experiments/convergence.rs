@@ -9,7 +9,7 @@
 
 use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::Bfw;
-use bfw_sim::{observe_run, run_trials, ConvergenceDetector, Network};
+use bfw_sim::{run_trials, Network};
 use bfw_stats::{Summary, Table};
 
 struct TrialOutcome {
@@ -21,8 +21,16 @@ struct TrialOutcome {
 
 fn one_trial(spec: &GraphSpec, seed: u64, budget: u64) -> TrialOutcome {
     let mut net = Network::new(Bfw::new(0.5), spec.topology(), seed);
-    let mut det = ConvergenceDetector::new();
-    let converged = observe_run(&mut net, &mut det, budget, |v| v.leader_count() == 1);
+    let mut min_leaders = usize::MAX;
+    let mut last_count = None;
+    let mut leaders_increased = false;
+    let converged = net.run_until(budget, |v| {
+        let count = v.leader_count();
+        leaders_increased |= last_count.is_some_and(|prev| count > prev);
+        last_count = Some(count);
+        min_leaders = min_leaders.min(count);
+        count == 1
+    });
     let mut stable = true;
     if let Some(round) = converged {
         let leader = net.unique_leader();
@@ -38,8 +46,8 @@ fn one_trial(spec: &GraphSpec, seed: u64, budget: u64) -> TrialOutcome {
     }
     TrialOutcome {
         converged,
-        min_leaders: det.min_leader_count(),
-        leaders_increased: det.leader_count_increased(),
+        min_leaders,
+        leaders_increased,
         stable,
     }
 }

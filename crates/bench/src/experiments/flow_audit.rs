@@ -8,7 +8,7 @@
 
 use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::{flow, Bfw, FlowAuditor, InvariantChecker};
-use bfw_sim::{observe_run, Network, ObserverSet, Topology};
+use bfw_sim::{Network, Topology};
 use bfw_stats::Table;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -43,11 +43,13 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
                 auditor.register_path(path);
             }
         }
-        let checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
-        let mut combo = ObserverSet::new(auditor, checker);
+        let mut checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
         let mut net = Network::new(Bfw::new(0.5), graph.into(), cfg.seed);
-        observe_run(&mut net, &mut combo, rounds, |_| false);
-        let (auditor, checker) = (combo.first, combo.second);
+        net.run_until(rounds, |v| {
+            auditor.on_round(v);
+            checker.on_round(v);
+            false
+        });
         total_violations +=
             auditor.violations().len() as u64 + checker.report().violations().len() as u64;
         table.push_row(vec![

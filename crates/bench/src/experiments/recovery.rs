@@ -33,7 +33,7 @@ use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_graph::NodeId;
 use bfw_scenario::{run_bfw_scenario, KernelKind, ProtocolKind, Recovery, ScenarioSpec, Timeline};
 use bfw_scenario::{InjectKind, ScenarioEvent};
-use bfw_sim::run_trials_batched;
+use bfw_sim::run_trials;
 use bfw_stats::{Summary, Table};
 
 /// The three wipeout scenario classes, on a cycle whose size makes the
@@ -180,24 +180,18 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         let mut wipeouts_by_protocol = Vec::new();
         for protocol in [ProtocolKind::Bfw, ProtocolKind::BfwRecovery] {
             let scenario = scenario_for(&spec, protocol, timeline.clone(), horizon);
-            let outcomes = run_trials_batched(
-                trials,
-                cfg.threads,
-                cfg.seed ^ 0xE17,
-                4,
-                |seed, _scratch: &mut ()| {
-                    let outcome = run_bfw_scenario(&scenario, &graph, seed)
-                        .expect("recovery scenario timing is always valid");
-                    let latencies: Vec<u64> =
-                        outcome.recoveries.iter().map(Recovery::latency).collect();
-                    (
-                        latencies,
-                        outcome.leader_flaps,
-                        outcome.pending_disruption.is_some(),
-                        outcome.final_leaders.is_empty(),
-                    )
-                },
-            );
+            let outcomes = run_trials(trials, cfg.threads, cfg.seed ^ 0xE17, |seed| {
+                let outcome = run_bfw_scenario(&scenario, &graph, seed)
+                    .expect("recovery scenario timing is always valid");
+                let latencies: Vec<u64> =
+                    outcome.recoveries.iter().map(Recovery::latency).collect();
+                (
+                    latencies,
+                    outcome.leader_flaps,
+                    outcome.pending_disruption.is_some(),
+                    outcome.final_leaders.is_empty(),
+                )
+            });
             let mut latencies = Vec::new();
             let mut flaps = Vec::new();
             let mut recoveries = 0usize;
@@ -261,24 +255,18 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         let mut lowest_leaderless = 0usize;
         for (fn_rate, fp_rate) in NOISE_SWEEP {
             for (label, spec) in noisy_wipeout_specs(size, horizon, fn_rate, fp_rate) {
-                let outcomes = run_trials_batched(
-                    trials,
-                    cfg.threads,
-                    cfg.seed ^ 0xE17_0015E,
-                    4,
-                    |seed, _scratch: &mut ()| {
-                        let outcome = run_bfw_scenario(&spec, &graph, seed)
-                            .expect("noise sweep timing is always valid");
-                        let latencies: Vec<u64> =
-                            outcome.recoveries.iter().map(Recovery::latency).collect();
-                        (
-                            latencies,
-                            outcome.leader_flaps,
-                            outcome.pending_disruption.is_some(),
-                            outcome.final_leaders.is_empty(),
-                        )
-                    },
-                );
+                let outcomes = run_trials(trials, cfg.threads, cfg.seed ^ 0xE17_0015E, |seed| {
+                    let outcome = run_bfw_scenario(&spec, &graph, seed)
+                        .expect("noise sweep timing is always valid");
+                    let latencies: Vec<u64> =
+                        outcome.recoveries.iter().map(Recovery::latency).collect();
+                    (
+                        latencies,
+                        outcome.leader_flaps,
+                        outcome.pending_disruption.is_some(),
+                        outcome.final_leaders.is_empty(),
+                    )
+                });
                 let mut latencies = Vec::new();
                 let mut flaps = Vec::new();
                 let mut unrecovered = 0usize;

@@ -26,7 +26,8 @@
 use bfw_bench::{experiments, ExpConfig, GraphSpec};
 use bfw_core::{theory, viz, Bfw, InitialConfig};
 use bfw_graph::{algo, Graph, NodeId};
-use bfw_sim::{observe_run, run_election, ElectionConfig, Network, TraceRecorder};
+use bfw_scenario::did_you_mean;
+use bfw_sim::{run_election, ElectionConfig, Network};
 use std::fmt::Write as _;
 
 /// A parsed command, ready to execute.
@@ -797,38 +798,6 @@ fn parse_int(s: &str, flag: &str) -> Result<u64, String> {
         .map_err(|_| format!("{flag} needs an integer, got '{s}'"))
 }
 
-/// Levenshtein distance (iterative two-row DP) — small inputs only.
-/// Mirrors the scenario spec parser's hinting so `bfw experiment
-/// tabel1` gets the same "did you mean" treatment as a misspelled TOML
-/// key.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Returns ` (did you mean 'x'?)` when a known name is within edit
-/// distance 2 of `given`, or an empty string otherwise.
-fn did_you_mean(given: &str, known: &[&str]) -> String {
-    known
-        .iter()
-        .map(|k| (edit_distance(given, k), *k))
-        .filter(|&(d, _)| d <= 2)
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, k)| format!(" (did you mean '{k}'?)"))
-        .unwrap_or_default()
-}
-
 /// Executes a parsed command, returning the text to print.
 ///
 /// # Errors
@@ -1474,7 +1443,6 @@ fn run_one(
 
 fn audit_one(spec: &GraphSpec, p: f64, seed: u64, rounds: u64) -> Result<String, String> {
     use bfw_core::{flow, FlowAuditor, InvariantChecker};
-    use bfw_sim::ObserverSet;
     use rand::SeedableRng as _;
 
     if !(p > 0.0 && p < 1.0) {
@@ -1493,10 +1461,13 @@ fn audit_one(spec: &GraphSpec, p: f64, seed: u64, rounds: u64) -> Result<String,
             auditor.register_path(path);
         }
     }
-    let checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
-    let mut combo = ObserverSet::new(auditor, checker);
+    let mut checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
     let mut net = Network::new(Bfw::new(p), graph.into(), seed);
-    observe_run(&mut net, &mut combo, rounds, |_| false);
+    net.run_until(rounds, |v| {
+        auditor.on_round(v);
+        checker.on_round(v);
+        false
+    });
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1505,24 +1476,23 @@ fn audit_one(spec: &GraphSpec, p: f64, seed: u64, rounds: u64) -> Result<String,
     let _ = writeln!(
         out,
         "  flow theory (Ohm's law / Lemma 7 / Lemma 11): {} checks, {} violation(s)",
-        combo.first.checks_performed(),
-        combo.first.violations().len()
+        auditor.checks_performed(),
+        auditor.violations().len()
     );
     let _ = writeln!(
         out,
         "  invariants (Claim 6 / Lemma 9 / monotonicity): {} rounds, {} violation(s)",
-        combo.second.report().rounds_checked(),
-        combo.second.report().violations().len()
+        checker.report().rounds_checked(),
+        checker.report().violations().len()
     );
-    for v in combo
-        .first
+    for v in auditor
         .violations()
         .iter()
-        .chain(combo.second.report().violations())
+        .chain(checker.report().violations())
     {
         let _ = writeln!(out, "  !! {v}");
     }
-    if combo.first.violations().is_empty() && combo.second.report().is_clean() {
+    if auditor.violations().is_empty() && checker.report().is_clean() {
         let _ = writeln!(out, "  all clean — Section 3 holds on this execution.");
     }
     Ok(out)
@@ -1551,8 +1521,11 @@ fn trace_one(
         ]));
     }
     let mut net = Network::new(protocol, topology, seed);
-    let mut trace = TraceRecorder::new();
-    observe_run(&mut net, &mut trace, rounds, |_| false);
+    let mut trace = Vec::new();
+    net.run_until(rounds, |v| {
+        trace.push(v.states.to_vec());
+        false
+    });
     let mut out = String::new();
     let _ = writeln!(out, "{spec}, p = {p}, seed = {seed} (legend below)\n");
     out.push_str(&viz::render_trace(&trace));

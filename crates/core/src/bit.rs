@@ -26,7 +26,7 @@ use crate::protocol::Bfw;
 use crate::state::BfwState;
 use bfw_graph::{Graph, NodeId};
 use bfw_sim::{
-    bernoulli_words, run_trials_bitsliced, BeepingProtocol, BitEngine, BitModel, NodeCtx, PlaneWord,
+    bernoulli_words, run_trials, BeepingProtocol, BitEngine, BitModel, NodeCtx, PlaneWord,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -275,10 +275,18 @@ impl BfwLaneEngine {
 /// bitsliced groups across `threads` workers — the sweep driver that
 /// makes `n = 10^6` Monte-Carlo estimation tractable.
 ///
-/// Group seeding follows [`run_trials_bitsliced`]: the group covering
-/// trials `s..s+64` receives `base_seed + s`. Outcomes land at their
-/// trial index; lanes that exhaust `max_rounds` report
+/// Group `g` covers trials `64g..64g + 64` (the last group may be
+/// shorter) and runs as one [`run_trials`] trial seeded
+/// `base_seed + 64g`, so the group covering trials `s..s+64` receives
+/// `base_seed + s`. Lane executions draw from per-node streams carved
+/// out of the *group* seed, so lane trials agree with scalar trials in
+/// distribution, not draw for draw (see [`bernoulli_words`]). Outcomes
+/// land at their trial index; lanes that exhaust `max_rounds` report
 /// `converged_round: None`.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`.
 pub fn run_bfw_trials_bitsliced(
     protocol: &Bfw,
     graph: &Graph,
@@ -287,9 +295,15 @@ pub fn run_bfw_trials_bitsliced(
     base_seed: u64,
     max_rounds: u64,
 ) -> Vec<LaneOutcome> {
-    run_trials_bitsliced(trials, threads, base_seed, |seed, lanes| {
-        BfwLaneEngine::new(protocol, graph, seed, lanes).run_to_convergence(max_rounds)
-    })
+    let groups = trials.div_ceil(64);
+    // With base seed 0, the seed `run_trials` passes is the group index.
+    let groups = run_trials(groups, threads, 0, |g| {
+        let start = g as usize * 64;
+        let lanes = 64.min(trials - start);
+        BfwLaneEngine::new(protocol, graph, base_seed + start as u64, lanes)
+            .run_to_convergence(max_rounds)
+    });
+    groups.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

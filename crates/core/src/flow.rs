@@ -17,7 +17,7 @@
 
 use crate::state::BfwState;
 use bfw_graph::{Graph, NodeId};
-use bfw_sim::{BeepingProtocol, Observer, RoundView};
+use bfw_sim::{BeepingProtocol, RoundView};
 use rand::Rng;
 
 /// The flow `ν_t(e)` along the oriented edge `(u, v)` (Definition 5),
@@ -85,8 +85,8 @@ pub fn random_walk_path<R: Rng + ?Sized>(
 
 /// Audits the flow theory on a live execution.
 ///
-/// Plugged in as an [`Observer`], the auditor maintains `N_beep_t(u)`
-/// for every node and, each round, checks
+/// Fed every round through [`on_round`](Self::on_round), the auditor
+/// maintains `N_beep_t(u)` for every node and, each round, checks
 ///
 /// 1. **Ohm's law** (Corollary 8) along every registered path,
 /// 2. **Lemma 7** (flow conservation) between consecutive rounds,
@@ -101,14 +101,17 @@ pub fn random_walk_path<R: Rng + ?Sized>(
 ///
 /// ```
 /// use bfw_core::{Bfw, FlowAuditor};
-/// use bfw_sim::{observe_run, Network};
+/// use bfw_sim::Network;
 /// use bfw_graph::{generators, NodeId};
 ///
 /// let g = generators::cycle(8);
 /// let mut auditor = FlowAuditor::new(8);
 /// auditor.register_path((0..8).chain([0]).map(NodeId::new).collect());
 /// let mut net = Network::new(Bfw::new(0.5), g.into(), 7);
-/// observe_run(&mut net, &mut auditor, 200, |_| false);
+/// net.run_until(200, |v| {
+///     auditor.on_round(v);
+///     false
+/// });
 /// assert!(auditor.violations().is_empty());
 /// assert!(auditor.checks_performed() > 0);
 /// ```
@@ -189,6 +192,15 @@ impl FlowAuditor {
         );
     }
 
+    /// Audits one round of a live execution; call it once per round,
+    /// starting at round 0.
+    pub fn on_round<P>(&mut self, view: &RoundView<'_, P>)
+    where
+        P: BeepingProtocol<State = BfwState>,
+    {
+        self.audit_round(view.round, view.states, view.beeps);
+    }
+
     fn audit_round(&mut self, round: u64, states: &[BfwState], beeps: &[bool]) {
         // Update N_beep with this round's beeps.
         for (c, &b) in self.n_beep.iter_mut().zip(beeps) {
@@ -239,21 +251,12 @@ impl FlowAuditor {
     }
 }
 
-impl<P> Observer<P> for FlowAuditor
-where
-    P: BeepingProtocol<State = BfwState>,
-{
-    fn on_round(&mut self, view: &RoundView<'_, P>) {
-        self.audit_round(view.round, view.states, view.beeps);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{Bfw, InitialConfig};
     use bfw_graph::generators;
-    use bfw_sim::{observe_run, Network};
+    use bfw_sim::Network;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use BfwState::*;
@@ -365,7 +368,10 @@ mod tests {
         auditor.register_path((0..n).chain([0]).map(NodeId::new).collect());
         auditor.register_path((0..=n / 2).map(NodeId::new).collect());
         let mut net = Network::new(Bfw::new(0.5), g.into(), 99);
-        observe_run(&mut net, &mut auditor, 500, |_| false);
+        net.run_until(500, |v| {
+            auditor.on_round(v);
+            false
+        });
         auditor.assert_clean();
         assert!(auditor.checks_performed() >= 500 * 2);
     }
@@ -381,7 +387,10 @@ mod tests {
             auditor.register_path(path);
         }
         let mut net = Network::new(Bfw::new(0.3), g.into(), 17);
-        observe_run(&mut net, &mut auditor, 400, |_| false);
+        net.run_until(400, |v| {
+            auditor.on_round(v);
+            false
+        });
         auditor.assert_clean();
     }
 
@@ -397,7 +406,10 @@ mod tests {
         let mut auditor = FlowAuditor::new(n);
         auditor.register_path((0..n).map(NodeId::new).collect());
         let mut net = Network::new(bfw, generators::path(n).into(), 4);
-        observe_run(&mut net, &mut auditor, 600, |_| false);
+        net.run_until(600, |v| {
+            auditor.on_round(v);
+            false
+        });
         auditor.assert_clean();
     }
 

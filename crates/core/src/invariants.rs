@@ -17,7 +17,7 @@
 
 use crate::state::BfwState;
 use bfw_graph::{algo::DistanceMatrix, Graph, NodeId};
-use bfw_sim::{BeepingProtocol, Observer, RoundView};
+use bfw_sim::{BeepingProtocol, RoundView};
 
 /// Outcome of an invariant audit (see [`InvariantChecker`]).
 #[derive(Debug, Clone, Default)]
@@ -43,20 +43,25 @@ impl InvariantReport {
     }
 }
 
-/// Observer that checks Claim 6, Lemma 9, Lemma 11 and leader-set
-/// monotonicity on a live BFW execution.
+/// Checks Claim 6, Lemma 9, Lemma 11 and leader-set monotonicity on a
+/// live BFW execution, one [`on_round`](Self::on_round) call per round
+/// from the [`Network::run_until`](bfw_sim::Network::run_until)
+/// predicate.
 ///
 /// # Example
 ///
 /// ```
 /// use bfw_core::{Bfw, InvariantChecker};
-/// use bfw_sim::{observe_run, Network};
+/// use bfw_sim::Network;
 /// use bfw_graph::generators;
 ///
 /// let g = generators::grid(3, 4);
 /// let mut checker = InvariantChecker::new(&g).with_lemma11(true);
 /// let mut net = Network::new(Bfw::new(0.5), g.into(), 5);
-/// observe_run(&mut net, &mut checker, 300, |_| false);
+/// net.run_until(300, |v| {
+///     checker.on_round(v);
+///     false
+/// });
 /// assert!(checker.report().is_clean());
 /// ```
 #[derive(Debug, Clone)]
@@ -107,6 +112,15 @@ impl InvariantChecker {
             "BFW invariants violated: {:?}",
             self.report.violations
         );
+    }
+
+    /// Checks one round of a live execution; call it once per round,
+    /// starting at round 0.
+    pub fn on_round<P>(&mut self, view: &RoundView<'_, P>)
+    where
+        P: BeepingProtocol<State = BfwState>,
+    {
+        self.check_round(view.round, view.states, view.beeps);
     }
 
     fn violate(&mut self, round: u64, message: String) {
@@ -270,27 +284,21 @@ impl InvariantChecker {
     }
 }
 
-impl<P> Observer<P> for InvariantChecker
-where
-    P: BeepingProtocol<State = BfwState>,
-{
-    fn on_round(&mut self, view: &RoundView<'_, P>) {
-        self.check_round(view.round, view.states, view.beeps);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{Bfw, InitialConfig};
     use bfw_graph::generators;
-    use bfw_sim::{observe_run, Network};
+    use bfw_sim::Network;
     use BfwState::*;
 
     fn run_checked(g: Graph, p: f64, seed: u64, rounds: u64, lemma11: bool) -> InvariantChecker {
         let mut checker = InvariantChecker::new(&g).with_lemma11(lemma11);
         let mut net = Network::new(Bfw::new(p), g.into(), seed);
-        observe_run(&mut net, &mut checker, rounds, |_| false);
+        net.run_until(rounds, |v| {
+            checker.on_round(v);
+            false
+        });
         checker
     }
 
@@ -333,7 +341,10 @@ mod tests {
         ]));
         let mut checker = InvariantChecker::new(&g).with_lemma11(true);
         let mut net = Network::new(bfw, g.into(), 11);
-        observe_run(&mut net, &mut checker, 2_000, |_| false);
+        net.run_until(2_000, |v| {
+            checker.on_round(v);
+            false
+        });
         checker.assert_clean();
     }
 

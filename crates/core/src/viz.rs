@@ -19,7 +19,6 @@
 //! | `-`  | `F◦` frozen non-leader |
 
 use crate::state::BfwState;
-use bfw_sim::TraceRecorder;
 use std::fmt::Write as _;
 
 /// Returns the single-character glyph for a state (see module legend).
@@ -52,13 +51,14 @@ pub fn render_round(states: &[BfwState]) -> String {
     states.iter().map(|&s| glyph(s)).collect()
 }
 
-/// Renders a recorded execution as a round-per-line block with round
-/// numbers, suitable for printing to a terminal.
-pub fn render_trace(trace: &TraceRecorder<BfwState>) -> String {
+/// Renders a recorded execution (`rounds[t]` holds the states of round
+/// `t`) as a round-per-line block with round numbers, suitable for
+/// printing to a terminal.
+pub fn render_trace(rounds: &[Vec<BfwState>]) -> String {
     let mut out = String::new();
-    let width = trace.len().saturating_sub(1).to_string().len().max(1);
-    for t in 0..trace.len() {
-        let _ = writeln!(out, "{t:>width$} | {}", render_round(trace.states_at(t)));
+    let width = rounds.len().saturating_sub(1).to_string().len().max(1);
+    for (t, states) in rounds.iter().enumerate() {
+        let _ = writeln!(out, "{t:>width$} | {}", render_round(states));
     }
     out
 }
@@ -113,7 +113,7 @@ mod tests {
     use super::*;
     use crate::protocol::{Bfw, InitialConfig};
     use bfw_graph::{generators, NodeId};
-    use bfw_sim::{observe_run, Network, TraceRecorder};
+    use bfw_sim::Network;
 
     #[test]
     fn glyphs_are_distinct() {
@@ -144,9 +144,12 @@ mod tests {
             NodeId::new(0),
             NodeId::new(n - 1),
         ]));
-        let mut trace = TraceRecorder::new();
+        let mut trace = Vec::new();
         let mut net = Network::new(bfw, generators::path(n).into(), 3);
-        observe_run(&mut net, &mut trace, 12, |_| false);
+        net.run_until(12, |v| {
+            trace.push(v.states.to_vec());
+            false
+        });
         let text = render_trace(&trace);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 13);

@@ -3,7 +3,7 @@
 
 use bfw_core::{flow, Bfw, BfwState, FlowAuditor, InitialConfig, InvariantChecker};
 use bfw_graph::{algo, generators, Graph, NodeId};
-use bfw_sim::{observe_run, Network, ObserverSet, TraceRecorder};
+use bfw_sim::Network;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -46,7 +46,10 @@ proptest! {
             }
         }
         let mut net = Network::new(Bfw::new(0.5), g.into(), seed);
-        observe_run(&mut net, &mut auditor, rounds, |_| false);
+        net.run_until(rounds, |v| {
+            auditor.on_round(v);
+            false
+        });
         prop_assert!(auditor.violations().is_empty(), "{:?}", auditor.violations());
     }
 
@@ -55,7 +58,10 @@ proptest! {
     fn invariants_on_random_graphs(g in arb_connected_graph(), seed in any::<u64>(), p in 0.05f64..0.95) {
         let mut checker = InvariantChecker::new(&g).with_lemma11(g.node_count() <= 12);
         let mut net = Network::new(Bfw::new(p), g.into(), seed);
-        observe_run(&mut net, &mut checker, 150, |_| false);
+        net.run_until(150, |v| {
+            checker.on_round(v);
+            false
+        });
         prop_assert!(checker.report().is_clean(), "{:?}", checker.report().violations());
     }
 
@@ -65,33 +71,30 @@ proptest! {
     fn lemma12_on_random_graphs(g in arb_connected_graph(), seed in any::<u64>()) {
         let n = g.node_count();
         let rounds = 120u64;
-        let mut trace = TraceRecorder::new();
-        let mut net = Network::new(Bfw::new(0.5), g.clone().into(), seed);
-        observe_run(&mut net, &mut trace, rounds, |_| false);
-        let dm = algo::DistanceMatrix::new(&g);
-
-        // first_beep[v] = first round v beeps (or None).
+        // first_beep[v] = first round v beeps (or None); cum[t][v] =
+        // N_beep_t(v).
         let mut first_beep: Vec<Option<u64>> = vec![None; n];
-        let mut cum: Vec<Vec<u64>> = Vec::with_capacity(trace.len());
+        let mut cum: Vec<Vec<u64>> = Vec::new();
         let mut acc = vec![0u64; n];
-        for t in 0..trace.len() {
-            for (i, &b) in trace.beeps_at(t).iter().enumerate() {
+        let mut net = Network::new(Bfw::new(0.5), g.clone().into(), seed);
+        net.run_until(rounds, |v| {
+            for (i, &b) in v.beeps.iter().enumerate() {
                 if b {
                     acc[i] += 1;
-                    if first_beep[i].is_none() {
-                        first_beep[i] = Some(t as u64);
-                    }
+                    first_beep[i].get_or_insert(v.round);
                 }
             }
             cum.push(acc.clone());
-        }
+            false
+        });
+        let dm = algo::DistanceMatrix::new(&g);
 
         for u in 0..n {
             for v in 0..n {
                 let d = u64::from(dm.get(NodeId::new(u), NodeId::new(v)).expect("connected"));
-                for t in 0..trace.len() as u64 {
+                for t in 0..cum.len() as u64 {
                     // Only check horizons fully inside the recorded window.
-                    if t + d >= trace.len() as u64 {
+                    if t + d >= cum.len() as u64 {
                         break;
                     }
                     if cum[t as usize][u] > cum[t as usize][v] {
@@ -125,16 +128,14 @@ proptest! {
     /// consecutive state pair in a trace is reachable via `delta`.
     #[test]
     fn traces_respect_figure1(g in arb_connected_graph(), seed in any::<u64>()) {
-        let mut trace = TraceRecorder::new();
+        let mut trace = Vec::new();
         let mut net = Network::new(Bfw::new(0.5), g.into(), seed);
-        observe_run(&mut net, &mut trace, 60, |_| false);
-        for t in 1..trace.len() {
-            for (i, (&prev, &next)) in trace
-                .states_at(t - 1)
-                .iter()
-                .zip(trace.states_at(t))
-                .enumerate()
-            {
+        net.run_until(60, |v| {
+            trace.push(v.states.to_vec());
+            false
+        });
+        for pair in trace.windows(2) {
+            for (i, (&prev, &next)) in pair[0].iter().zip(&pair[1]).enumerate() {
                 let reachable = [
                     bfw_core::delta(prev, false, false),
                     bfw_core::delta(prev, false, true),
@@ -185,20 +186,21 @@ fn closed_walk_flow_is_zero() {
     }
 }
 
-/// Observers compose: auditing flow and invariants simultaneously.
+/// Both checkers ride one `run_until` closure: auditing flow and
+/// invariants simultaneously.
 #[test]
 fn combined_observers_clean() {
     let g = generators::grid(4, 4);
-    let mut combo = ObserverSet::new(
-        {
-            let mut a = FlowAuditor::new(16);
-            a.register_path((0..4).map(NodeId::new).collect());
-            a
-        },
-        InvariantChecker::new(&g).with_lemma11(true),
-    );
+    let mut auditor = FlowAuditor::new(16);
+    auditor.register_path((0..4).map(NodeId::new).collect());
+    let mut checker = InvariantChecker::new(&g).with_lemma11(true);
     let mut net = Network::new(Bfw::new(0.5), g.into(), 2024);
-    observe_run(&mut net, &mut combo, 500, |_| false);
-    combo.first.assert_clean();
-    combo.second.assert_clean();
+    net.run_until(500, |v| {
+        auditor.on_round(v);
+        checker.on_round(v);
+        false
+    });
+    auditor.assert_clean();
+    checker.assert_clean();
+    assert_eq!(checker.report().rounds_checked(), 501);
 }

@@ -1,4 +1,4 @@
-//! Scenario observers: re-election latency and leader stability.
+//! Scenario monitors: re-election latency and leader stability.
 
 use bfw_graph::NodeId;
 

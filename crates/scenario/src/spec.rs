@@ -295,8 +295,9 @@ fn edit_distance(a: &str, b: &str) -> usize {
 
 /// Returns ` (did you mean 'x'?)` when a known name is within edit
 /// distance 2 of `given` (ties resolved toward the closest, then the
-/// first listed), or an empty string otherwise.
-fn did_you_mean(given: &str, known: &[&str]) -> String {
+/// first listed), or an empty string otherwise. The one hint helper
+/// of the workspace: spec keys, event kinds and CLI verbs all use it.
+pub fn did_you_mean(given: &str, known: &[&str]) -> String {
     known
         .iter()
         .map(|k| (edit_distance(given, k), *k))

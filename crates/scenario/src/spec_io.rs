@@ -204,6 +204,17 @@ fn node_field(doc: &Doc<'_>, key: &str) -> Result<NodeId, SchemaError> {
         .map_err(|_| field.error(format!("node id {id} exceeds u32::MAX")))
 }
 
+/// Reads a noise-channel probability, refusing (with the TOML parser's
+/// message) what `FaultLayer::set_noise` would assert on.
+fn prob_field(doc: &Doc<'_>, key: &str) -> Result<f64, SchemaError> {
+    let field = doc.field(key)?;
+    let p = field.f64()?;
+    if !(0.0..1.0).contains(&p) {
+        return Err(field.error(format!("{key} must be in [0, 1), got {p}")));
+    }
+    Ok(p)
+}
+
 /// Decodes one event object back into a [`ScheduledEvent`].
 pub(crate) fn event_from_doc(doc: &Doc<'_>) -> Result<ScheduledEvent, SchemaError> {
     let round = doc.field("at")?.u64()?;
@@ -232,8 +243,8 @@ pub(crate) fn event_from_doc(doc: &Doc<'_>) -> Result<ScheduledEvent, SchemaErro
         }
         "heal" => ScenarioEvent::Heal,
         "noise-burst" => ScenarioEvent::NoiseBurst {
-            fn_rate: doc.field("fn")?.f64()?,
-            fp_rate: doc.field("fp")?.f64()?,
+            fn_rate: prob_field(doc, "fn")?,
+            fp_rate: prob_field(doc, "fp")?,
             rounds: doc.field("rounds")?.u64()?,
         },
         "inject-phantom" => ScenarioEvent::InjectState(InjectKind::PhantomWaves {
@@ -246,7 +257,9 @@ pub(crate) fn event_from_doc(doc: &Doc<'_>) -> Result<ScheduledEvent, SchemaErro
 }
 
 /// Decodes a spec body (`config` + `events` fields on `doc`) into a
-/// [`ScenarioSpec`] with an all-`at` timeline.
+/// [`ScenarioSpec`] with an all-`at` timeline. `p`, `threads` and the
+/// noise-burst rates get the TOML parser's range checks and messages,
+/// so a decoded spec never reaches an engine assert.
 pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> {
     let config = doc.field("config")?;
     let protocol_field = config.field("protocol")?;
@@ -279,7 +292,10 @@ pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> 
     };
     let threads = match config.opt_field("threads")? {
         None => None,
-        Some(field) => Some(field.u64()? as usize),
+        Some(field) => match field.u64()? {
+            0 => return Err(field.error("threads must be at least 1")),
+            threads => Some(threads as usize),
+        },
     };
     let u32_opt = |key: &str| -> Result<Option<u32>, SchemaError> {
         match config.opt_field(key)? {
@@ -301,10 +317,17 @@ pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> 
         let ev = event_from_doc(&item)?;
         timeline = timeline.at(ev.round, ev.event);
     }
+    let name = config.field("name")?.str()?.to_owned();
+    let graph = config.field("graph")?.str()?.to_owned();
+    let p_field = config.field("p")?;
+    let p = p_field.f64()?;
+    if !(p > 0.0 && p < 1.0) {
+        return Err(p_field.error(format!("p must be in (0, 1), got {p}")));
+    }
     Ok(ScenarioSpec {
-        name: config.field("name")?.str()?.to_owned(),
-        graph: config.field("graph")?.str()?.to_owned(),
-        p: config.field("p")?.f64()?,
+        name,
+        graph,
+        p,
         rounds: config.field("rounds")?.u64()?,
         stability: config.field("stability")?.u64()?,
         seed: config.field("seed")?.u64()?,

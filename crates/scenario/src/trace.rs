@@ -36,15 +36,39 @@ impl ScenarioTrace {
     /// The trace as a [`JsonValue`] — the `trace` block of the
     /// `bfw/scenario-report` document (see [`crate::RunReport`]): the
     /// ledger, the flight-recorder dump (or `null`), and the
-    /// per-recovery channel costs. The instrumentation types render
-    /// their own JSON strings (no serde in the vendor set); parsing
-    /// them back here keeps one JSON model end to end.
+    /// per-recovery channel costs. Both sub-objects carry their own
+    /// `"version": 1`.
     pub fn to_json_value(&self) -> JsonValue {
-        let ledger = JsonValue::parse(&self.ledger.to_json())
-            .expect("ComplexityLedger::to_json emits valid JSON");
+        let l = &self.ledger;
+        let ledger = JsonValue::object([
+            ("version", JsonValue::from(1u64)),
+            ("steps", JsonValue::from(l.steps())),
+            ("beeps_sent", JsonValue::from(l.beeps_sent())),
+            ("beeps_heard", JsonValue::from(l.beeps_heard())),
+            ("bits", JsonValue::from(l.bits())),
+            ("messages", JsonValue::from(l.messages())),
+            ("nodes", JsonValue::from(l.nodes())),
+            (
+                "state_bytes_per_node",
+                JsonValue::from(l.state_bytes_per_node()),
+            ),
+        ]);
         let recorder = match &self.recorder {
-            Some(recorder) => JsonValue::parse(&recorder.to_json())
-                .expect("FlightRecorder::to_json emits valid JSON"),
+            Some(recorder) => JsonValue::object([
+                ("version", JsonValue::from(1u64)),
+                ("capacity", JsonValue::from(recorder.capacity())),
+                ("dropped", JsonValue::from(recorder.dropped())),
+                (
+                    "events",
+                    JsonValue::array(recorder.events().map(|e| {
+                        JsonValue::object([
+                            ("step", JsonValue::from(e.step)),
+                            ("kind", JsonValue::from(e.kind.as_str())),
+                            ("detail", JsonValue::from(e.detail.as_str())),
+                        ])
+                    })),
+                ),
+            ]),
             None => JsonValue::Null,
         };
         let costs = JsonValue::array(self.recovery_costs.iter().map(|&(bits, messages)| {
@@ -143,6 +167,12 @@ mod tests {
         let value = trace.to_json_value();
         let ledger = value.get("ledger").unwrap();
         assert_eq!(ledger.get("bits").and_then(JsonValue::as_number), Some(3.0));
+        for block in [ledger, value.get("flight_recorder").unwrap()] {
+            assert_eq!(
+                block.get("version").and_then(JsonValue::as_number),
+                Some(1.0)
+            );
+        }
         let events = value
             .get("flight_recorder")
             .and_then(|r| r.get("events"))
@@ -160,6 +190,25 @@ mod tests {
         // render → parse fixpoint.
         let reparsed = JsonValue::parse(&value.render()).unwrap();
         assert_eq!(reparsed, value);
+    }
+
+    #[test]
+    fn recorder_json_escapes_details() {
+        let mut recorder = FlightRecorder::new(4);
+        recorder.record(bfw_sim::TraceEvent {
+            step: 1,
+            kind: "note".into(),
+            detail: "say \"hi\"\nback\\slash\tctrl\u{1}".into(),
+        });
+        let trace = ScenarioTrace {
+            recorder: Some(recorder),
+            ..sample_trace()
+        };
+        let json = trace.to_json_value().render();
+        assert!(
+            json.contains(r#"say \"hi\"\nback\\slash\tctrl\u0001"#),
+            "{json}"
+        );
     }
 
     #[test]

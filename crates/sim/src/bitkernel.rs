@@ -151,8 +151,8 @@ pub struct BitEngine<M: BitModel> {
     /// in internal label order when the plan relabels.
     degrees: Vec<u32>,
     uniform_degree: Option<u64>,
-    /// Word-shard fan-out for [`step`](Self::step); one shard (the
-    /// default) runs the serial path untouched.
+    /// Word-shard fan-out for [`step`](Self::step); with one shard
+    /// (the default) the step body runs once over every word.
     pool: ShardPool,
 }
 
@@ -161,6 +161,107 @@ fn build_plan(topology: &Topology) -> Option<WordGraph> {
         Topology::Clique(_) => None,
         Topology::Graph(g) => Some(WordGraph::build(g)),
         Topology::Overlay(ov) => Some(WordGraph::build(&ov.to_graph())),
+    }
+}
+
+/// What every word range of a round reads: the model, the adjacency
+/// plan, the frozen emission bitset, the alive mask and the noise
+/// channels (`None` when both are off).
+struct RoundReads<'a, M> {
+    model: &'a M,
+    plan: Option<&'a WordGraph>,
+    emit: &'a [u64],
+    alive: &'a [u64],
+    noise: Option<(f64, f64)>,
+}
+
+/// The words `lo..lo + heard.len()` of a round's writable state, and
+/// the RNG streams of exactly their nodes.
+struct WordRange<'a> {
+    lo: usize,
+    heard: &'a mut [u64],
+    leader: &'a mut [u64],
+    beeping: &'a mut [u64],
+    frozen: &'a mut [u64],
+    rngs: &'a mut [ChaCha8Rng],
+}
+
+impl<'a> WordRange<'a> {
+    /// Splits off the first `words` words; the node streams split at
+    /// the same boundary.
+    fn split_at(self, words: usize) -> (Self, Self) {
+        let (heard, heard_rest) = self.heard.split_at_mut(words);
+        let (leader, leader_rest) = self.leader.split_at_mut(words);
+        let (beeping, beeping_rest) = self.beeping.split_at_mut(words);
+        let (frozen, frozen_rest) = self.frozen.split_at_mut(words);
+        let nodes = (words * 64).min(self.rngs.len());
+        let (rngs, rngs_rest) = self.rngs.split_at_mut(nodes);
+        (
+            WordRange {
+                lo: self.lo,
+                heard,
+                leader,
+                beeping,
+                frozen,
+                rngs,
+            },
+            WordRange {
+                lo: self.lo + words,
+                heard: heard_rest,
+                leader: leader_rest,
+                beeping: beeping_rest,
+                frozen: frozen_rest,
+                rngs: rngs_rest,
+            },
+        )
+    }
+}
+
+/// Propagation, noise and transition of one round over one word range
+/// — the engine's only step body. Node `64w + b` of the range draws
+/// from `range.rngs[64w + b]`, so the draws land on the same streams at
+/// the same positions however the words are split.
+fn step_range<M: BitModel>(reads: &RoundReads<'_, M>, range: WordRange<'_>) {
+    let WordRange {
+        lo,
+        heard,
+        leader,
+        beeping,
+        frozen,
+        rngs,
+    } = range;
+    let hi = lo + heard.len();
+    let emit = &reads.emit[lo..hi];
+    let alive = &reads.alive[lo..hi];
+    if let Some(plan) = reads.plan {
+        heard.copy_from_slice(emit);
+        plan.propagate_or_range(reads.emit, heard, lo);
+    }
+    if let Some((fneg, fpos)) = reads.noise {
+        filter_heard_chunk(rngs, alive, emit, heard, fneg, fpos);
+    }
+    let p = reads.model.coin_probability();
+    for (w, &alive) in alive.iter().enumerate() {
+        let planes = PlaneWord {
+            leader: leader[w],
+            beeping: beeping[w],
+            frozen: frozen[w],
+        };
+        let heard = heard[w];
+        let mut coin = 0u64;
+        let mut draws = reads.model.coin_mask(planes, heard) & alive;
+        while draws != 0 {
+            let b = draws.trailing_zeros() as usize;
+            draws &= draws - 1;
+            if rngs[w * 64 + b].random_bool(p) {
+                coin |= 1u64 << b;
+            }
+        }
+        let next = reads.model.advance_word(planes, heard, coin);
+        // Crashed nodes keep their pre-crash state, bit-wise.
+        leader[w] = (next.leader & alive) | (planes.leader & !alive);
+        beeping[w] = (next.beeping & alive) | (planes.beeping & !alive);
+        frozen[w] = (next.frozen & alive) | (planes.frozen & !alive);
     }
 }
 
@@ -333,15 +434,16 @@ impl<M: BitModel> BitEngine<M> {
     /// Advances one synchronous round (see the module docs for the
     /// four word-wide passes and the RNG contract).
     ///
-    /// With [`Self::set_threads`] above one, the round runs
-    /// word-sharded: emission is computed serially (a cheap word-wide
-    /// `AND`), then every shard propagates, noise-filters, draws coins
-    /// and advances *its own destination word range* concurrently.
-    /// After emission freezes, every remaining pass reads shared state
-    /// only from the immutable `emit` bitset and writes only its own
-    /// words, and every Bernoulli draw comes from the drawing node's
-    /// own ChaCha8 stream — so no barrier is needed inside the region
-    /// and the result is byte-identical to the serial path.
+    /// Emission is computed over the whole bitset (a cheap word-wide
+    /// `AND`); propagation, noise, coins and advance then run as one
+    /// word-range body (`step_range`). With one thread that body covers
+    /// every word; with [`Self::set_threads`] above one, each shard runs
+    /// it concurrently on *its own destination word range*. After
+    /// emission freezes, every remaining pass reads shared state only
+    /// from the immutable `emit` bitset and writes only its own words,
+    /// and every Bernoulli draw comes from the drawing node's own
+    /// ChaCha8 stream — so no barrier is needed inside the region and
+    /// every thread count is byte-identical.
     pub fn step(&mut self) {
         let alive = self.faults.alive_words();
         for (e, (&b, &a)) in self.emit.iter_mut().zip(self.beeping.iter().zip(alive)) {
@@ -367,10 +469,39 @@ impl<M: BitModel> BitEngine<M> {
             }
         }
 
-        if self.pool.threads() > 1 {
-            self.step_body_sharded();
+        let pool = self.pool;
+        let words = self.words;
+        let (alive, fneg, fpos, rngs) = self.faults.shard_parts_mut();
+        let reads = RoundReads {
+            model: &self.model,
+            plan: self.plan.as_ref(),
+            emit: &self.emit,
+            alive,
+            noise: (fneg > 0.0 || fpos > 0.0).then_some((fneg, fpos)),
+        };
+        let whole = WordRange {
+            lo: 0,
+            heard: &mut self.heard,
+            leader: &mut self.leader,
+            beeping: &mut self.beeping,
+            frozen: &mut self.frozen,
+            rngs,
+        };
+        if pool.threads() == 1 {
+            step_range(&reads, whole);
         } else {
-            self.step_body_serial();
+            let mut shards = Vec::with_capacity(pool.threads());
+            let mut rest = whole;
+            for (lo, hi) in shard_bounds(words, pool.threads()) {
+                let (range, tail) = rest.split_at(hi - lo);
+                shards.push(Mutex::new(Some(range)));
+                rest = tail;
+            }
+            debug_assert_eq!(shards.len(), pool.threads(), "threads are clamped to words");
+            pool.run(|k| {
+                let range = shards[k].lock().expect("shard lock is uncontended").take();
+                step_range(&reads, range.expect("each shard runs once"));
+            });
         }
 
         if let Some(sample) = &mut sample {
@@ -386,138 +517,6 @@ impl<M: BitModel> BitEngine<M> {
                 .record_step(*sample, self.n, std::mem::size_of::<M::State>());
         }
         self.round += 1;
-    }
-
-    /// Propagation, noise and transition of one round, serially — the
-    /// reference path the sharded body must match byte for byte.
-    fn step_body_serial(&mut self) {
-        if let Some(plan) = &self.plan {
-            self.heard.copy_from_slice(&self.emit);
-            plan.propagate_or(&self.emit, &mut self.heard);
-        }
-        if self.faults.has_noise() {
-            self.faults.filter_heard_words(&self.emit, &mut self.heard);
-        }
-
-        let p = self.model.coin_probability();
-        for w in 0..self.words {
-            let alive = self.faults.alive_words()[w];
-            let planes = PlaneWord {
-                leader: self.leader[w],
-                beeping: self.beeping[w],
-                frozen: self.frozen[w],
-            };
-            let heard = self.heard[w];
-            let mut coin = 0u64;
-            let mut draws = self.model.coin_mask(planes, heard) & alive;
-            while draws != 0 {
-                let b = draws.trailing_zeros() as usize;
-                draws &= draws - 1;
-                if self.faults.rng(w * 64 + b).random_bool(p) {
-                    coin |= 1u64 << b;
-                }
-            }
-            let next = self.model.advance_word(planes, heard, coin);
-            // Crashed nodes keep their pre-crash state, bit-wise.
-            self.leader[w] = (next.leader & alive) | (planes.leader & !alive);
-            self.beeping[w] = (next.beeping & alive) | (planes.beeping & !alive);
-            self.frozen[w] = (next.frozen & alive) | (planes.frozen & !alive);
-        }
-    }
-
-    /// The word-sharded body: shard `k` owns destination words
-    /// `lo..hi` and the RNG streams of nodes `64·lo..64·hi`. Shared
-    /// reads are the frozen `emit` bitset and the alive mask; every
-    /// write (heard, the three planes, the RNG states) is to
-    /// shard-private disjoint slices, handed out via `split_at_mut`
-    /// behind per-shard mutexes (locked once each, uncontended).
-    fn step_body_sharded(&mut self) {
-        struct Shard<'a> {
-            lo: usize,
-            hi: usize,
-            heard: &'a mut [u64],
-            leader: &'a mut [u64],
-            beeping: &'a mut [u64],
-            frozen: &'a mut [u64],
-            rngs: &'a mut [ChaCha8Rng],
-        }
-
-        let pool = self.pool;
-        let bounds = shard_bounds(self.words, pool.threads());
-        debug_assert_eq!(bounds.len(), pool.threads(), "threads are clamped to words");
-        let n = self.n;
-        let p = self.model.coin_probability();
-        let model = &self.model;
-        let plan = self.plan.as_ref();
-        let emit = &self.emit;
-        let (alive_all, fneg, fpos, mut rngs_rest) = self.faults.shard_parts_mut();
-        let noise = fneg > 0.0 || fpos > 0.0;
-
-        let mut heard_rest = &mut self.heard[..];
-        let mut leader_rest = &mut self.leader[..];
-        let mut beeping_rest = &mut self.beeping[..];
-        let mut frozen_rest = &mut self.frozen[..];
-        let mut shards: Vec<Mutex<Shard>> = Vec::with_capacity(bounds.len());
-        for &(lo, hi) in &bounds {
-            let len = hi - lo;
-            let (heard, hr) = heard_rest.split_at_mut(len);
-            let (leader, lr) = leader_rest.split_at_mut(len);
-            let (beeping, br) = beeping_rest.split_at_mut(len);
-            let (frozen, fr) = frozen_rest.split_at_mut(len);
-            heard_rest = hr;
-            leader_rest = lr;
-            beeping_rest = br;
-            frozen_rest = fr;
-            let nodes = (hi * 64).min(n) - lo * 64;
-            let (rngs, rr) = rngs_rest.split_at_mut(nodes);
-            rngs_rest = rr;
-            shards.push(Mutex::new(Shard {
-                lo,
-                hi,
-                heard,
-                leader,
-                beeping,
-                frozen,
-                rngs,
-            }));
-        }
-
-        let shards = &shards;
-        pool.run(|k| {
-            let mut guard = shards[k].lock().expect("shard lock is uncontended");
-            let t = &mut *guard;
-            let emit_c = &emit[t.lo..t.hi];
-            let alive_c = &alive_all[t.lo..t.hi];
-            if let Some(plan) = plan {
-                t.heard.copy_from_slice(emit_c);
-                plan.propagate_or_range(emit, t.heard, t.lo);
-            }
-            if noise {
-                filter_heard_chunk(t.rngs, alive_c, emit_c, t.heard, fneg, fpos);
-            }
-            for (w, &alive) in alive_c.iter().enumerate() {
-                let planes = PlaneWord {
-                    leader: t.leader[w],
-                    beeping: t.beeping[w],
-                    frozen: t.frozen[w],
-                };
-                let heard = t.heard[w];
-                let mut coin = 0u64;
-                let mut draws = model.coin_mask(planes, heard) & alive;
-                while draws != 0 {
-                    let b = draws.trailing_zeros() as usize;
-                    draws &= draws - 1;
-                    if t.rngs[w * 64 + b].random_bool(p) {
-                        coin |= 1u64 << b;
-                    }
-                }
-                let next = model.advance_word(planes, heard, coin);
-                // Crashed nodes keep their pre-crash state, bit-wise.
-                t.leader[w] = (next.leader & alive) | (planes.leader & !alive);
-                t.beeping[w] = (next.beeping & alive) | (planes.beeping & !alive);
-                t.frozen[w] = (next.frozen & alive) | (planes.frozen & !alive);
-            }
-        });
     }
 
     /// Advances `rounds` rounds.

@@ -169,28 +169,6 @@ impl FaultLayer {
         }
     }
 
-    /// Word-wide counterpart of [`filter_signal`](Self::filter_signal):
-    /// passes every *listening, alive* node's perceived bit through the
-    /// noise channels, in node-index order.
-    ///
-    /// Candidates are exactly the nodes the generic
-    /// [`BeepingModel`](crate::BeepingModel) noise loop visits — not
-    /// beeping (`emit` bit clear) and not crashed — and each candidate
-    /// makes the same lazy draws from the same per-node stream, so the
-    /// RNG streams stay bit-identical to the generic path.
-    pub(crate) fn filter_heard_words(&mut self, emit: &[u64], heard: &mut [u64]) {
-        let fneg = self.false_negative;
-        let fpos = self.false_positive;
-        filter_heard_chunk(
-            &mut self.rngs,
-            &self.alive_words[..heard.len()],
-            emit,
-            heard,
-            fneg,
-            fpos,
-        );
-    }
-
     /// Reorders the per-node state so that the entry of node `i` moves
     /// to index `map[i]` — the adoption step when the bit engine's
     /// adjacency plan relabels nodes. Only *storage positions* move:
@@ -224,11 +202,11 @@ impl FaultLayer {
         }
     }
 
-    /// Decomposes the layer into the parts the word-sharded step needs
-    /// concurrently: `(alive_words, false_negative, false_positive,
-    /// rngs)`. The caller splits `rngs` into disjoint per-shard slices
-    /// (`split_at_mut`); each shard then filters noise and draws coins
-    /// for its own node range only.
+    /// Decomposes the layer into the parts the bit kernel's step reads
+    /// and writes: `(alive_words, false_negative, false_positive,
+    /// rngs)`. A word-sharded step splits `rngs` into disjoint
+    /// per-shard slices (`split_at_mut`); each shard then filters noise
+    /// and draws coins for its own node range only.
     pub(crate) fn shard_parts_mut(&mut self) -> (&[u64], f64, f64, &mut [ChaCha8Rng]) {
         (
             &self.alive_words,
@@ -262,10 +240,16 @@ impl FaultLayer {
     }
 }
 
-/// Chunk-level noise filter shared by the serial and word-sharded
-/// paths: for every word `w` of the chunk, passes each *listening,
-/// alive* node's heard bit through the two noise channels, drawing
-/// lazily from that node's own stream in index order.
+/// Word-wide counterpart of [`FaultLayer::filter_signal`], over one
+/// chunk of words: for every word `w` of the chunk, passes each
+/// *listening, alive* node's heard bit through the two noise channels,
+/// drawing lazily from that node's own stream in index order.
+///
+/// Candidates are exactly the nodes the generic
+/// [`BeepingModel`](crate::BeepingModel) noise loop visits — not
+/// beeping (`emit` bit clear) and not crashed — and each candidate
+/// makes the same lazy draws from the same per-node stream, so the RNG
+/// streams stay bit-identical to the generic path.
 ///
 /// `rngs` holds the streams of exactly the nodes covered by the chunk's
 /// words (node `64w + b` of the chunk draws from `rngs[64w + b]`), so a
@@ -412,7 +396,8 @@ mod tests {
             heard[i >> 6] |= u64::from(heard_flags[i]) << (i & 63);
         }
 
-        wordy.filter_heard_words(&emit, &mut heard);
+        let (alive, fneg, fpos, rngs) = wordy.shard_parts_mut();
+        filter_heard_chunk(rngs, alive, &emit, &mut heard, fneg, fpos);
         for i in 0..n {
             if emit_flags[i] || scalar.is_crashed(i) {
                 continue;

@@ -13,8 +13,9 @@
 //!   fed once per round (sync) or per activation (async);
 //! * a fixed-capacity ring-buffer [`FlightRecorder`] of recent
 //!   [`TraceEvent`]s (scenario events, leader-set changes, anything a
-//!   caller records), dumpable post-hoc as versioned JSON even from
-//!   million-node runs — only the last `capacity` events are retained.
+//!   caller records), bounded even in million-node runs — only the
+//!   last `capacity` events are retained. `bfw-scenario` renders both
+//!   as the `trace` block of its versioned JSON report.
 //!
 //! **Zero cost when off, passive when on.** [`Instrumentation`] is
 //! enum-dispatch around an `Option`: a disabled probe costs one branch
@@ -48,7 +49,6 @@
 use crate::Topology;
 use bfw_graph::NodeId;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// What one engine step (round or activation) transmitted, as sampled
 /// by the model. Models that do not implement sampling contribute an
@@ -131,23 +131,6 @@ impl ComplexityLedger {
     pub fn state_bytes_per_node(&self) -> usize {
         self.state_bytes
     }
-
-    /// Renders the ledger as a versioned JSON object (no serde in the
-    /// offline vendor set; keys in a fixed order so dumps diff
-    /// cleanly).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"version\": 1, \"steps\": {}, \"beeps_sent\": {}, \"beeps_heard\": {}, \
-             \"bits\": {}, \"messages\": {}, \"nodes\": {}, \"state_bytes_per_node\": {}}}",
-            self.steps,
-            self.beeps_sent,
-            self.beeps_heard,
-            self.bits,
-            self.messages,
-            self.nodes,
-            self.state_bytes
-        )
-    }
 }
 
 /// One recorded event: a step stamp plus a short kind and free-form
@@ -222,56 +205,12 @@ impl FlightRecorder {
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
     }
-
-    /// Renders the recorder as a versioned JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"version\": 1, \"capacity\": {}, \"dropped\": {}, \"events\": [",
-            self.capacity, self.dropped
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"step\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                e.step,
-                escape_json(&e.kind),
-                escape_json(&e.detail)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Counts emitters and their message fan-out over a topology:
 /// `emits(i)` says whether node `i` transmits; the result is
 /// `(emitters, Σ_{emitting i} deg(i))`, with an `O(n)` clique fast
-/// path. Shared by the model samplers and the [`ComplexityObserver`]
-/// adapter.
-///
-/// [`ComplexityObserver`]: crate::ComplexityObserver
+/// path. Shared by the model samplers.
 pub fn fanout(topology: &Topology, mut emits: impl FnMut(usize) -> bool) -> (u64, u64) {
     let n = topology.node_count();
     match topology {
@@ -401,7 +340,7 @@ mod tests {
     use bfw_graph::generators;
 
     #[test]
-    fn ledger_accumulates_and_renders_json() {
+    fn ledger_accumulates() {
         let mut ledger = ComplexityLedger::new();
         ledger.record(
             RoundSample {
@@ -430,9 +369,6 @@ mod tests {
         assert_eq!(ledger.messages(), 8);
         assert_eq!(ledger.nodes(), 8);
         assert_eq!(ledger.state_bytes_per_node(), 2);
-        let json = ledger.to_json();
-        assert!(json.starts_with("{\"version\": 1"), "{json}");
-        assert!(json.contains("\"messages\": 8"), "{json}");
     }
 
     #[test]
@@ -451,21 +387,6 @@ mod tests {
         let steps: Vec<u64> = rec.events().map(|e| e.step).collect();
         assert_eq!(steps, vec![3, 4], "oldest evicted, order kept");
         assert!(!rec.is_empty());
-    }
-
-    #[test]
-    fn recorder_json_escapes_details() {
-        let mut rec = FlightRecorder::new(4);
-        rec.record(TraceEvent {
-            step: 1,
-            kind: "note".into(),
-            detail: "say \"hi\"\nback\\slash".into(),
-        });
-        let json = rec.to_json();
-        assert!(json.contains("\\\"hi\\\""), "{json}");
-        assert!(json.contains("\\n"), "{json}");
-        assert!(json.contains("\\\\slash"), "{json}");
-        assert!(json.starts_with("{\"version\": 1"), "{json}");
     }
 
     #[test]
@@ -530,12 +451,5 @@ mod tests {
         assert_eq!(bits_per_symbol(4), 2);
         assert_eq!(bits_per_symbol(5), 3);
         assert_eq!(bits_per_symbol(256), 8);
-    }
-
-    #[test]
-    fn escape_json_handles_controls() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape_json("tab\there"), "tab\\there");
     }
 }

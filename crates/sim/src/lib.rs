@@ -57,7 +57,6 @@ pub mod instrument;
 pub mod message_passing;
 mod monte_carlo;
 mod network;
-mod observers;
 mod pool;
 mod protocol;
 mod recovering;
@@ -72,14 +71,8 @@ pub use bitkernel::{bernoulli_words, BitEngine, BitModel, PlaneWord};
 pub use error::SimError;
 pub use fault::FaultLayer;
 pub use instrument::{ComplexityLedger, FlightRecorder, Instrumentation, RoundSample, TraceEvent};
-pub use monte_carlo::{
-    run_trials, run_trials_batched, run_trials_bitsliced, run_trials_sequential,
-};
+pub use monte_carlo::{run_trials, run_trials_sequential};
 pub use network::{BeepingModel, Network, RoundView};
-pub use observers::{
-    observe_run, BeepCounter, ComplexityObserver, ConvergenceDetector, Observer, ObserverSet,
-    StateHistogram, TraceRecorder,
-};
 pub use pool::{shard_bounds, ShardPool};
 pub use protocol::{BeepingProtocol, LeaderElection, NodeCtx};
 pub use recovering::{SlotAware, SlotSyncedModel};

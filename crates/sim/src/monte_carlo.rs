@@ -5,43 +5,13 @@
 //! [`run_trials`] distributes trials across the workspace's
 //! [`ShardPool`] while keeping results deterministic: trial `i` always
 //! receives seed `base_seed + i` and lands at index `i` of the output.
-//! All three runners share the same fan-out shape — workers claim work
-//! from an atomic counter, collect `(index, result)` pairs locally,
-//! and the pairs are merged in index order after the pool's join.
+//! [`run_trials_sequential`] is the single-threaded reference the tests
+//! compare against. The 64-lane sweeps of `bfw_core::bit` run through
+//! `run_trials` too, one trial per 64-lane group.
 
 use crate::pool::ShardPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Claims work-unit indices below `limit` from a shared atomic counter,
-/// runs `body(worker, unit, local)` on each, and deposits every
-/// worker's collected `(trial_index, result)` pairs into its bucket —
-/// the shared fan-out of all three trial runners, on [`ShardPool`].
-fn claim_loop<R: Send>(
-    pool: &ShardPool,
-    limit: usize,
-    body: impl Fn(usize, usize, &mut Vec<(usize, R)>) + Sync,
-) -> Vec<Vec<(usize, R)>> {
-    let next = AtomicUsize::new(0);
-    let buckets: Vec<Mutex<Vec<(usize, R)>>> = (0..pool.threads())
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    pool.run(|k| {
-        let mut local = Vec::with_capacity(limit / pool.threads() + 1);
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= limit {
-                break;
-            }
-            body(k, i, &mut local);
-        }
-        *buckets[k].lock().expect("bucket lock is per-worker") = local;
-    });
-    buckets
-        .into_iter()
-        .map(|b| b.into_inner().expect("bucket lock is per-worker"))
-        .collect()
-}
 
 /// Runs `trials` independent trials of `f` across `threads` worker
 /// threads and returns the results in trial order.
@@ -82,176 +52,23 @@ where
         return run_trials_sequential(trials, base_seed, f);
     }
     let pool = ShardPool::new(threads);
-    let mut buckets = claim_loop(&pool, trials, |_k, i, local| {
-        local.push((i, f(base_seed + i as u64)));
-    });
-    let mut results: Vec<Option<R>> = (0..trials).map(|_| None).collect();
-    for (i, r) in buckets.drain(..).flatten() {
-        debug_assert!(results[i].is_none(), "trial {i} produced twice");
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every trial index is claimed exactly once"))
-        .collect()
-}
-
-/// Runs `trials` independent trials of `f` in **sharded seed chunks**
-/// across `threads` worker threads, with a per-worker reusable scratch
-/// value, and returns the results in trial order.
-///
-/// This is the batch variant of [`run_trials`] for Monte-Carlo sweeps
-/// whose per-trial closure benefits from reusable allocations: workers
-/// claim `chunk` consecutive trial indices at a time (fewer atomic
-/// operations, better cache locality of the shared inputs) and hand
-/// every trial of their chunks the same `&mut S` scratch, which is
-/// created once per worker via `S::default()` and never crosses
-/// threads. Trial `i` still always receives seed `base_seed + i` and
-/// lands at index `i` of the output, so results are deterministic and
-/// identical to the sequential reference regardless of `threads`,
-/// `chunk` or interleaving — provided `f` writes its scratch before
-/// reading it (a scratch carrying state *between* trials would break
-/// the determinism contract, and the per-chunk sharding makes any such
-/// leak schedule-dependent and thus caught by the parallel-vs-
-/// sequential tests).
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `chunk == 0`, or `f` panics in a worker.
-///
-/// # Example
-///
-/// ```
-/// use bfw_sim::run_trials_batched;
-///
-/// // The scratch buffer is reused across every trial of a chunk.
-/// let sums = run_trials_batched(8, 4, 100, 2, |seed, buf: &mut Vec<u64>| {
-///     buf.clear();
-///     buf.extend(0..seed % 5);
-///     buf.iter().sum::<u64>()
-/// });
-/// assert_eq!(sums.len(), 8);
-/// assert_eq!(sums[3], (0..103u64 % 5).sum());
-/// ```
-pub fn run_trials_batched<R, S, F>(
-    trials: usize,
-    threads: usize,
-    base_seed: u64,
-    chunk: usize,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    S: Default + Send,
-    F: Fn(u64, &mut S) -> R + Sync,
-{
-    assert!(threads > 0, "at least one worker thread is required");
-    assert!(chunk > 0, "chunk size must be positive");
-    if trials == 0 {
-        return Vec::new();
-    }
-    let chunks = trials.div_ceil(chunk);
-    let threads = threads.min(chunks);
-    if threads == 1 {
-        let mut scratch = S::default();
-        return (0..trials)
-            .map(|i| f(base_seed + i as u64, &mut scratch))
-            .collect();
-    }
-    let pool = ShardPool::new(threads);
-    let scratches: Vec<Mutex<S>> = (0..threads).map(|_| Mutex::new(S::default())).collect();
-    let scratches = &scratches;
-    let mut buckets = claim_loop(&pool, chunks, |k, c, local| {
-        let scratch = &mut *scratches[k].lock().expect("scratch lock is per-worker");
-        let start = c * chunk;
-        for i in start..(start + chunk).min(trials) {
-            local.push((i, f(base_seed + i as u64, scratch)));
+    let next = AtomicUsize::new(0);
+    let buckets: Vec<Mutex<Vec<(usize, R)>>> =
+        (0..threads).map(|_| Mutex::new(Vec::new())).collect();
+    pool.run(|k| {
+        let mut local = Vec::with_capacity(trials / threads + 1);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= trials {
+                break;
+            }
+            local.push((i, f(base_seed + i as u64)));
         }
+        *buckets[k].lock().expect("bucket lock is per-worker") = local;
     });
     let mut results: Vec<Option<R>> = (0..trials).map(|_| None).collect();
-    for (i, r) in buckets.drain(..).flatten() {
-        debug_assert!(results[i].is_none(), "trial {i} produced twice");
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every trial index is claimed exactly once"))
-        .collect()
-}
-
-/// Runs `trials` independent trials in **64-lane bitsliced groups**
-/// across `threads` worker threads and returns the results in trial
-/// order.
-///
-/// This is the lane-parallel sibling of [`run_trials_batched`] for
-/// bit-packed executions (see `bfw_core::bit`): instead of one engine
-/// per trial, the closure runs up to 64 trials *simultaneously* in the
-/// bit positions of its words. `f(group_seed, lanes)` executes one
-/// group — lane `k` is trial `group_start + k` — and must return
-/// exactly `lanes` results, in lane order.
-///
-/// Seeding: the group starting at trial index `s` receives
-/// `base_seed + s`, so a sweep's first group matches `run_trials`'
-/// first trial seed. Lane executions draw from per-node streams carved
-/// out of the *group* seed, a different stream discipline from the
-/// scalar runners — lane trials agree with `run_trials` trials in
-/// distribution, not draw-for-draw (the mapping is documented on
-/// [`bernoulli_words`](crate::bernoulli_words)). Results are
-/// deterministic: the same inputs produce the same output vector
-/// regardless of `threads` or interleaving.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, if `f` returns the wrong number of
-/// results, or if `f` panics in any worker.
-///
-/// # Example
-///
-/// ```
-/// use bfw_sim::run_trials_bitsliced;
-///
-/// // 100 trials = groups of 64 + 36, seeds 900 and 964.
-/// let out = run_trials_bitsliced(100, 4, 900, |seed, lanes| {
-///     (0..lanes).map(|k| seed + k as u64).collect()
-/// });
-/// assert_eq!(out.len(), 100);
-/// assert_eq!(out[63], 963);
-/// assert_eq!(out[64], 964);
-/// ```
-pub fn run_trials_bitsliced<R, F>(trials: usize, threads: usize, base_seed: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64, usize) -> Vec<R> + Sync,
-{
-    assert!(threads > 0, "at least one worker thread is required");
-    if trials == 0 {
-        return Vec::new();
-    }
-    let groups = trials.div_ceil(64);
-    let run_group = |g: usize| {
-        let start = g * 64;
-        let lanes = 64.min(trials - start);
-        let results = f(base_seed + start as u64, lanes);
-        assert_eq!(
-            results.len(),
-            lanes,
-            "bitsliced group must return one result per lane"
-        );
-        results
-    };
-    let threads = threads.min(groups);
-    if threads == 1 {
-        return (0..groups).flat_map(run_group).collect();
-    }
-    let pool = ShardPool::new(threads);
-    let run_group = &run_group;
-    let mut buckets: Vec<Vec<(usize, Vec<R>)>> = claim_loop(&pool, groups, |_k, g, local| {
-        local.push((g, run_group(g)));
-    });
-    let mut results: Vec<Option<R>> = (0..trials).map(|_| None).collect();
-    for (g, group) in buckets.drain(..).flatten() {
-        for (k, r) in group.into_iter().enumerate() {
-            let i = g * 64 + k;
+    for bucket in buckets {
+        for (i, r) in bucket.into_inner().expect("bucket lock is per-worker") {
             debug_assert!(results[i].is_none(), "trial {i} produced twice");
             results[i] = Some(r);
         }
@@ -315,80 +132,5 @@ mod tests {
     #[should_panic(expected = "at least one worker thread")]
     fn zero_threads_panics() {
         let _ = run_trials(1, 0, 0, |s| s);
-    }
-
-    #[test]
-    fn batched_matches_sequential_for_any_chunking() {
-        // The scratch is written before it is read, so chunking and
-        // thread count must not change the output.
-        let f = |seed: u64, buf: &mut Vec<u64>| {
-            buf.clear();
-            buf.extend((0..seed % 7).map(|x| x * seed));
-            buf.iter().sum::<u64>()
-        };
-        let seq = run_trials_batched(100, 1, 13, 1, f);
-        for (threads, chunk) in [(2, 1), (4, 4), (8, 16), (3, 100), (16, 7)] {
-            assert_eq!(
-                run_trials_batched(100, threads, 13, chunk, f),
-                seq,
-                "threads {threads}, chunk {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_matches_unbatched_runner() {
-        let plain = run_trials(40, 4, 99, |seed| seed.wrapping_mul(2654435761) % 1009);
-        let batched = run_trials_batched(40, 4, 99, 8, |seed, _scratch: &mut ()| {
-            seed.wrapping_mul(2654435761) % 1009
-        });
-        assert_eq!(plain, batched);
-    }
-
-    #[test]
-    fn batched_zero_trials_and_edge_chunks() {
-        let out: Vec<u64> = run_trials_batched(0, 4, 0, 8, |s, _: &mut ()| s);
-        assert!(out.is_empty());
-        let out = run_trials_batched(3, 64, 10, 64, |s, _: &mut ()| s);
-        assert_eq!(out, vec![10, 11, 12]);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn batched_zero_chunk_panics() {
-        let _ = run_trials_batched(1, 1, 0, 0, |s, _: &mut ()| s);
-    }
-
-    #[test]
-    fn bitsliced_is_thread_count_invariant() {
-        let f = |seed: u64, lanes: usize| {
-            (0..lanes)
-                .map(|k| seed.wrapping_mul(31).wrapping_add(k as u64))
-                .collect::<Vec<_>>()
-        };
-        let one = run_trials_bitsliced(200, 1, 5, f);
-        for threads in [2, 3, 8] {
-            assert_eq!(run_trials_bitsliced(200, threads, 5, f), one, "{threads}");
-        }
-        assert_eq!(one.len(), 200);
-        // Group seeds step by 64: trial 64 is lane 0 of the group
-        // seeded base + 64.
-        assert_eq!(one[64], (5 + 64u64).wrapping_mul(31));
-    }
-
-    #[test]
-    fn bitsliced_zero_trials_and_partial_group() {
-        let out: Vec<u64> = run_trials_bitsliced(0, 4, 0, |s, l| vec![s; l]);
-        assert!(out.is_empty());
-        let out = run_trials_bitsliced(65, 4, 10, |s, l| vec![s; l]);
-        assert_eq!(out.len(), 65);
-        assert_eq!(out[63], 10);
-        assert_eq!(out[64], 74);
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per lane")]
-    fn bitsliced_validates_lane_count() {
-        let _ = run_trials_bitsliced(10, 1, 0, |_s, _l| vec![0u64; 3]);
     }
 }

@@ -270,7 +270,7 @@ impl<P: BeepingProtocol> TickEngine<BeepingModel<P>> {
     }
 
     /// Returns a borrowed snapshot of the current round, as handed to
-    /// [`Observer`](crate::Observer)s.
+    /// the [`run_until`](Self::run_until) predicate.
     pub fn view(&self) -> RoundView<'_, P> {
         RoundView {
             round: self.round,
@@ -283,6 +283,12 @@ impl<P: BeepingProtocol> TickEngine<BeepingModel<P>> {
 
     /// Advances until `stop(&view)` returns `true` (checked *before*
     /// each step, including round 0) or until `max_rounds` is reached.
+    ///
+    /// This is the one driver that observes rounds: the predicate sees
+    /// every round's view, so per-round bookkeeping (invariant checks,
+    /// beep totals, traces) lives in the caller's closure. A predicate
+    /// that always returns `false` sees every round from the current
+    /// one through `max_rounds`.
     ///
     /// Returns the round at which the predicate fired, or `None` if the
     /// budget ran out.
@@ -302,8 +308,8 @@ impl<P: BeepingProtocol> TickEngine<BeepingModel<P>> {
     }
 }
 
-/// Immutable snapshot of a round, handed to observers and stop
-/// predicates.
+/// Immutable snapshot of a round, handed to the
+/// [`Network::run_until`] predicate.
 #[derive(Debug)]
 pub struct RoundView<'a, P: BeepingProtocol> {
     /// The round number `t`.

@@ -2,14 +2,14 @@
 //! across `std::thread` workers.
 //!
 //! Both parallel call sites — the word-sharded [`BitEngine`] step and
-//! the Monte-Carlo trial runners — reduce to the same shape: run
+//! the Monte-Carlo trial runner — reduce to the same shape: run
 //! `job(k)` for every shard index `k`, where the job either owns a
 //! disjoint slice of the data (engine sharding) or claims work items
-//! from a shared atomic counter (trial runners). [`ShardPool::run`] is
-//! that shape. The pool never influences *what* a shard computes, only
-//! *where* it computes, so any determinism argument reduces to the
+//! from a shared atomic counter (the trial runner). [`ShardPool::run`]
+//! is that shape. The pool never influences *what* a shard computes,
+//! only *where* it computes, so any determinism argument reduces to the
 //! job's own index discipline (disjoint word ranges and per-node RNG
-//! streams for the engine; `base_seed + trial_index` for the runners).
+//! streams for the engine; `base_seed + trial_index` for the runner).
 //!
 //! The workspace forbids `unsafe`, so workers are scoped
 //! (`std::thread::scope`) per [`run`](ShardPool::run) call rather than

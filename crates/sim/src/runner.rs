@@ -1,7 +1,4 @@
-use crate::observers::observe_run;
-use crate::{
-    BeepCounter, ConvergenceDetector, LeaderElection, Network, ObserverSet, SimError, Topology,
-};
+use crate::{LeaderElection, Network, SimError, Topology};
 use bfw_graph::NodeId;
 
 /// Configuration for a single leader-election run.
@@ -92,8 +89,10 @@ pub fn run_election<P: LeaderElection>(
     }
     let n = topology.node_count();
     let mut net = Network::new(protocol, topology, seed);
-    let mut obs = ObserverSet::new(ConvergenceDetector::new(), BeepCounter::new(n));
-    let converged = observe_run(&mut net, &mut obs, config.max_rounds, |v| {
+    // Σ |B_t| over the observed rounds t = 0..=T.
+    let mut total_beeps = 0u64;
+    let converged = net.run_until(config.max_rounds, |v| {
+        total_beeps += v.beeps.iter().filter(|&&b| b).count() as u64;
         v.leader_count() == 1
     });
     let Some(converged_round) = converged else {
@@ -105,7 +104,6 @@ pub fn run_election<P: LeaderElection>(
     let leader = net
         .unique_leader()
         .expect("stop predicate guarantees one leader");
-    let total_beeps = obs.second.total_beeps();
     let mut stable = true;
     for _ in 0..config.stability_rounds {
         net.step();

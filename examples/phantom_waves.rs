@@ -13,7 +13,7 @@
 
 use bfw_core::{adversarial, viz, Bfw};
 use bfw_graph::generators;
-use bfw_sim::{observe_run, Network, TraceRecorder};
+use bfw_sim::Network;
 
 fn main() {
     let n = 12;
@@ -22,8 +22,11 @@ fn main() {
     // A phantom wave: F◦ B◦ W◦ W◦ ... — no leader anywhere.
     let config = adversarial::leaderless_wave_cycle(n, 1);
     let mut net = Network::with_states(Bfw::new(0.5), graph.clone().into(), 0, config);
-    let mut trace = TraceRecorder::new();
-    observe_run(&mut net, &mut trace, 2 * n as u64, |_| false);
+    let mut trace = Vec::new();
+    net.run_until(2 * n as u64, |v| {
+        trace.push(v.states.to_vec());
+        false
+    });
 
     println!("a leaderless phantom wave on a cycle of {n} (two full laps):\n");
     println!("{}", viz::render_trace(&trace));

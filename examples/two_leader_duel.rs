@@ -10,7 +10,7 @@
 
 use bfw_core::{viz, Bfw, InitialConfig};
 use bfw_graph::{generators, NodeId};
-use bfw_sim::{observe_run, run_election, ElectionConfig, Network, TraceRecorder};
+use bfw_sim::{run_election, ElectionConfig, Network};
 use bfw_stats::Summary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,13 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 1: render one duel.
     let protocol = Bfw::new(0.5).with_initial_config(duel_init.clone());
     let mut net = Network::new(protocol, generators::path(n).into(), 7);
-    let mut trace = TraceRecorder::new();
-    let converged = observe_run(&mut net, &mut trace, 5_000, |v| v.leader_count() == 1);
+    let mut trace = Vec::new();
+    let converged = net.run_until(5_000, |v| {
+        trace.push(v.states.to_vec());
+        v.leader_count() == 1
+    });
     println!("one duel on a path of diameter {d} (seed 7):\n");
     // Print the first 40 rounds — enough to watch waves crash.
     let shown = trace.len().min(41);
-    for t in 0..shown {
-        println!("{t:>4} | {}", viz::render_round(trace.states_at(t)));
+    for (t, states) in trace[..shown].iter().enumerate() {
+        println!("{t:>4} | {}", viz::render_round(states));
     }
     if shown < trace.len() {
         println!("     | ... ({} more rounds)", trace.len() - shown);

@@ -15,9 +15,9 @@
 //! If any pin ever breaks intentionally, re-pin with a written
 //! justification here.
 
-use bfw_core::{run_bfw_trials_bitsliced, Bfw, BfwState, BitNetwork};
+use bfw_core::{run_bfw_trials_bitsliced, Bfw, BfwLaneEngine, BfwState, BitNetwork};
 use bfw_graph::{generators, Graph, NodeId};
-use bfw_sim::{bernoulli_words, run_trials, run_trials_bitsliced, Network};
+use bfw_sim::{bernoulli_words, run_trials, Network};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -271,12 +271,15 @@ fn bitsliced_driver_is_thread_count_invariant() {
             "{threads} threads"
         );
     }
-    // The generic driver shares the grouping contract.
-    let raw = run_trials_bitsliced(130, 4, 5, |seed, lanes| vec![seed; lanes]);
-    assert_eq!(raw.len(), 130);
-    assert_eq!(raw[0], 5);
-    assert_eq!(raw[64], 69);
-    assert_eq!(raw[128], 133);
+    // Group g covers trials 64g.. and is one lane engine seeded
+    // base + 64g; the last group carries only the 2 leftover lanes.
+    assert_eq!(one.len(), 130);
+    let group =
+        |seed, lanes| BfwLaneEngine::new(&bfw, &graph, seed, lanes).run_to_convergence(1_000_000);
+    assert_eq!(one[..64], group(5, 64)[..]);
+    assert_eq!(one[64..128], group(5 + 64, 64)[..]);
+    assert_eq!(one[128..], group(5 + 128, 2)[..]);
+    assert!(run_bfw_trials_bitsliced(&bfw, &graph, 0, 4, 5, 1_000_000).is_empty());
 }
 
 proptest! {

@@ -3,7 +3,8 @@
 
 use bfw_bench::GraphSpec;
 use bfw_core::Bfw;
-use bfw_sim::{run_election, ElectionConfig, SimError};
+use bfw_graph::NodeId;
+use bfw_sim::{run_election, ElectionConfig, ElectionOutcome, SimError};
 
 fn budget_for(spec: &GraphSpec) -> u64 {
     let d = u64::from(spec.diameter().max(1));
@@ -133,4 +134,47 @@ fn extreme_p_values_still_converge_on_small_graphs() {
         .unwrap_or_else(|e| panic!("p={p}: {e}"));
         assert!(outcome.converged_round > 0);
     }
+}
+
+/// Fixed-seed outcomes, pinned: the convergence round `T`, the leader,
+/// `total_beeps` = Σ|B_t| over t = 0..=T, and stability. `bfw run`
+/// prints the same numbers, so a change to how `run_election` observes
+/// rounds cannot slip past unnoticed.
+#[test]
+fn election_outcomes_are_pinned() {
+    let pins = [
+        ("cycle:32", 42, 123, 3, 1075),
+        ("grid:6x6", 7, 57, 35, 516),
+        ("path:20", 3, 60, 6, 356),
+        ("clique:16", 1, 9, 2, 48),
+        ("torus:5x5", 11, 24, 17, 180),
+        ("hypercube:4", 5, 27, 5, 128),
+    ];
+    for (label, seed, round, leader, beeps) in pins {
+        let spec: GraphSpec = label.parse().unwrap();
+        let outcome = run_election(
+            Bfw::new(0.5),
+            spec.topology(),
+            seed,
+            ElectionConfig::new(1_000_000).with_stability_check(200),
+        )
+        .unwrap();
+        let expected = ElectionOutcome {
+            converged_round: round,
+            leader: NodeId::new(leader),
+            node_count: spec.topology().node_count(),
+            total_beeps: beeps,
+            stable: true,
+        };
+        assert_eq!(outcome, expected, "{label} seed {seed}");
+    }
+    let path: GraphSpec = "path:20".parse().unwrap();
+    let err = run_election(Bfw::new(0.5), path.topology(), 3, ElectionConfig::new(10)).unwrap_err();
+    assert_eq!(
+        err,
+        SimError::RoundBudgetExhausted {
+            max_rounds: 10,
+            leaders_remaining: 7
+        }
+    );
 }

@@ -197,6 +197,54 @@ fn snapshots_a_resume_would_panic_on_are_refused_at_their_pointer() {
 }
 
 #[test]
+fn decoded_specs_refuse_what_the_toml_parser_refuses() {
+    let noise_burst = |fn_rate: f64| {
+        JsonValue::object([
+            ("at", JsonValue::from(200u64)),
+            ("kind", JsonValue::from("noise-burst")),
+            ("fn", JsonValue::from(fn_rate)),
+            ("fp", JsonValue::from(0.0)),
+            ("rounds", JsonValue::from(10u64)),
+        ])
+    };
+    let dir = std::env::temp_dir().join(format!("bfw_tampered_specs_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        (
+            "/spec/config/p",
+            JsonValue::from(1.5),
+            "schema error at /spec/config/p: p must be in (0, 1), got 1.5",
+        ),
+        (
+            "/spec/config/threads",
+            JsonValue::from(0u64),
+            "schema error at /spec/config/threads: threads must be at least 1",
+        ),
+        (
+            "/spec/events/0",
+            noise_burst(1.5),
+            "schema error at /spec/events/0/fn: fn must be in [0, 1), got 1.5",
+        ),
+    ];
+    for (i, (pointer, value, message)) in cases.into_iter().enumerate() {
+        let text = tampered(pointer, value);
+        let err = validate_engine_snapshot(&text).unwrap_err();
+        assert_eq!(err.to_string(), message);
+        let path = dir.join(format!("tampered_spec_{i}.json"));
+        std::fs::write(&path, &text).unwrap();
+        let argv: Vec<String> = ["scenario", "run", "--resume-from", path.to_str().unwrap()]
+            .map(str::to_owned)
+            .into();
+        let err = parse(&argv).and_then(execute).unwrap_err();
+        assert!(err.contains(message), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    // In-range values still decode.
+    validate_engine_snapshot(&tampered("/spec/events/0", noise_burst(0.5))).unwrap();
+    validate_engine_snapshot(&tampered("/spec/config/threads", JsonValue::from(2u64))).unwrap();
+}
+
+#[test]
 fn a_bad_value_deep_in_a_large_array_is_named_exactly() {
     // 130 000 edges with one string endpoint far down the array: the
     // pointer, worked out only once decoding fails, names that element.

@@ -4,7 +4,7 @@
 use bfw_bench::GraphSpec;
 use bfw_core::{flow, theory, Bfw, FlowAuditor, InvariantChecker};
 use bfw_graph::NodeId;
-use bfw_sim::{observe_run, Network, ObserverSet, Topology};
+use bfw_sim::{Network, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -24,12 +24,15 @@ fn flow_theory_exact_across_suite() {
                 auditor.register_path(p);
             }
         }
-        let checker = InvariantChecker::new(&graph).with_lemma11(n <= 32);
-        let mut combo = ObserverSet::new(auditor, checker);
+        let mut checker = InvariantChecker::new(&graph).with_lemma11(n <= 32);
         let mut net = Network::new(Bfw::new(0.5), graph.into(), 77);
-        observe_run(&mut net, &mut combo, 600, |_| false);
-        combo.first.assert_clean();
-        combo.second.assert_clean();
+        net.run_until(600, |v| {
+            auditor.on_round(v);
+            checker.on_round(v);
+            false
+        });
+        auditor.assert_clean();
+        checker.assert_clean();
     }
 }
 

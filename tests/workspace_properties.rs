@@ -4,7 +4,7 @@ use bfw_bench::GraphSpec;
 use bfw_core::{Bfw, InvariantChecker};
 use bfw_graph::{algo, generators, NodeId};
 use bfw_sim::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge};
-use bfw_sim::{observe_run, run_election, ElectionConfig, Network};
+use bfw_sim::{run_election, ElectionConfig, Network};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -57,7 +57,10 @@ proptest! {
         // Invariants on a prefix of the run.
         let mut checker = InvariantChecker::new(&g).with_lemma11(g.node_count() <= 16);
         let mut net = Network::new(Bfw::new(0.5), g.clone().into(), seed);
-        observe_run(&mut net, &mut checker, 120, |_| false);
+        net.run_until(120, |v| {
+            checker.on_round(v);
+            false
+        });
         prop_assert!(checker.report().is_clean(), "{:?}", checker.report().violations());
 
         // Full election with stability.
