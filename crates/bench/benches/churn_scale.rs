@@ -1,48 +1,50 @@
 //! Churn-scale microbench: per-event cost of delta-applied topology vs
 //! rebuild-per-event on the full-size (10k-node) churn workloads.
 //!
-//! Besides the criterion timings, this bench **commits its numbers**:
-//! it writes `BENCH_churn.json` at the workspace root with the measured
-//! per-event costs and the delta-vs-rebuild speedup per topology (the
-//! CI churn-microbench smoke step asserts the file is emitted). The
-//! acceptance bar for the delta layer is a ≥5x speedup on a 10k-node
-//! graph under per-round churn.
+//! This bench **commits its numbers**: it writes `BENCH_churn.json` at
+//! the workspace root with the measured per-event costs and the
+//! delta-vs-rebuild speedup per topology (the CI churn-microbench smoke
+//! step asserts the file is emitted). The acceptance bar for the delta
+//! layer is a ≥5x speedup on a 10k-node graph under per-round churn.
+//!
+//! Plain `Instant` timing, as in `tick_scale`: per strategy and
+//! topology, one warm-up call and two timed calls; the report keeps the
+//! last call's per-event cost.
 
 use bfw_bench::experiments::churn_scale::{measure_event_cost, workloads, EventStrategy};
 use bfw_stats::JsonValue;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
+use std::time::Instant;
 
 /// Events per measured run. Kept moderate: the rebuild strategy costs
 /// O(n + m) per event on 10k nodes, and the bench runs both strategies
 /// on three topologies.
 const EVENTS: usize = 1_024;
 const SEED: u64 = 7;
+/// Timed calls per strategy, after one untimed warm-up call.
+const TIMED_CALLS: usize = 2;
 
-fn bench_event_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("churn_scale");
-    group.sample_size(2);
+fn main() {
     let mut report: Vec<(String, f64, f64)> = Vec::new();
     for (name, graph) in workloads(false) {
-        let mut latest = (0.0f64, 0.0f64);
-        for (label, strategy) in [
+        let [delta, rebuild] = [
             ("delta", EventStrategy::Delta),
             ("rebuild", EventStrategy::Rebuild),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, &name), &graph, |b, g| {
-                b.iter(|| {
-                    let m = measure_event_cost(g, EVENTS, SEED, strategy);
-                    match strategy {
-                        EventStrategy::Delta => latest.0 = m.ns_per_event(),
-                        EventStrategy::Rebuild => latest.1 = m.ns_per_event(),
-                    }
-                    black_box(m.event_ns)
-                });
-            });
-        }
-        report.push((name, latest.0, latest.1));
+        ]
+        .map(|(label, strategy)| {
+            measure_event_cost(&graph, EVENTS, SEED, strategy);
+            let mut ns_per_event = 0.0;
+            for _ in 0..TIMED_CALLS {
+                let start = Instant::now();
+                ns_per_event = measure_event_cost(&graph, EVENTS, SEED, strategy).ns_per_event();
+                println!(
+                    "churn_scale/{label}/{name}: {ns_per_event:.0} ns/event, run {:?}",
+                    start.elapsed()
+                );
+            }
+            ns_per_event
+        });
+        report.push((name, delta, rebuild));
     }
-    group.finish();
     write_report(&report);
 }
 
@@ -78,6 +80,3 @@ fn write_report(report: &[(String, f64, f64)]) {
     let path = bfw_bench::report::write_bench_report(root, "BENCH_churn.json", &value);
     println!("wrote {}", path.display());
 }
-
-criterion_group!(benches, bench_event_strategies);
-criterion_main!(benches);

@@ -497,14 +497,9 @@ fn parse_scenario(args: &[String]) -> Result<Command, String> {
 fn parse_kernel_value(
     it: &mut std::slice::Iter<'_, String>,
 ) -> Result<bfw_scenario::KernelKind, String> {
-    match take_value("--kernel", it)?.as_str() {
-        "auto" => Ok(bfw_scenario::KernelKind::Auto),
-        "generic" => Ok(bfw_scenario::KernelKind::Generic),
-        "bit" => Ok(bfw_scenario::KernelKind::Bit),
-        other => Err(format!(
-            "--kernel: unknown kernel '{other}' (valid: auto, generic, bit)"
-        )),
-    }
+    take_value("--kernel", it)?
+        .parse()
+        .map_err(|e| format!("--kernel: {e}"))
 }
 
 fn parse_threads_value(it: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
@@ -950,7 +945,15 @@ fn run_scenario(
     let capacity = trace_last
         .or_else(|| spec.trace.as_ref().map(|t| t.last))
         .unwrap_or(256);
-    let destination = trace_file.or_else(|| spec.trace.as_ref().and_then(|t| t.file.clone()));
+    // A relative `[trace] file` lands next to the spec; the --trace
+    // flag is a path typed relative to the shell's directory.
+    let destination = trace_file.or_else(|| {
+        let name = spec.trace.as_ref()?.file.as_ref()?;
+        let spec_dir = std::path::Path::new(file)
+            .parent()
+            .unwrap_or(std::path::Path::new(""));
+        Some(spec_dir.join(name).display().to_string())
+    });
     let (outcome, scenario_trace) =
         bfw_scenario::run_bfw_scenario_traced(&spec, &graph, seed, tracing.then_some(capacity))
             .map_err(|e| e.to_string())?;
@@ -986,10 +989,9 @@ fn load_scenario_spec(file: &str) -> Result<bfw_scenario::ScenarioSpec, String> 
 }
 
 /// Builds the workload graph a spec names.
-fn build_scenario_graph(spec: &bfw_scenario::ScenarioSpec) -> Result<(GraphSpec, Graph), String> {
+fn build_scenario_graph(spec: &bfw_scenario::ScenarioSpec) -> Result<Graph, String> {
     let workload: GraphSpec = spec.graph.parse().map_err(|e| format!("{e}"))?;
-    let graph = workload.build();
-    Ok((workload, graph))
+    Ok(workload.build())
 }
 
 /// Reads and decodes a `bfw/engine-snapshot` document.
@@ -1003,7 +1005,7 @@ fn load_snapshot(path: &str) -> Result<bfw_scenario::EngineSnapshot, String> {
 /// command; legal-but-suspect conditions print as warning lines.
 fn scenario_validate(file: &str) -> Result<String, String> {
     let spec = load_scenario_spec(file)?;
-    let (_, graph) = build_scenario_graph(&spec)?;
+    let graph = build_scenario_graph(&spec)?;
     let warnings =
         bfw_scenario::validate_scenario(&spec, &graph).map_err(|e| format!("{file}: {e}"))?;
     let mut out = format!(
@@ -1048,7 +1050,7 @@ fn scenario_step(
         (Some(file), None) => {
             let spec = load_scenario_spec(file)?;
             let seed = seed.unwrap_or(spec.seed);
-            let (_, graph) = build_scenario_graph(&spec)?;
+            let graph = build_scenario_graph(&spec)?;
             bfw_scenario::step_bfw_scenario(&spec, &graph, seed, rounds, kernel, threads)
                 .map_err(|e| e.to_string())?
         }
@@ -1089,23 +1091,23 @@ fn scenario_resume_run(
         }
         snap.spec.rounds = r;
     }
-    // The report header reflects the execution stack, so the overrides
-    // apply to the report's view of the spec exactly as `scenario run`
-    // applies its flags.
-    let mut spec = snap.spec.clone();
+    // The overrides pick the engine, and the report header shows them
+    // exactly as `scenario run` shows its flags; a finished run embeds
+    // no spec, so they can go straight into the snapshot's.
     if let Some(k) = kernel {
-        spec.kernel = k;
+        snap.spec.kernel = k;
     }
-    if let Some(t) = threads {
-        spec.threads = Some(t);
+    if threads.is_some() {
+        snap.spec.threads = threads;
     }
-    let (workload, _) = build_scenario_graph(&spec)?;
-    let seed = snap.seed;
-    let node_count = snap.graph.node_count();
+    // The report names the spec's workload; the graph itself comes from
+    // the snapshot, so the initial one is never generated.
+    let workload: GraphSpec = snap.spec.graph.parse().map_err(|e| format!("{e}"))?;
     let outcome =
-        bfw_scenario::resume_run_bfw_scenario(&snap, kernel, threads).map_err(|e| e.to_string())?;
+        bfw_scenario::resume_run_bfw_scenario(&snap, None, None).map_err(|e| e.to_string())?;
+    let (spec, nodes) = (&snap.spec, snap.graph.node_count());
     let report =
-        bfw_scenario::RunReport::new(&spec, workload.to_string(), node_count, seed, outcome, None);
+        bfw_scenario::RunReport::new(spec, workload.to_string(), nodes, snap.seed, outcome, None);
     Ok(report.to_text())
 }
 
@@ -1139,7 +1141,7 @@ fn scenario_shrink(
 ) -> Result<String, String> {
     let spec = load_scenario_spec(file)?;
     let seed = seed.unwrap_or(spec.seed);
-    let (_, graph) = build_scenario_graph(&spec)?;
+    let graph = build_scenario_graph(&spec)?;
     let report =
         bfw_scenario::shrink_wipeout(&spec, &graph, seed, quick).map_err(|e| e.to_string())?;
     let mut text = report.to_text();
@@ -1751,9 +1753,10 @@ mod tests {
                 }
             );
         }
-        assert!(parse(&argv("scenario run a.toml --kernel fast"))
+        // The spec parser's name helper: the same hint as `kernel = "bitt"`.
+        assert!(parse(&argv("scenario run a.toml --kernel bitt"))
             .unwrap_err()
-            .contains("unknown kernel 'fast'"));
+            .contains("--kernel: unknown kernel 'bitt' (did you mean 'bit'?)"));
         assert!(parse(&argv("scenario run a.toml --kernel"))
             .unwrap_err()
             .contains("needs a value"));
@@ -1905,6 +1908,37 @@ mod tests {
         assert!(out.contains("mean re-election latency:"), "{out}");
         // Byte-identical on repeat (the acceptance-criteria property).
         assert_eq!(out, run(42));
+    }
+
+    #[test]
+    fn relative_trace_file_lands_next_to_the_spec() {
+        // A relative `[trace] file` resolves against the spec's
+        // directory, not the one `bfw` runs in; an absolute one is kept.
+        let dir = std::env::temp_dir().join(format!("bfw_cli_trace_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let relative = "relative_trace_report.json";
+        let absolute = dir.join("elsewhere").join("report.json");
+        std::fs::create_dir_all(absolute.parent().unwrap()).unwrap();
+        let path = dir.join("traced.toml");
+        for (file, report) in [
+            (relative.to_owned(), dir.join(relative)),
+            (absolute.display().to_string(), absolute.clone()),
+        ] {
+            let spec = "[scenario]\ngraph = \"cycle:8\"\nrounds = 500\n[trace]\n";
+            std::fs::write(&path, format!("{spec}file = \"{file}\"\n")).unwrap();
+            let out = parse(&argv(&format!("scenario run {}", path.display())))
+                .and_then(execute)
+                .unwrap();
+            let wrote = format!("wrote trace report to {}\n", report.display());
+            assert!(out.ends_with(&wrote), "{out}");
+            let text = std::fs::read_to_string(&report).expect("the report is written");
+            bfw_scenario::validate_run_report(&text).unwrap();
+        }
+        assert!(
+            !std::path::Path::new(relative).exists(),
+            "nothing lands in the CWD"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

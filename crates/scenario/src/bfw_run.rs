@@ -1,8 +1,10 @@
-//! BFW-specific wiring: injectors and the one-call scenario runner.
+//! BFW-specific wiring: injectors, the one host builder, and the
+//! driver every scenario runner — straight run, `step`, resume — goes
+//! through.
 
 use crate::{
-    Engine, InjectKind, Injector, KernelKind, ProtocolKind, RuntimeKind, ScenarioEvent,
-    ScenarioOutcome, ScenarioSpec, ScenarioTrace, SpecError,
+    DynamicHost, Engine, EngineSnapshot, InjectKind, Injector, KernelKind, ProtocolKind,
+    RuntimeKind, ScenarioEvent, ScenarioOutcome, ScenarioSpec, ScenarioTrace, SpecError,
 };
 use bfw_core::{
     adversarial, Bfw, BfwState, BitNetwork, RecoveringNetwork, RecoveringProtocol, RecoveryConfig,
@@ -10,7 +12,7 @@ use bfw_core::{
 };
 use bfw_graph::{algo, Graph};
 use bfw_sim::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge};
-use bfw_sim::Network;
+use bfw_sim::{Network, Topology};
 
 /// The injector resolving [`InjectKind`] into BFW configurations from
 /// `bfw_core::adversarial` (Section 5 of the paper).
@@ -170,9 +172,10 @@ pub fn resolved_threads(spec: &ScenarioSpec) -> usize {
 /// execution and the scenario stream from `seed`.
 ///
 /// The spec's `protocol` key selects the stack: plain BFW on a
-/// [`Network`], or `bfw+recovery` — BFW wrapped in the self-healing
-/// recovery layer — on a [`RecoveringNetwork`] (slot parity kept
-/// synchronized for mid-run rejoiners), with the timing resolved by
+/// [`Network`] (or the bit-parallel [`BitNetwork`], see
+/// [`resolved_kernel`]), or `bfw+recovery` — BFW wrapped in the
+/// self-healing recovery layer — on a [`RecoveringNetwork`] (slot parity
+/// kept synchronized for mid-run rejoiners), with the timing resolved by
 /// [`scenario_recovery_config`]. The spec's `runtime` key selects the
 /// executor: synchronous rounds (the default), or `runtime = "async"`
 /// — BFW as a stone-age protocol on the [`AsyncStoneAgeNetwork`]
@@ -183,14 +186,15 @@ pub fn resolved_threads(spec: &ScenarioSpec) -> usize {
 /// protocol, timeline, injection, metrics — is wired here. Same
 /// `(spec, graph, seed)` ⇒ byte-identical [`ScenarioOutcome`].
 ///
+/// A straight run is the lifecycle's run from round 0 to the horizon:
+/// `step N` then resuming to the horizon produces the same outcome.
+///
 /// # Errors
 ///
-/// Returns a [`SpecError`] when the spec's recovery-timing overrides
-/// are invalid for this graph (see [`scenario_recovery_config`]), or
-/// when `runtime = "async"` is combined with `protocol =
-/// "bfw+recovery"` (slot multiplexing needs synchronous rounds; the
-/// parser rejects the combination, and programmatically built specs
-/// fail here).
+/// Returns a [`SpecError`] when the spec's stack breaks a rule the
+/// parser enforces (programmatically built specs fail here, with the
+/// parser's message), or when its recovery-timing overrides are invalid
+/// for this graph (see [`scenario_recovery_config`]).
 pub fn run_bfw_scenario(
     spec: &ScenarioSpec,
     graph: &Graph,
@@ -218,142 +222,161 @@ pub fn run_bfw_scenario_traced(
     seed: u64,
     trace: Option<usize>,
 ) -> Result<(ScenarioOutcome, Option<ScenarioTrace>), SpecError> {
-    check_stack_invariants(spec)?;
-    if spec.runtime == RuntimeKind::Async {
-        if spec.protocol == ProtocolKind::BfwRecovery {
-            return Err(SpecError::new(
-                "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": slot \
-                 multiplexing needs synchronous rounds (did you mean protocol = \"bfw\"?)",
-            ));
-        }
-        let mut host = AsyncStoneAgeNetwork::new(
-            BeepingAsStoneAge::new(Bfw::new(spec.p)),
-            graph.clone().into(),
-            seed,
-        );
-        host.set_scheduler(spec.scheduler.unwrap_or_default());
-        if let Some(capacity) = trace {
-            host.enable_instrumentation(Some(capacity));
-        }
-        return Ok(Engine::new(
-            host,
-            graph,
-            &spec.timeline,
-            spec.rounds,
-            seed,
-            spec.stability,
-        )
-        .with_injector(bfw_injector())
-        .run_traced());
-    }
-    Ok(match spec.protocol {
-        ProtocolKind::Bfw => {
-            if resolved_kernel(spec, graph.node_count()) == KernelKind::Bit {
-                let mut host = BitNetwork::new(Bfw::new(spec.p), graph.clone().into(), seed);
-                host.set_threads(resolved_threads(spec));
-                if let Some(capacity) = trace {
-                    host.enable_instrumentation(Some(capacity));
-                }
-                Engine::new(
-                    host,
-                    graph,
-                    &spec.timeline,
-                    spec.rounds,
-                    seed,
-                    spec.stability,
-                )
-                .with_injector(bfw_injector())
-                .run_traced()
-            } else {
-                let mut host = Network::new(Bfw::new(spec.p), graph.clone().into(), seed);
-                if let Some(capacity) = trace {
-                    host.enable_instrumentation(Some(capacity));
-                }
-                Engine::new(
-                    host,
-                    graph,
-                    &spec.timeline,
-                    spec.rounds,
-                    seed,
-                    spec.stability,
-                )
-                .with_injector(bfw_injector())
-                .run_traced()
-            }
-        }
-        ProtocolKind::BfwRecovery => {
-            let config = scenario_recovery_config(spec, graph)?;
-            let protocol = RecoveringProtocol::bfw(spec.p, config);
-            let mut host = RecoveringNetwork::new(protocol, graph.clone().into(), seed);
-            if let Some(capacity) = trace {
-                host.enable_instrumentation(Some(capacity));
-            }
-            Engine::new(
-                host,
-                graph,
-                &spec.timeline,
-                spec.rounds,
-                seed,
-                spec.stability,
-            )
-            .with_injector(recovering_bfw_injector())
-            .run_traced()
-        }
-    })
+    let leg = Leg {
+        spec,
+        graph,
+        seed,
+        from: None,
+        target: spec.rounds,
+        kernel: None,
+        threads: None,
+        trace,
+    };
+    leg.run(RunTo)
 }
 
-/// The stack invariants every runner (and the `validate` verb) enforces
-/// before touching a host: combinations the parser rejects in TOML must
-/// fail identically on programmatically built specs instead of silently
-/// running the wrong stack or dropping a key.
-pub(crate) fn check_stack_invariants(spec: &ScenarioSpec) -> Result<(), SpecError> {
-    if spec.runtime == RuntimeKind::Sync && spec.scheduler.is_some() {
-        return Err(SpecError::new(
-            "scheduler requires runtime = \"async\" (synchronous rounds have no activation \
-             scheduler)",
-        ));
-    }
-    // Mirror the parser's recovery-keys invariant for programmatically
-    // built specs: overrides on a stack without a recovery layer would
-    // otherwise be silently dropped.
-    if spec.protocol == ProtocolKind::Bfw
-        && (spec.heartbeat.is_some() || spec.timeout.is_some() || spec.grace.is_some())
-    {
-        return Err(SpecError::new(
-            "heartbeat/timeout/grace require protocol = \"bfw+recovery\" (plain bfw has no \
-             recovery layer)",
-        ));
-    }
-    // Mirror the parser's kernel invariants too: an explicit bit kernel
-    // on a stack it cannot execute must fail loudly, never silently run
-    // the generic path.
-    if spec.kernel == KernelKind::Bit {
-        if spec.protocol == ProtocolKind::BfwRecovery {
-            return Err(SpecError::new(
-                "kernel = \"bit\" cannot execute protocol = \"bfw+recovery\": the bitplane \
-                 kernel packs the six plain BFW states (did you mean kernel = \"generic\"?)",
-            ));
-        }
+/// Receives the host a [`Leg`] runs on.
+pub(crate) trait OnHost: Sized {
+    /// What the leg produces.
+    type Output;
+    /// Runs plain BFW on the generic, bit or async engine.
+    fn bfw<H: DynamicHost<State = BfwState>>(self, leg: &Leg<'_>, host: H) -> LegResult<Self>;
+    /// Runs BFW under the recovery layer.
+    fn recovering(self, leg: &Leg<'_>, host: RecoveringNetwork<Bfw>) -> LegResult<Self>;
+}
+
+/// What running a [`Leg`] with the finisher `F` returns.
+pub(crate) type LegResult<F> = Result<<F as OnHost>::Output, SpecError>;
+
+/// One stretch of a scenario run on `graph`: from round 0, or from the
+/// snapshot `from`, up to round `target`.
+pub(crate) struct Leg<'a> {
+    /// The spec whose timeline, horizon and stability window the engine
+    /// follows (a snapshot's embedded spec).
+    pub spec: &'a ScenarioSpec,
+    pub graph: &'a Graph,
+    /// The run's effective seed.
+    pub seed: u64,
+    pub from: Option<&'a EngineSnapshot>,
+    pub target: u64,
+    /// Execution overrides of the spec's `kernel` and `threads`: they
+    /// pick the engine only, never what a snapshot embeds.
+    pub kernel: Option<KernelKind>,
+    pub threads: Option<usize>,
+    /// Flight-recorder capacity when the leg is traced.
+    pub trace: Option<usize>,
+}
+
+impl Leg<'_> {
+    /// Builds the host the spec selects, execution overrides applied,
+    /// and hands it to `finish`: the one place each of the four
+    /// scenario hosts is constructed. `runtime = "async"` gets the
+    /// activation engine with the spec's scheduler; `bfw+recovery` gets
+    /// the recovery layer on the generic engine, timed by
+    /// [`scenario_recovery_config`]; plain synchronous BFW gets the bit
+    /// kernel on [`resolved_threads`] workers when [`resolved_kernel`]
+    /// picks it, the generic [`Network`] otherwise. The stack rules are
+    /// checked first, so no host is built for a spec no runner accepts.
+    pub fn run<F: OnHost>(&self, finish: F) -> LegResult<F> {
+        let spec = ScenarioSpec {
+            kernel: self.kernel.unwrap_or(self.spec.kernel),
+            threads: self.threads.or(self.spec.threads),
+            ..self.spec.clone()
+        };
+        spec.check_stack()?;
+        let topology = Topology::from(self.graph.clone());
         if spec.runtime == RuntimeKind::Async {
-            return Err(SpecError::new(
-                "kernel = \"bit\" requires synchronous rounds (did you mean runtime = \
-                 \"sync\"?)",
-            ));
+            let protocol = BeepingAsStoneAge::new(Bfw::new(spec.p));
+            let mut host = AsyncStoneAgeNetwork::new(protocol, topology, self.seed);
+            host.set_scheduler(spec.scheduler.unwrap_or_default());
+            return finish.bfw(self, host);
+        }
+        if spec.protocol == ProtocolKind::BfwRecovery {
+            let config = scenario_recovery_config(&spec, self.graph)?;
+            let protocol = RecoveringProtocol::bfw(spec.p, config);
+            return finish.recovering(self, RecoveringNetwork::new(protocol, topology, self.seed));
+        }
+        if resolved_kernel(&spec, self.graph.node_count()) == KernelKind::Bit {
+            let mut host = BitNetwork::new(Bfw::new(spec.p), topology, self.seed);
+            host.set_threads(resolved_threads(&spec));
+            finish.bfw(self, host)
+        } else {
+            finish.bfw(self, Network::new(Bfw::new(spec.p), topology, self.seed))
         }
     }
-    // And the parser's threads invariants: only the bit kernel shards
-    // its step, so a thread count on any other stack must fail loudly.
-    if spec.threads.is_some()
-        && (spec.kernel == KernelKind::Generic
-            || spec.runtime == RuntimeKind::Async
-            || spec.protocol == ProtocolKind::BfwRecovery)
-    {
-        return Err(SpecError::new(
-            "threads requires the bit kernel on plain synchronous bfw: only the bitplane \
-             kernel's word-sharded step fans out across worker threads",
-        ));
+
+    /// Restores a plain-BFW host to the snapshot the leg resumes (a
+    /// fresh leg leaves it as built).
+    pub fn restored<H: DynamicHost<State = BfwState>>(&self, mut host: H) -> H {
+        if let Some(snap) = self.from {
+            host.restore(&snap.checkpoint, snap.states.clone());
+        }
+        host
     }
-    Ok(())
+
+    /// Wraps `host` in an engine at the leg's start and runs it to the
+    /// leg's target round.
+    pub fn drive<H: DynamicHost>(&self, mut host: H, injector: Injector<H::State>) -> Engine<H> {
+        if let Some(capacity) = self.trace {
+            host.enable_instrumentation(Some(capacity));
+        }
+        let spec = self.spec;
+        let mut engine = match self.from {
+            None => Engine::new(
+                host,
+                self.graph,
+                &spec.timeline,
+                spec.rounds,
+                self.seed,
+                spec.stability,
+            ),
+            Some(snap) => Engine::resume(
+                host,
+                self.graph,
+                &spec.timeline,
+                spec.rounds,
+                self.seed,
+                snap.cursor.clone(),
+            ),
+        }
+        .with_injector(injector);
+        engine.run_until(self.target);
+        engine
+    }
+}
+
+/// Ends a leg with the run's outcome, and its trace when the leg was
+/// traced.
+pub(crate) struct RunTo;
+
+impl OnHost for RunTo {
+    type Output = (ScenarioOutcome, Option<ScenarioTrace>);
+
+    fn bfw<H: DynamicHost<State = BfwState>>(self, leg: &Leg<'_>, host: H) -> LegResult<Self> {
+        Ok(outcome(leg.drive(leg.restored(host), bfw_injector())))
+    }
+
+    fn recovering(self, leg: &Leg<'_>, host: RecoveringNetwork<Bfw>) -> LegResult<Self> {
+        if leg.from.is_some() {
+            return Err(no_snapshot_encoding());
+        }
+        Ok(outcome(leg.drive(host, recovering_bfw_injector())))
+    }
+}
+
+fn outcome<H: DynamicHost>(engine: Engine<H>) -> (ScenarioOutcome, Option<ScenarioTrace>) {
+    let trace = engine.trace();
+    (engine.into_outcome().0, trace)
+}
+
+/// The lifecycle refusal for `bfw+recovery`: its states cannot be
+/// captured or restored.
+pub(crate) fn no_snapshot_encoding() -> SpecError {
+    SpecError::new(
+        "scenario lifecycle verbs support protocol = \"bfw\" only: the recovery layer's \
+         epoch-tagged states have no snapshot encoding (use 'scenario run' for \
+         bfw+recovery)",
+    )
 }
 
 #[cfg(test)]
@@ -532,44 +555,6 @@ kind = "recover-all"
     }
 
     #[test]
-    fn async_runtime_rejects_recovery_protocol_programmatically() {
-        // The parser already rejects the combination; specs built in
-        // code (experiments, tests) must fail the same way instead of
-        // silently running the wrong stack.
-        let text = CHURN.replace(
-            "stability = 20",
-            "stability = 20\nprotocol = \"bfw+recovery\"",
-        );
-        let mut spec = ScenarioSpec::parse(&text).unwrap();
-        spec.runtime = crate::RuntimeKind::Async;
-        let err = run_bfw_scenario(&spec, &generators::cycle(12), 1).unwrap_err();
-        assert!(err.to_string().contains("synchronous rounds"), "{err}");
-
-        // The other parser invariant gets the same programmatic
-        // treatment: a Sync spec carrying a scheduler must fail loudly,
-        // not silently drop the scheduler.
-        let mut spec = ScenarioSpec::parse(CHURN).unwrap();
-        spec.scheduler = Some(bfw_sim::Scheduler::Weighted);
-        let err = run_bfw_scenario(&spec, &generators::cycle(12), 1).unwrap_err();
-        assert!(
-            err.to_string().contains("scheduler requires runtime"),
-            "{err}"
-        );
-
-        // And recovery-timing overrides without the recovery layer
-        // (async or sync) are rejected, not silently dropped.
-        let mut spec = ScenarioSpec::parse(CHURN).unwrap();
-        spec.runtime = crate::RuntimeKind::Async;
-        spec.heartbeat = Some(40);
-        let err = run_bfw_scenario(&spec, &generators::cycle(12), 1).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("require protocol = \"bfw+recovery\""),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn trace_does_not_perturb_outcomes() {
         // The determinism contract of the instrumentation seam: a
         // traced run's result block is byte-identical to the untraced
@@ -718,21 +703,6 @@ kind = "recover-all"
     }
 
     #[test]
-    fn explicit_bit_kernel_rejects_incompatible_stacks_programmatically() {
-        let mut spec = ScenarioSpec::parse(CHURN).unwrap();
-        spec.kernel = KernelKind::Bit;
-        spec.protocol = ProtocolKind::BfwRecovery;
-        let err = run_bfw_scenario(&spec, &generators::cycle(12), 1).unwrap_err();
-        assert!(err.to_string().contains("bitplane"), "{err}");
-
-        let mut spec = ScenarioSpec::parse(CHURN).unwrap();
-        spec.kernel = KernelKind::Bit;
-        spec.runtime = RuntimeKind::Async;
-        let err = run_bfw_scenario(&spec, &generators::cycle(12), 1).unwrap_err();
-        assert!(err.to_string().contains("synchronous rounds"), "{err}");
-    }
-
-    #[test]
     fn thread_count_never_changes_scenario_outcomes() {
         // The tentpole determinism contract at the scenario level: the
         // bit kernel's word-sharded step is byte-identical at every
@@ -758,21 +728,6 @@ kind = "recover-all"
                     "threads={threads} seed={seed}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn threads_rejects_non_bit_stacks_programmatically() {
-        for mutate in [
-            (|s: &mut ScenarioSpec| s.kernel = KernelKind::Generic) as fn(&mut ScenarioSpec),
-            |s| s.runtime = RuntimeKind::Async,
-            |s| s.protocol = ProtocolKind::BfwRecovery,
-        ] {
-            let mut spec = ScenarioSpec::parse(CHURN).unwrap();
-            spec.threads = Some(4);
-            mutate(&mut spec);
-            let err = run_bfw_scenario(&spec, &generators::cycle(12), 1).unwrap_err();
-            assert!(err.to_string().contains("threads requires"), "{err}");
         }
     }
 

@@ -47,6 +47,16 @@ pub struct Engine<H: DynamicHost> {
     /// leader set to the monitor (which would corrupt the stability
     /// streak).
     observed_through: Option<u64>,
+    /// Trace bookkeeping (instrumented hosts only): the leader set of
+    /// the last `leader-set` trace event.
+    traced_leaders: Option<Vec<NodeId>>,
+    /// `(disruption round, bits, messages)`: the ledger totals of the
+    /// round each disruption opened in, so the channel cost of the
+    /// recovery answering it is a subtraction.
+    disruption_marks: Vec<(u64, u64, u64)>,
+    /// `(bits, messages)` of each completed recovery, aligned with the
+    /// monitor's recoveries.
+    recovery_costs: Vec<(u64, u64)>,
 }
 
 /// The engine's own resumable state, beyond what the host carries: the
@@ -186,6 +196,9 @@ impl<H: DynamicHost> Engine<H> {
             noise_off_at: None,
             log: Vec::new(),
             observed_through: None,
+            traced_leaders: None,
+            disruption_marks: Vec::new(),
+            recovery_costs: Vec::new(),
         }
     }
 
@@ -208,26 +221,17 @@ impl<H: DynamicHost> Engine<H> {
         scenario_seed: u64,
         cursor: EngineCursor,
     ) -> Self {
-        assert_eq!(
-            graph.node_count(),
-            host.node_count(),
-            "engine graph must match the host topology"
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(scenario_seed ^ 0x5CE9_A210);
-        rng.set_position(cursor.rng_position.0, cursor.rng_position.1);
+        let mut engine = Engine::new(host, graph, timeline, horizon, scenario_seed, 0);
+        let (counter, word) = cursor.rng_position;
+        engine.rng.set_position(counter, word);
         Engine {
-            host,
-            graph: DynamicGraph::from_graph(graph),
-            events: timeline.compile(horizon, scenario_seed),
             next_event: cursor.next_event,
-            horizon,
-            rng,
             monitor: ElectionMonitor::from_state(cursor.monitor),
-            injector: None,
             partition_backlog: cursor.partition_backlog,
             noise_off_at: cursor.noise_off_at,
             log: cursor.log,
             observed_through: cursor.observed_through,
+            ..engine
         }
     }
 
@@ -265,34 +269,9 @@ impl<H: DynamicHost> Engine<H> {
     /// Events scheduled for round `t` apply after the host has completed
     /// `t` rounds; the monitor then observes the post-event leader set
     /// of that round.
-    pub fn run(self) -> ScenarioOutcome {
-        self.run_with_host().0
-    }
-
-    /// Like [`run`](Self::run), but also hands back the host so callers
-    /// can inspect its final configuration (e.g. the recovery layer's
-    /// per-node epoch counters).
-    pub fn run_with_host(self) -> (ScenarioOutcome, H) {
-        let (outcome, host, _) = self.run_all();
-        (outcome, host)
-    }
-
-    /// Like [`run`](Self::run), but also returns the
-    /// [`ScenarioTrace`] — complexity ledger, flight-recorder dump and
-    /// per-recovery channel costs — when the host's instrumentation is
-    /// on (`None` on uninstrumented hosts; enable it on the concrete
-    /// engine before constructing the `Engine`).
-    ///
-    /// Tracing is purely passive: the outcome of a traced run is
-    /// byte-identical to the untraced run at the same seed.
-    pub fn run_traced(self) -> (ScenarioOutcome, Option<ScenarioTrace>) {
-        let (outcome, host, recovery_costs) = self.run_all();
-        let trace = host.complexity_ledger().map(|ledger| ScenarioTrace {
-            ledger: ledger.clone(),
-            recorder: host.flight_recorder().cloned(),
-            recovery_costs,
-        });
-        (outcome, trace)
+    pub fn run(mut self) -> ScenarioOutcome {
+        self.run_until(self.horizon);
+        self.into_outcome().0
     }
 
     /// Advances the run until the host has completed `target` rounds,
@@ -300,15 +279,23 @@ impl<H: DynamicHost> Engine<H> {
     /// (so a snapshot taken here resumes cleanly). On a fresh engine
     /// this processes rounds `0..=target`; on a resumed engine it picks
     /// up right after the snapshot round without re-applying it.
-    /// Untraced (lifecycle verbs never instrument); byte-equivalent to
-    /// the [`run`](Self::run) loop over the same rounds.
+    ///
+    /// On an instrumented host it also records the trace: a
+    /// `leader-set` event whenever the leader set changes, and the
+    /// channel cost of every completed recovery (see
+    /// [`trace`](Self::trace)). The bookkeeping only reads the host, so
+    /// a traced run's outcome is byte-identical to the untraced one.
     pub fn run_until(&mut self, target: u64) {
+        let tracing = self.host.instrumentation_enabled();
         loop {
             let round = self.host.round();
             if self.observed_through != Some(round) {
                 self.apply_due_events(round);
                 let leaders = self.host.leaders();
                 self.monitor.observe(round, &leaders);
+                if tracing {
+                    self.trace_round(leaders);
+                }
                 self.observed_through = Some(round);
             }
             if round >= target {
@@ -318,10 +305,21 @@ impl<H: DynamicHost> Engine<H> {
         }
     }
 
+    /// The [`ScenarioTrace`] of the rounds run so far — complexity
+    /// ledger, flight-recorder dump and per-recovery channel costs —
+    /// when the host's instrumentation is on (`None` otherwise; enable
+    /// it on the host before constructing the `Engine`).
+    pub fn trace(&self) -> Option<ScenarioTrace> {
+        self.host.complexity_ledger().map(|ledger| ScenarioTrace {
+            ledger: ledger.clone(),
+            recorder: self.host.flight_recorder().cloned(),
+            recovery_costs: self.recovery_costs.clone(),
+        })
+    }
+
     /// Consumes the engine and assembles the outcome of the rounds run
-    /// so far (the tail of every runner). After a
-    /// [`run_until`](Self::run_until) to the horizon, this equals what
-    /// [`run_with_host`](Self::run_with_host) would have produced.
+    /// so far, handing back the host so callers can inspect its final
+    /// configuration (e.g. the recovery layer's per-node epochs).
     pub fn into_outcome(self) -> (ScenarioOutcome, H) {
         let final_leaders = self.host.leaders();
         let final_alive = (0..self.host.node_count())
@@ -340,78 +338,35 @@ impl<H: DynamicHost> Engine<H> {
         (outcome, self.host)
     }
 
-    /// The run loop shared by every public runner. The third component
-    /// is the per-recovery `(bits, messages)` cost vector, aligned with
-    /// the outcome's recoveries (empty on untraced runs).
-    fn run_all(mut self) -> (ScenarioOutcome, H, Vec<(u64, u64)>) {
-        let tracing = self.host.instrumentation_enabled();
-        let mut prev_leaders: Option<Vec<NodeId>> = None;
-        // (disruption round, bits so far, messages so far): ledger
-        // snapshots taken when each disruption opens, so the channel
-        // cost of the recovery answering it is a subtraction.
-        let mut disruption_marks: Vec<(u64, u64, u64)> = Vec::new();
-        let mut recovery_costs: Vec<(u64, u64)> = Vec::new();
-        loop {
-            let round = self.host.round();
-            self.apply_due_events(round);
-            if tracing {
-                // Snapshot before observe(): a zero stability window
-                // can answer a disruption in its own round.
-                let (bits, messages) = self.ledger_totals();
-                for i in 0..self.monitor.pending_disruptions().len() {
-                    let d = self.monitor.pending_disruptions()[i];
-                    if !disruption_marks.iter().any(|&(r, _, _)| r == d) {
-                        disruption_marks.push((d, bits, messages));
-                    }
-                }
-            }
-            let leaders = self.host.leaders();
-            if tracing && prev_leaders.as_deref() != Some(&leaders) {
-                let ids: Vec<String> = leaders.iter().map(NodeId::to_string).collect();
-                self.host
-                    .record_trace_event("leader-set", format!("[{}]", ids.join(", ")));
-                prev_leaders = Some(leaders.clone());
-            }
-            self.monitor.observe(round, &leaders);
-            if tracing {
-                while recovery_costs.len() < self.monitor.recoveries().len() {
-                    let r = self.monitor.recoveries()[recovery_costs.len()];
-                    let (bits, messages) = self.ledger_totals();
-                    let (b0, m0) = disruption_marks
-                        .iter()
-                        .find(|&&(d, _, _)| d == r.disrupted_at)
-                        .map_or((0, 0), |&(_, b, m)| (b, m));
-                    recovery_costs.push((bits - b0, messages - m0));
-                }
-            }
-            if round >= self.horizon {
-                break;
-            }
-            self.host.step();
+    /// Records an observed round on an instrumented host: a
+    /// `leader-set` event when the set changed, the channel cost of each
+    /// newly completed recovery, and a ledger mark for each disruption
+    /// still open. A disruption answered in the round it opened (a zero
+    /// stability window) has no mark yet, and cost nothing.
+    fn trace_round(&mut self, leaders: Vec<NodeId>) {
+        if self.traced_leaders.as_ref() != Some(&leaders) {
+            let ids: Vec<String> = leaders.iter().map(NodeId::to_string).collect();
+            self.host
+                .record_trace_event("leader-set", format!("[{}]", ids.join(", ")));
+            self.traced_leaders = Some(leaders);
         }
-        let final_leaders = self.host.leaders();
-        let final_alive = (0..self.host.node_count())
-            .filter(|&i| !self.host.is_crashed(NodeId::new(i)))
-            .count();
-        let outcome = ScenarioOutcome {
-            rounds_run: self.host.round(),
-            event_log: self.log,
-            recoveries: self.monitor.recoveries().to_vec(),
-            pending_disruption: self.monitor.pending_disruption(),
-            leader_flaps: self.monitor.flaps(),
-            final_leaders,
-            final_alive,
-            final_edges: self.graph.edge_count(),
-        };
-        (outcome, self.host, recovery_costs)
-    }
-
-    /// Current `(bits, messages)` totals of the host ledger (zeros when
-    /// instrumentation is off).
-    fn ledger_totals(&self) -> (u64, u64) {
-        self.host
+        let (bits, messages) = self
+            .host
             .complexity_ledger()
-            .map_or((0, 0), |l| (l.bits(), l.messages()))
+            .map_or((0, 0), |l| (l.bits(), l.messages()));
+        let marks = &mut self.disruption_marks;
+        for r in &self.monitor.recoveries()[self.recovery_costs.len()..] {
+            let (b0, m0) = marks
+                .iter()
+                .find(|&&(d, _, _)| d == r.disrupted_at)
+                .map_or((bits, messages), |&(_, b, m)| (b, m));
+            self.recovery_costs.push((bits - b0, messages - m0));
+        }
+        for &d in self.monitor.pending_disruptions() {
+            if !marks.iter().any(|&(r, _, _)| r == d) {
+                marks.push((d, bits, messages));
+            }
+        }
     }
 
     fn apply_due_events(&mut self, round: u64) {

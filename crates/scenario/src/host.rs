@@ -5,19 +5,20 @@
 //! topology deltas, mask nodes and report leaders can be perturbed by a
 //! [`Timeline`](crate::Timeline). Since the beeping [`Network`] and the
 //! [`StoneAgeNetwork`] are both model adapters over the shared
-//! [`TickEngine`], a **single blanket impl** covers every runtime: one
-//! scenario drives all models, and every fault hook — crashes,
-//! topology deltas, perception noise — behaves identically across
-//! them by construction.
+//! [`TickEngine`], a **single blanket impl** covers every synchronous
+//! runtime; the bit-parallel [`BitEngine`] and the asynchronous
+//! [`ActivationEngine`] get theirs from the same delegation, differing
+//! only in what a step is. One scenario drives all models, and every
+//! fault hook — crashes, topology deltas, perception noise — behaves
+//! identically across them by construction.
 //!
 //! [`Network`]: bfw_sim::Network
 //! [`StoneAgeNetwork`]: bfw_sim::stone_age::StoneAgeNetwork
-//! [`TickEngine`]: bfw_sim::TickEngine
 
 use bfw_graph::{Graph, NodeId, TopologyDelta};
 use bfw_sim::{
-    ActivationEngine, ActivationLeaderModel, BitEngine, BitModel, ComplexityLedger, FlightRecorder,
-    LeaderModel, TickEngine,
+    ActivationEngine, ActivationLeaderModel, BitEngine, BitModel, ComplexityLedger,
+    EngineCheckpoint, FlightRecorder, LeaderModel, TickEngine,
 };
 
 /// A runtime the scenario engine can perturb mid-run.
@@ -75,43 +76,120 @@ pub trait DynamicHost {
     /// host's edge set have not diverged — the two track the same edges
     /// independently, and a silent divergence would invalidate every
     /// event validated against the mirror from that point on.
-    fn topology_snapshot(&self) -> Option<Graph> {
-        None
-    }
+    fn topology_snapshot(&self) -> Option<Graph>;
 
-    /// Returns `true` when the host's complexity instrumentation is on
-    /// (see [`bfw_sim::instrument`]). The engine uses this to skip all
-    /// trace bookkeeping — leader-set diffing, ledger snapshots — on
-    /// untraced runs. Hosts without an instrumentation seam report
-    /// `false`.
-    fn instrumentation_enabled(&self) -> bool {
-        false
-    }
+    /// Per-node states in original label order, and the engine
+    /// checkpoint: crash mask, noise channels, per-node RNG stream
+    /// positions and the async scheduler half. Everything a snapshot
+    /// needs from the host.
+    fn capture(&self) -> (Vec<Self::State>, EngineCheckpoint);
+
+    /// Restores what [`capture`](Self::capture) returned. On the async
+    /// engine the scheduler must already be installed: the checkpoint
+    /// fast-forwards its stream.
+    fn restore(&mut self, checkpoint: &EngineCheckpoint, states: Vec<Self::State>);
+
+    /// Turns on complexity instrumentation (see
+    /// [`bfw_sim::instrument`]), with a flight recorder of
+    /// `recorder_capacity` events when one is given.
+    fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>);
+
+    /// Returns `true` when the host's complexity instrumentation is on.
+    /// The engine uses this to skip all trace bookkeeping — leader-set
+    /// diffing, ledger snapshots — on untraced runs.
+    fn instrumentation_enabled(&self) -> bool;
 
     /// Returns the host's accumulated complexity counters, if
-    /// instrumentation is on (`None` for uninstrumented hosts).
-    fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
-        None
-    }
+    /// instrumentation is on.
+    fn complexity_ledger(&self) -> Option<&ComplexityLedger>;
 
     /// Returns the host's flight recorder, if one is attached.
-    fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        None
-    }
+    fn flight_recorder(&self) -> Option<&FlightRecorder>;
 
     /// Records an event into the host's flight recorder, stamped with
     /// the host's own notion of time (rounds or activations). A no-op
-    /// on hosts without a recorder — the engine calls this
-    /// unconditionally for every applied scenario event.
-    fn record_trace_event(&mut self, _kind: &str, _detail: String) {}
+    /// without a recorder — the engine calls this for every applied
+    /// scenario event on an instrumented host.
+    fn record_trace_event(&mut self, kind: &str, detail: String);
+}
+
+/// The [`DynamicHost`] methods every engine answers alike, each by the
+/// engine's inherent method for the same job. Every engine embeds the
+/// shared fault layer, so each supports perception noise, and each
+/// exposes its current topology, checkpoint and instrumentation seam.
+macro_rules! shared_host_methods {
+    ($engine:ident) => {
+        type State = M::State;
+
+        fn node_count(&self) -> usize {
+            $engine::node_count(self)
+        }
+
+        fn apply_delta(&mut self, delta: &TopologyDelta) {
+            $engine::apply_topology_delta(self, delta);
+        }
+
+        fn crash(&mut self, u: NodeId) {
+            $engine::crash_node(self, u);
+        }
+
+        fn recover(&mut self, u: NodeId) {
+            $engine::recover_node(self, u);
+        }
+
+        fn is_crashed(&self, u: NodeId) -> bool {
+            $engine::is_crashed(self, u)
+        }
+
+        fn set_perception_noise(&mut self, false_negative: f64, false_positive: f64) -> bool {
+            $engine::set_noise(self, false_negative, false_positive);
+            true
+        }
+
+        fn set_states(&mut self, states: Vec<M::State>) {
+            $engine::set_states(self, states);
+        }
+
+        fn leaders(&self) -> Vec<NodeId> {
+            $engine::leaders(self)
+        }
+
+        fn topology_snapshot(&self) -> Option<Graph> {
+            Some(self.topology().to_graph())
+        }
+
+        fn capture(&self) -> (Vec<M::State>, EngineCheckpoint) {
+            (Vec::from(self.states()), $engine::checkpoint(self))
+        }
+
+        fn restore(&mut self, checkpoint: &EngineCheckpoint, states: Vec<M::State>) {
+            $engine::restore_checkpoint(self, checkpoint, states);
+        }
+
+        fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>) {
+            $engine::enable_instrumentation(self, recorder_capacity);
+        }
+
+        fn instrumentation_enabled(&self) -> bool {
+            $engine::instrumentation_enabled(self)
+        }
+
+        fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
+            $engine::complexity_ledger(self)
+        }
+
+        fn flight_recorder(&self) -> Option<&FlightRecorder> {
+            $engine::flight_recorder(self)
+        }
+
+        fn record_trace_event(&mut self, kind: &str, detail: String) {
+            $engine::record_trace_event(self, kind, detail);
+        }
+    };
 }
 
 impl<M: LeaderModel> DynamicHost for TickEngine<M> {
-    type State = M::State;
-
-    fn node_count(&self) -> usize {
-        TickEngine::node_count(self)
-    }
+    shared_host_methods!(TickEngine);
 
     fn round(&self) -> u64 {
         TickEngine::round(self)
@@ -120,65 +198,10 @@ impl<M: LeaderModel> DynamicHost for TickEngine<M> {
     fn step(&mut self) {
         TickEngine::step(self);
     }
-
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        TickEngine::apply_topology_delta(self, delta);
-    }
-
-    fn crash(&mut self, u: NodeId) {
-        TickEngine::crash_node(self, u);
-    }
-
-    fn recover(&mut self, u: NodeId) {
-        TickEngine::recover_node(self, u);
-    }
-
-    fn is_crashed(&self, u: NodeId) -> bool {
-        TickEngine::is_crashed(self, u)
-    }
-
-    fn set_perception_noise(&mut self, false_negative: f64, false_positive: f64) -> bool {
-        // The noise model lives in the engine's shared fault layer, so
-        // every TickEngine runtime supports it.
-        TickEngine::set_noise(self, false_negative, false_positive);
-        true
-    }
-
-    fn set_states(&mut self, states: Vec<M::State>) {
-        TickEngine::set_states(self, states);
-    }
-
-    fn leaders(&self) -> Vec<NodeId> {
-        TickEngine::leaders(self)
-    }
-
-    fn topology_snapshot(&self) -> Option<Graph> {
-        Some(self.topology().to_graph())
-    }
-
-    fn instrumentation_enabled(&self) -> bool {
-        TickEngine::instrumentation_enabled(self)
-    }
-
-    fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
-        TickEngine::complexity_ledger(self)
-    }
-
-    fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        TickEngine::flight_recorder(self)
-    }
-
-    fn record_trace_event(&mut self, kind: &str, detail: String) {
-        TickEngine::record_trace_event(self, kind, detail);
-    }
 }
 
 impl<M: BitModel> DynamicHost for BitEngine<M> {
-    type State = M::State;
-
-    fn node_count(&self) -> usize {
-        BitEngine::node_count(self)
-    }
+    shared_host_methods!(BitEngine);
 
     fn round(&self) -> u64 {
         BitEngine::round(self)
@@ -187,65 +210,10 @@ impl<M: BitModel> DynamicHost for BitEngine<M> {
     fn step(&mut self) {
         BitEngine::step(self);
     }
-
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        BitEngine::apply_topology_delta(self, delta);
-    }
-
-    fn crash(&mut self, u: NodeId) {
-        BitEngine::crash_node(self, u);
-    }
-
-    fn recover(&mut self, u: NodeId) {
-        BitEngine::recover_node(self, u);
-    }
-
-    fn is_crashed(&self, u: NodeId) -> bool {
-        BitEngine::is_crashed(self, u)
-    }
-
-    fn set_perception_noise(&mut self, false_negative: f64, false_positive: f64) -> bool {
-        // Same shared fault layer as the generic engines: always
-        // supported, and drawn from the same per-node streams.
-        BitEngine::set_noise(self, false_negative, false_positive);
-        true
-    }
-
-    fn set_states(&mut self, states: Vec<M::State>) {
-        BitEngine::set_states(self, states);
-    }
-
-    fn leaders(&self) -> Vec<NodeId> {
-        BitEngine::leaders(self)
-    }
-
-    fn topology_snapshot(&self) -> Option<Graph> {
-        Some(self.topology().to_graph())
-    }
-
-    fn instrumentation_enabled(&self) -> bool {
-        BitEngine::instrumentation_enabled(self)
-    }
-
-    fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
-        BitEngine::complexity_ledger(self)
-    }
-
-    fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        BitEngine::flight_recorder(self)
-    }
-
-    fn record_trace_event(&mut self, kind: &str, detail: String) {
-        BitEngine::record_trace_event(self, kind, detail);
-    }
 }
 
 impl<M: ActivationLeaderModel> DynamicHost for ActivationEngine<M> {
-    type State = M::State;
-
-    fn node_count(&self) -> usize {
-        ActivationEngine::node_count(self)
-    }
+    shared_host_methods!(ActivationEngine);
 
     /// Completed **activations** — the asynchronous runtime's unit of
     /// time. Timelines driving this host fire at activation positions.
@@ -257,56 +225,5 @@ impl<M: ActivationLeaderModel> DynamicHost for ActivationEngine<M> {
     /// crashed).
     fn step(&mut self) {
         self.activate_next();
-    }
-
-    fn apply_delta(&mut self, delta: &TopologyDelta) {
-        ActivationEngine::apply_topology_delta(self, delta);
-    }
-
-    fn crash(&mut self, u: NodeId) {
-        ActivationEngine::crash_node(self, u);
-    }
-
-    fn recover(&mut self, u: NodeId) {
-        ActivationEngine::recover_node(self, u);
-    }
-
-    fn is_crashed(&self, u: NodeId) -> bool {
-        ActivationEngine::is_crashed(self, u)
-    }
-
-    fn set_perception_noise(&mut self, false_negative: f64, false_positive: f64) -> bool {
-        // Same shared fault layer as the synchronous engine, so the
-        // asynchronous runtime supports the noise events too.
-        ActivationEngine::set_noise(self, false_negative, false_positive);
-        true
-    }
-
-    fn set_states(&mut self, states: Vec<M::State>) {
-        ActivationEngine::set_states(self, states);
-    }
-
-    fn leaders(&self) -> Vec<NodeId> {
-        ActivationEngine::leaders(self)
-    }
-
-    fn topology_snapshot(&self) -> Option<Graph> {
-        Some(self.topology().to_graph())
-    }
-
-    fn instrumentation_enabled(&self) -> bool {
-        ActivationEngine::instrumentation_enabled(self)
-    }
-
-    fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
-        ActivationEngine::complexity_ledger(self)
-    }
-
-    fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        ActivationEngine::flight_recorder(self)
-    }
-
-    fn record_trace_event(&mut self, kind: &str, detail: String) {
-        ActivationEngine::record_trace_event(self, kind, detail);
     }
 }

@@ -30,19 +30,16 @@
 //! kernel at 8 write byte-identical snapshot documents, and either can
 //! resume the other's.
 
-use crate::bfw_run::{bfw_injector, check_stack_invariants, resolved_kernel, resolved_threads};
-use crate::spec_io::{config_to_json, event_to_json, normalized_spec, spec_from_doc};
+use crate::bfw_run::{bfw_injector, no_snapshot_encoding, Leg, LegResult, OnHost, RunTo};
+use crate::spec_io::{normalized_spec, spec_body, spec_from_doc};
 use crate::{
-    Engine, EngineCursor, KernelKind, MonitorState, ProtocolKind, Recovery, RuntimeKind,
-    ScenarioOutcome, ScenarioSpec, SpecError,
+    DynamicHost, EngineCursor, KernelKind, MonitorState, Recovery, RuntimeKind, ScenarioOutcome,
+    ScenarioSpec, SpecError,
 };
-use bfw_core::{Bfw, BfwState, BitNetwork};
+use bfw_core::{Bfw, BfwState, RecoveringNetwork};
 use bfw_graph::{Graph, NodeId};
-use bfw_sim::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge};
-use bfw_sim::{EngineCheckpoint, Network, SchedulerCheckpoint};
+use bfw_sim::{EngineCheckpoint, SchedulerCheckpoint};
 use bfw_stats::{Doc, Envelope, JsonValue, SchemaError};
-
-use crate::DynamicHost;
 
 /// A paused scenario run: everything needed to continue it — or to
 /// reproduce its remainder on a different kernel or thread count.
@@ -95,7 +92,7 @@ pub struct SnapshotSummary {
 ///
 /// # Errors
 ///
-/// A [`SpecError`] for stack-invariant violations, or for
+/// A [`SpecError`] for stack-rule violations, or for
 /// `protocol = "bfw+recovery"` — the recovery layer's epoch-tagged
 /// states have no snapshot encoding (run it with `scenario run`).
 pub fn step_bfw_scenario(
@@ -107,11 +104,17 @@ pub fn step_bfw_scenario(
     threads: Option<usize>,
 ) -> Result<EngineSnapshot, SpecError> {
     let embed = normalized_spec(spec, seed);
-    let target = rounds.min(embed.rounds);
-    match dispatch(&embed, kernel, threads, graph, None, target, true)? {
-        Driven::Snap(snap) => Ok(*snap),
-        Driven::Out(_) => unreachable!("step dispatch always snapshots"),
-    }
+    let leg = Leg {
+        spec: &embed,
+        graph,
+        seed,
+        from: None,
+        target: rounds.min(embed.rounds),
+        kernel,
+        threads,
+        trace: None,
+    };
+    leg.run(StepTo)
 }
 
 /// Advances a snapshot `rounds` further rounds (clamped to its horizon)
@@ -129,18 +132,7 @@ pub fn resume_step_bfw_scenario(
     threads: Option<usize>,
 ) -> Result<EngineSnapshot, SpecError> {
     let target = snap.round.saturating_add(rounds).min(snap.spec.rounds);
-    match dispatch(
-        &snap.spec.clone(),
-        kernel,
-        threads,
-        &snap.graph,
-        Some(snap),
-        target,
-        true,
-    )? {
-        Driven::Snap(snap) => Ok(*snap),
-        Driven::Out(_) => unreachable!("step dispatch always snapshots"),
-    }
+    resuming(snap, target, kernel, threads).run(StepTo)
 }
 
 /// Drives a snapshot to its horizon and assembles the full
@@ -155,157 +147,54 @@ pub fn resume_run_bfw_scenario(
     kernel: Option<KernelKind>,
     threads: Option<usize>,
 ) -> Result<ScenarioOutcome, SpecError> {
-    let target = snap.spec.rounds;
-    match dispatch(
-        &snap.spec.clone(),
-        kernel,
-        threads,
-        &snap.graph,
-        Some(snap),
-        target,
-        false,
-    )? {
-        Driven::Out(outcome) => Ok(outcome),
-        Driven::Snap(_) => unreachable!("run dispatch never snapshots"),
-    }
+    let leg = resuming(snap, snap.spec.rounds, kernel, threads);
+    leg.run(RunTo).map(|(outcome, _)| outcome)
 }
 
-enum Driven {
-    Snap(Box<EngineSnapshot>),
-    Out(ScenarioOutcome),
-}
-
-/// The host seam the lifecycle needs beyond [`crate::DynamicHost`]:
-/// capture and restore of the engine-level checkpoint, with states in
-/// original label order on every kernel.
-trait SnapshotHost: DynamicHost<State = BfwState> {
-    fn capture(&self) -> (Vec<BfwState>, EngineCheckpoint);
-    fn restore(&mut self, cp: &EngineCheckpoint, states: Vec<BfwState>);
-}
-
-impl SnapshotHost for Network<Bfw> {
-    fn capture(&self) -> (Vec<BfwState>, EngineCheckpoint) {
-        (self.states().to_vec(), self.checkpoint())
-    }
-    fn restore(&mut self, cp: &EngineCheckpoint, states: Vec<BfwState>) {
-        self.restore_checkpoint(cp, states);
-    }
-}
-
-impl SnapshotHost for BitNetwork {
-    fn capture(&self) -> (Vec<BfwState>, EngineCheckpoint) {
-        (self.states(), self.checkpoint())
-    }
-    fn restore(&mut self, cp: &EngineCheckpoint, states: Vec<BfwState>) {
-        self.restore_checkpoint(cp, states);
-    }
-}
-
-impl SnapshotHost for AsyncStoneAgeNetwork<BeepingAsStoneAge<Bfw>> {
-    fn capture(&self) -> (Vec<BfwState>, EngineCheckpoint) {
-        (self.states().to_vec(), self.checkpoint())
-    }
-    fn restore(&mut self, cp: &EngineCheckpoint, states: Vec<BfwState>) {
-        self.restore_checkpoint(cp, states);
-    }
-}
-
-/// Builds the host for `exec`, runs (or resumes) the engine to
-/// `target`, and finishes as a snapshot or an outcome.
-fn dispatch(
-    embed: &ScenarioSpec,
+/// The leg that continues `snap` up to `target`.
+fn resuming(
+    snap: &EngineSnapshot,
+    target: u64,
     kernel: Option<KernelKind>,
     threads: Option<usize>,
-    graph: &Graph,
-    from: Option<&EngineSnapshot>,
-    target: u64,
-    want_snapshot: bool,
-) -> Result<Driven, SpecError> {
-    if embed.protocol != ProtocolKind::Bfw {
-        return Err(SpecError::new(
-            "scenario lifecycle verbs support protocol = \"bfw\" only: the recovery layer's \
-             epoch-tagged states have no snapshot encoding (use 'scenario run' for \
-             bfw+recovery)",
-        ));
-    }
-    // Execution overrides apply to a scratch copy; the embedded spec —
-    // and therefore the snapshot bytes — never see them.
-    let exec = ScenarioSpec {
-        kernel: kernel.unwrap_or(embed.kernel),
-        threads: threads.or(embed.threads),
-        ..embed.clone()
-    };
-    check_stack_invariants(&exec)?;
-    if exec.runtime == RuntimeKind::Async {
-        let mut host = AsyncStoneAgeNetwork::new(
-            BeepingAsStoneAge::new(Bfw::new(exec.p)),
-            graph.clone().into(),
-            embed.seed,
-        );
-        host.set_scheduler(exec.scheduler.unwrap_or_default());
-        return Ok(drive(host, embed, graph, from, target, want_snapshot));
-    }
-    if resolved_kernel(&exec, graph.node_count()) == KernelKind::Bit {
-        let mut host = BitNetwork::new(Bfw::new(exec.p), graph.clone().into(), embed.seed);
-        host.set_threads(resolved_threads(&exec));
-        Ok(drive(host, embed, graph, from, target, want_snapshot))
-    } else {
-        let host = Network::new(Bfw::new(exec.p), graph.clone().into(), embed.seed);
-        Ok(drive(host, embed, graph, from, target, want_snapshot))
+) -> Leg<'_> {
+    Leg {
+        spec: &snap.spec,
+        graph: &snap.graph,
+        seed: snap.spec.seed,
+        from: Some(snap),
+        target,
+        kernel,
+        threads,
+        trace: None,
     }
 }
 
-fn drive<H: SnapshotHost>(
-    mut host: H,
-    embed: &ScenarioSpec,
-    graph: &Graph,
-    from: Option<&EngineSnapshot>,
-    target: u64,
-    want_snapshot: bool,
-) -> Driven {
-    // Restore order matters on the async engine: the scheduler was
-    // installed at construction (re-drawing the replay permutation),
-    // and the checkpoint then fast-forwards its stream.
-    if let Some(snap) = from {
-        host.restore(&snap.checkpoint, snap.states.clone());
-    }
-    let mut engine = match from {
-        None => Engine::new(
-            host,
-            graph,
-            &embed.timeline,
-            embed.rounds,
-            embed.seed,
-            embed.stability,
-        ),
-        Some(snap) => Engine::resume(
-            host,
-            graph,
-            &embed.timeline,
-            embed.rounds,
-            embed.seed,
-            snap.cursor.clone(),
-        ),
-    }
-    .with_injector(bfw_injector());
-    engine.run_until(target);
-    if want_snapshot {
-        let (states, checkpoint) = engine.host().capture();
-        let current = engine
-            .host()
-            .topology_snapshot()
-            .expect("lifecycle hosts expose their topology");
-        Driven::Snap(Box::new(EngineSnapshot {
-            spec: embed.clone(),
-            seed: embed.seed,
-            round: engine.host().round(),
-            graph: current,
+/// Ends a leg by capturing it as an [`EngineSnapshot`].
+struct StepTo;
+
+impl OnHost for StepTo {
+    type Output = EngineSnapshot;
+
+    fn bfw<H: DynamicHost<State = BfwState>>(self, leg: &Leg<'_>, host: H) -> LegResult<Self> {
+        let engine = leg.drive(leg.restored(host), bfw_injector());
+        let host = engine.host();
+        let (states, checkpoint) = host.capture();
+        Ok(EngineSnapshot {
+            spec: leg.spec.clone(),
+            seed: leg.seed,
+            round: host.round(),
+            graph: host
+                .topology_snapshot()
+                .expect("lifecycle hosts expose their topology"),
             states,
             checkpoint,
             cursor: engine.cursor(),
-        }))
-    } else {
-        Driven::Out(engine.into_outcome().0)
+        })
+    }
+
+    fn recovering(self, _: &Leg<'_>, _: RecoveringNetwork<Bfw>) -> LegResult<Self> {
+        Err(no_snapshot_encoding())
     }
 }
 
@@ -380,19 +269,7 @@ impl EngineSnapshot {
         let mut fields: Vec<(String, JsonValue)> = Envelope::entries("engine-snapshot").into();
         fields.push((
             "spec".to_owned(),
-            JsonValue::object([
-                ("config", config_to_json(&self.spec, self.seed)),
-                (
-                    "events",
-                    JsonValue::array(
-                        self.spec
-                            .timeline
-                            .compile(self.spec.rounds, self.seed)
-                            .iter()
-                            .map(event_to_json),
-                    ),
-                ),
-            ]),
+            JsonValue::object(spec_body(&self.spec, self.seed)),
         ));
         fields.push(("round".to_owned(), JsonValue::from(self.round)));
         let mut edges: Vec<(NodeId, NodeId)> = self.graph.edges().collect();

@@ -246,6 +246,62 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
+/// A closed set of named values: the `protocol`, `runtime`,
+/// `scheduler` and `kernel` keys. A value's name is its `Display`, so
+/// [`Named::ALL`] is the one name list that rendering, the TOML parser,
+/// the JSON decoder and the CLI's `--kernel` flag all read.
+pub(crate) trait Named: Copy + fmt::Display + 'static {
+    /// The key the value is written under (for error messages).
+    const KEY: &'static str;
+    /// Every value, in the order error messages list them.
+    const ALL: &'static [Self];
+}
+
+impl Named for ProtocolKind {
+    const KEY: &'static str = "protocol";
+    const ALL: &'static [Self] = &[ProtocolKind::Bfw, ProtocolKind::BfwRecovery];
+}
+
+impl Named for RuntimeKind {
+    const KEY: &'static str = "runtime";
+    const ALL: &'static [Self] = &[RuntimeKind::Sync, RuntimeKind::Async];
+}
+
+impl Named for Scheduler {
+    const KEY: &'static str = "scheduler";
+    const ALL: &'static [Self] = &[Scheduler::Uniform, Scheduler::Weighted, Scheduler::Replay];
+}
+
+impl Named for KernelKind {
+    const KEY: &'static str = "kernel";
+    const ALL: &'static [Self] = &[KernelKind::Auto, KernelKind::Generic, KernelKind::Bit];
+}
+
+/// Parses a [`Named`] value by name; an unknown name gets a "did you
+/// mean" hint and the list of valid names.
+pub(crate) fn parse_name<T: Named>(name: &str) -> Result<T, String> {
+    let names: Vec<String> = T::ALL.iter().map(T::to_string).collect();
+    if let Some(i) = names.iter().position(|n| n == name) {
+        return Ok(T::ALL[i]);
+    }
+    let known: Vec<&str> = names.iter().map(String::as_str).collect();
+    let valid: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+    Err(format!(
+        "unknown {} '{name}'{}; valid: {}",
+        T::KEY,
+        did_you_mean(name, &known),
+        valid.join(", ")
+    ))
+}
+
+impl std::str::FromStr for KernelKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        parse_name(name)
+    }
+}
+
 /// Error parsing a scenario file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecError(String);
@@ -255,6 +311,12 @@ impl SpecError {
     /// resolution both produce these).
     pub(crate) fn new(message: impl Into<String>) -> Self {
         SpecError(message.into())
+    }
+
+    /// The message without the `scenario spec:` prefix (the JSON
+    /// decoder reports it at a pointer instead).
+    pub(crate) fn message(&self) -> &str {
+        &self.0
     }
 }
 
@@ -371,11 +433,24 @@ impl ScenarioSpec {
         if !(spec.p > 0.0 && spec.p < 1.0) {
             return Err(err(format!("p must be in (0, 1), got {}", spec.p)));
         }
-        if spec.protocol == ProtocolKind::Bfw {
+        spec.check_stack()?;
+        Ok(spec)
+    }
+
+    /// The stack rules, in one place: the TOML parser, the JSON
+    /// decoder, every runner (after its execution overrides) and
+    /// [`validate_scenario`](crate::validate_scenario) all call this,
+    /// so a combination no engine can execute fails the same way
+    /// wherever it enters, instead of running the wrong stack or
+    /// silently dropping a key.
+    pub(crate) fn check_stack(&self) -> Result<(), SpecError> {
+        let recovery = self.protocol == ProtocolKind::BfwRecovery;
+        let sync = self.runtime == RuntimeKind::Sync;
+        if !recovery {
             for (key, value) in [
-                ("heartbeat", spec.heartbeat),
-                ("timeout", spec.timeout),
-                ("grace", spec.grace),
+                ("heartbeat", self.heartbeat),
+                ("timeout", self.timeout),
+                ("grace", self.grace),
             ] {
                 if value.is_some() {
                     return Err(err(format!(
@@ -384,28 +459,28 @@ impl ScenarioSpec {
                 }
             }
         }
-        if spec.runtime == RuntimeKind::Async && spec.protocol == ProtocolKind::BfwRecovery {
+        if !sync && recovery {
             return Err(err(
                 "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": the recovery \
                  layer multiplexes election and heartbeat slots over round parity, which only \
                  exists under synchronous rounds (did you mean protocol = \"bfw\"?)",
             ));
         }
-        if spec.runtime == RuntimeKind::Sync && spec.scheduler.is_some() {
+        if sync && self.scheduler.is_some() {
             return Err(err(
                 "scheduler requires runtime = \"async\" (synchronous rounds have no activation \
                  scheduler)",
             ));
         }
-        if spec.kernel == KernelKind::Bit {
-            if spec.protocol == ProtocolKind::BfwRecovery {
+        if self.kernel == KernelKind::Bit {
+            if recovery {
                 return Err(err(
                     "kernel = \"bit\" cannot execute protocol = \"bfw+recovery\": the bitplane \
                      kernel packs the six plain BFW states; the recovery layer's epoch-tagged \
                      states do not fit (did you mean kernel = \"generic\"?)",
                 ));
             }
-            if spec.runtime == RuntimeKind::Async {
+            if !sync {
                 return Err(err(
                     "kernel = \"bit\" requires synchronous rounds: the bitplane kernel advances \
                      whole words per round, which has no meaning under activation-based \
@@ -413,22 +488,22 @@ impl ScenarioSpec {
                 ));
             }
         }
-        if spec.threads.is_some() {
-            if spec.kernel == KernelKind::Generic {
+        if self.threads.is_some() {
+            if self.kernel == KernelKind::Generic {
                 return Err(err(
                     "threads requires the bit kernel: the generic engine steps nodes one at a \
                      time; only the bitplane kernel's word-sharded step fans out across worker \
                      threads (did you mean kernel = \"bit\"?)",
                 ));
             }
-            if spec.runtime == RuntimeKind::Async {
+            if !sync {
                 return Err(err(
                     "threads requires synchronous rounds: only the bitplane kernel's \
                      word-sharded step fans out across worker threads, and it has no meaning \
                      under activation-based scheduling (did you mean runtime = \"sync\"?)",
                 ));
             }
-            if spec.protocol == ProtocolKind::BfwRecovery {
+            if recovery {
                 return Err(err(
                     "threads requires protocol = \"bfw\": the recovery layer runs on the \
                      generic engine, which steps nodes one at a time (only the bitplane \
@@ -436,7 +511,7 @@ impl ScenarioSpec {
                 ));
             }
         }
-        Ok(spec)
+        Ok(())
     }
 
     fn read_scenario_table(&mut self, table: &Table) -> Result<(), SpecError> {
@@ -460,70 +535,10 @@ impl ScenarioSpec {
                 "rounds" => self.rounds = read_u64(value, "rounds")?,
                 "stability" => self.stability = read_u64(value, "stability")?,
                 "seed" => self.seed = read_u64(value, "seed")?,
-                "protocol" => {
-                    let name = value
-                        .as_str()
-                        .ok_or_else(|| err("protocol must be a string"))?;
-                    self.protocol = match name {
-                        "bfw" => ProtocolKind::Bfw,
-                        "bfw+recovery" => ProtocolKind::BfwRecovery,
-                        other => {
-                            let hint = did_you_mean(other, &["bfw", "bfw+recovery"]);
-                            return Err(err(format!(
-                                "unknown protocol '{other}'{hint}; valid: \"bfw\", \"bfw+recovery\""
-                            )));
-                        }
-                    };
-                }
-                "runtime" => {
-                    let name = value
-                        .as_str()
-                        .ok_or_else(|| err("runtime must be a string"))?;
-                    self.runtime = match name {
-                        "sync" => RuntimeKind::Sync,
-                        "async" => RuntimeKind::Async,
-                        other => {
-                            let hint = did_you_mean(other, &["sync", "async"]);
-                            return Err(err(format!(
-                                "unknown runtime '{other}'{hint}; valid: \"sync\", \"async\""
-                            )));
-                        }
-                    };
-                }
-                "scheduler" => {
-                    let name = value
-                        .as_str()
-                        .ok_or_else(|| err("scheduler must be a string"))?;
-                    self.scheduler = Some(match name {
-                        "uniform" => Scheduler::Uniform,
-                        "weighted" => Scheduler::Weighted,
-                        "replay" => Scheduler::Replay,
-                        other => {
-                            let hint = did_you_mean(other, &["uniform", "weighted", "replay"]);
-                            return Err(err(format!(
-                                "unknown scheduler '{other}'{hint}; valid: \"uniform\", \
-                                 \"weighted\", \"replay\""
-                            )));
-                        }
-                    });
-                }
-                "kernel" => {
-                    let name = value
-                        .as_str()
-                        .ok_or_else(|| err("kernel must be a string"))?;
-                    self.kernel = match name {
-                        "auto" => KernelKind::Auto,
-                        "generic" => KernelKind::Generic,
-                        "bit" => KernelKind::Bit,
-                        other => {
-                            let hint = did_you_mean(other, &["auto", "generic", "bit"]);
-                            return Err(err(format!(
-                                "unknown kernel '{other}'{hint}; valid: \"auto\", \"generic\", \
-                                 \"bit\""
-                            )));
-                        }
-                    };
-                }
+                "protocol" => self.protocol = read_name(value)?,
+                "runtime" => self.runtime = read_name(value)?,
+                "scheduler" => self.scheduler = Some(read_name(value)?),
+                "kernel" => self.kernel = read_name(value)?,
                 "threads" => {
                     let threads = read_u64(value, "threads")?;
                     if threads == 0 {
@@ -620,6 +635,13 @@ fn read_u64(value: &Value, key: &str) -> Result<u64, SpecError> {
         .as_int()
         .and_then(|i| u64::try_from(i).ok())
         .ok_or_else(|| err(format!("{key} must be a non-negative integer")))
+}
+
+fn read_name<T: Named>(value: &Value) -> Result<T, SpecError> {
+    let name = value
+        .as_str()
+        .ok_or_else(|| err(format!("{} must be a string", T::KEY)))?;
+    parse_name(name).map_err(err)
 }
 
 fn read_u32(value: &Value, key: &str) -> Result<u32, SpecError> {
@@ -996,31 +1018,6 @@ rounds = 200
     }
 
     #[test]
-    fn bit_kernel_rejects_incompatible_stacks() {
-        let e = ScenarioSpec::parse(
-            "[scenario]\ngraph = \"path:4\"\nkernel = \"bit\"\nprotocol = \"bfw+recovery\"",
-        )
-        .unwrap_err();
-        assert!(e.to_string().contains("epoch-tagged states"), "{e}");
-        assert!(
-            e.to_string().contains("did you mean kernel = \"generic\"?"),
-            "{e}"
-        );
-
-        let e = ScenarioSpec::parse(
-            "[scenario]\ngraph = \"path:4\"\nkernel = \"bit\"\nruntime = \"async\"",
-        )
-        .unwrap_err();
-        assert!(e.to_string().contains("requires synchronous rounds"), "{e}");
-
-        // Auto never errors: it resolves to generic for these stacks.
-        let spec =
-            ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nprotocol = \"bfw+recovery\"")
-                .unwrap();
-        assert_eq!(spec.kernel, KernelKind::Auto);
-    }
-
-    #[test]
     fn threads_key_round_trips() {
         let spec = ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"").unwrap();
         assert_eq!(spec.threads, None);
@@ -1035,39 +1032,122 @@ rounds = 200
         let spec = ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nthreads = 2").unwrap();
         assert_eq!(spec.threads, Some(2));
         assert_eq!(spec.kernel, KernelKind::Auto);
-    }
 
-    #[test]
-    fn threads_rejects_zero_and_incompatible_stacks() {
         let e = ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nthreads = 0").unwrap_err();
         assert!(e.to_string().contains("threads must be at least 1"), "{e}");
+    }
 
-        let e = ScenarioSpec::parse(
-            "[scenario]\ngraph = \"path:4\"\nkernel = \"generic\"\nthreads = 4",
-        )
-        .unwrap_err();
-        assert!(
-            e.to_string().contains("did you mean kernel = \"bit\"?"),
-            "{e}"
-        );
+    /// Sets one `[scenario]` key on a built spec, bypassing the parser.
+    fn set(spec: &mut ScenarioSpec, key: &str, value: &str) {
+        match key {
+            "protocol" => spec.protocol = parse_name(value).unwrap(),
+            "runtime" => spec.runtime = parse_name(value).unwrap(),
+            "scheduler" => spec.scheduler = Some(parse_name(value).unwrap()),
+            "kernel" => spec.kernel = parse_name(value).unwrap(),
+            "threads" => spec.threads = Some(value.parse().unwrap()),
+            "heartbeat" => spec.heartbeat = Some(value.parse().unwrap()),
+            "timeout" => spec.timeout = Some(value.parse().unwrap()),
+            other => panic!("no stack key {other}"),
+        }
+    }
 
-        let e =
-            ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nruntime = \"async\"\nthreads = 4")
-                .unwrap_err();
-        assert!(
-            e.to_string().contains("did you mean runtime = \"sync\"?"),
-            "{e}"
+    /// One row per invalid stack: its `[scenario]` keys in file order,
+    /// and what the refusal must say. Each row goes through all four
+    /// entry points — TOML parse, JSON decode, `run_bfw_scenario` and
+    /// `validate_scenario` on the spec built in code — and gets the same
+    /// message from each, the decoder reporting it at `/config`.
+    #[test]
+    fn stack_rules_refuse_at_every_entry_point() {
+        use crate::{run_bfw_scenario, spec_from_json, spec_to_json, validate_scenario};
+        const ASYNC_RECOVERY: &[&str] = &["synchronous rounds", "did you mean protocol = \"bfw\"?"];
+        /// A stack's `[scenario]` keys, and what its refusal says.
+        type Row = (
+            &'static [(&'static str, &'static str)],
+            &'static [&'static str],
         );
+        let rows: [Row; 10] = [
+            (
+                &[("heartbeat", "10")],
+                &["heartbeat requires protocol = \"bfw+recovery\""],
+            ),
+            (
+                &[("protocol", "bfw"), ("timeout", "10")],
+                &["timeout requires protocol"],
+            ),
+            (
+                &[("runtime", "async"), ("protocol", "bfw+recovery")],
+                ASYNC_RECOVERY,
+            ),
+            (
+                &[("protocol", "bfw+recovery"), ("runtime", "async")],
+                ASYNC_RECOVERY,
+            ),
+            (
+                &[("scheduler", "uniform")],
+                &["scheduler requires runtime = \"async\""],
+            ),
+            (
+                &[("kernel", "bit"), ("protocol", "bfw+recovery")],
+                &[
+                    "bitplane",
+                    "epoch-tagged states",
+                    "did you mean kernel = \"generic\"?",
+                ],
+            ),
+            (
+                &[("kernel", "bit"), ("runtime", "async")],
+                &[
+                    "requires synchronous rounds",
+                    "did you mean runtime = \"sync\"?",
+                ],
+            ),
+            (
+                &[("kernel", "generic"), ("threads", "4")],
+                &["threads requires", "did you mean kernel = \"bit\"?"],
+            ),
+            (
+                &[("runtime", "async"), ("threads", "4")],
+                &["threads requires", "did you mean runtime = \"sync\"?"],
+            ),
+            (
+                &[("protocol", "bfw+recovery"), ("threads", "4")],
+                &["threads requires protocol = \"bfw\""],
+            ),
+        ];
+        let head = "[scenario]\ngraph = \"cycle:12\"\nrounds = 200\n";
+        let base = ScenarioSpec::parse(head).unwrap();
+        let graph = bfw_graph::generators::cycle(12);
+        for (keys, pins) in rows {
+            let mut text = head.to_owned();
+            let mut spec = base.clone();
+            for &(key, value) in keys {
+                match value.parse::<u32>() {
+                    Ok(n) => text.push_str(&format!("{key} = {n}\n")),
+                    Err(_) => text.push_str(&format!("{key} = \"{value}\"\n")),
+                }
+                set(&mut spec, key, value);
+            }
+            let parsed = ScenarioSpec::parse(&text).unwrap_err();
+            for pin in pins {
+                assert!(parsed.message().contains(pin), "{keys:?}: {parsed}");
+            }
+            let decoded = spec_from_json(&spec_to_json(&spec, 0).render()).unwrap_err();
+            assert_eq!(decoded.pointer(), "/config", "{keys:?}: {decoded}");
+            assert_eq!(decoded.message(), parsed.message(), "{keys:?}");
+            assert_eq!(run_bfw_scenario(&spec, &graph, 1).unwrap_err(), parsed);
+            assert_eq!(validate_scenario(&spec, &graph).unwrap_err(), parsed);
+        }
 
-        let e = ScenarioSpec::parse(
-            "[scenario]\ngraph = \"path:4\"\nprotocol = \"bfw+recovery\"\nthreads = 4",
-        )
-        .unwrap_err();
-        assert!(
-            e.to_string()
-                .contains("threads requires protocol = \"bfw\""),
-            "{e}"
+        // kernel = "auto" with the recovery layer is a valid stack: auto
+        // resolves to the generic engine there.
+        let spec = ScenarioSpec::parse(&format!("{head}protocol = \"bfw+recovery\"")).unwrap();
+        assert_eq!(spec.kernel, KernelKind::Auto);
+        assert_eq!(
+            spec_from_json(&spec_to_json(&spec, 0).render()).unwrap(),
+            spec
         );
+        run_bfw_scenario(&spec, &graph, 1).unwrap();
+        validate_scenario(&spec, &graph).unwrap();
     }
 
     #[test]
@@ -1081,35 +1161,6 @@ rounds = 200
         );
         let e = ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nkernl = \"bit\"").unwrap_err();
         assert!(e.to_string().contains("did you mean 'kernel'?"), "{e}");
-    }
-
-    #[test]
-    fn async_runtime_rejects_recovery_protocol() {
-        // Slot multiplexing needs synchronous rounds: the combination
-        // is a hard error with a "did you mean" hint, in either key
-        // order.
-        for text in [
-            "[scenario]\ngraph = \"path:4\"\nruntime = \"async\"\nprotocol = \"bfw+recovery\"",
-            "[scenario]\ngraph = \"path:4\"\nprotocol = \"bfw+recovery\"\nruntime = \"async\"",
-        ] {
-            let e = ScenarioSpec::parse(text).unwrap_err();
-            assert!(e.to_string().contains("synchronous rounds"), "{e}");
-            assert!(
-                e.to_string().contains("did you mean protocol = \"bfw\"?"),
-                "{e}"
-            );
-        }
-    }
-
-    #[test]
-    fn scheduler_key_requires_async_runtime() {
-        let e = ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nscheduler = \"uniform\"")
-            .unwrap_err();
-        assert!(
-            e.to_string()
-                .contains("scheduler requires runtime = \"async\""),
-            "{e}"
-        );
     }
 
     #[test]
@@ -1139,20 +1190,6 @@ rounds = 200
         let e =
             ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nruntme = \"async\"").unwrap_err();
         assert!(e.to_string().contains("did you mean 'runtime'?"), "{e}");
-    }
-
-    #[test]
-    fn recovery_keys_require_recovery_protocol() {
-        let e = ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nheartbeat = 10").unwrap_err();
-        assert!(
-            e.to_string()
-                .contains("requires protocol = \"bfw+recovery\""),
-            "{e}"
-        );
-        let e =
-            ScenarioSpec::parse("[scenario]\ngraph = \"path:4\"\nprotocol = \"bfw\"\ntimeout = 10")
-                .unwrap_err();
-        assert!(e.to_string().contains("timeout requires protocol"), "{e}");
     }
 
     #[test]

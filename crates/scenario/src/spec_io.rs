@@ -23,12 +23,9 @@
 //! shrinker emits its minimal reproducers in this format, and an
 //! engine snapshot embeds one as its run configuration.
 
-use crate::{
-    InjectKind, KernelKind, ProtocolKind, RuntimeKind, ScenarioEvent, ScenarioSpec, ScheduledEvent,
-    Timeline,
-};
+use crate::spec::{parse_name, Named};
+use crate::{InjectKind, ScenarioEvent, ScenarioSpec, ScheduledEvent, Timeline};
 use bfw_graph::NodeId;
-use bfw_sim::Scheduler;
 use bfw_stats::{Doc, Envelope, JsonValue, SchemaError};
 
 /// Renders a spec as a `bfw/scenario-spec` document, compiling the
@@ -38,17 +35,21 @@ use bfw_stats::{Doc, Envelope, JsonValue, SchemaError};
 /// Deterministic rendering: same `(spec, seed)` ⇒ byte-identical text.
 pub fn spec_to_json(spec: &ScenarioSpec, seed: u64) -> JsonValue {
     let mut fields: Vec<(String, JsonValue)> = Envelope::entries("scenario-spec").into();
-    fields.push(("config".to_owned(), config_to_json(spec, seed)));
-    fields.push((
-        "events".to_owned(),
-        JsonValue::array(
-            spec.timeline
-                .compile(spec.rounds, seed)
-                .iter()
-                .map(event_to_json),
-        ),
-    ));
+    fields.extend(spec_body(spec, seed));
     JsonValue::object(fields)
+}
+
+/// The `config` and `events` fields of a spec document: what
+/// [`spec_from_doc`] decodes, and what an engine snapshot embeds.
+pub(crate) fn spec_body(spec: &ScenarioSpec, seed: u64) -> [(String, JsonValue); 2] {
+    let events = spec.timeline.compile(spec.rounds, seed);
+    [
+        ("config".to_owned(), config_to_json(spec, seed)),
+        (
+            "events".to_owned(),
+            JsonValue::array(events.iter().map(event_to_json)),
+        ),
+    ]
 }
 
 /// Parses a `bfw/scenario-spec` document back into a [`ScenarioSpec`]
@@ -116,10 +117,10 @@ pub(crate) fn normalized_spec(spec: &ScenarioSpec, seed: u64) -> ScenarioSpec {
     }
 }
 
-/// The `config` object of a spec document (also embedded by engine
-/// snapshots). Every [`ScenarioSpec`] field except the timeline and the
-/// trace request, unset optionals rendered as `null`.
-pub(crate) fn config_to_json(spec: &ScenarioSpec, seed: u64) -> JsonValue {
+/// The `config` object of a spec document. Every [`ScenarioSpec`] field
+/// except the timeline and the trace request, unset optionals rendered
+/// as `null`.
+fn config_to_json(spec: &ScenarioSpec, seed: u64) -> JsonValue {
     JsonValue::object([
         ("name", JsonValue::from(spec.name.as_str())),
         ("graph", JsonValue::from(spec.graph.as_str())),
@@ -143,7 +144,7 @@ pub(crate) fn config_to_json(spec: &ScenarioSpec, seed: u64) -> JsonValue {
 
 /// One compiled event as a JSON object: `at`, `kind`, and the kind's
 /// TOML field names.
-pub(crate) fn event_to_json(ev: &ScheduledEvent) -> JsonValue {
+fn event_to_json(ev: &ScheduledEvent) -> JsonValue {
     let mut fields: Vec<(&str, JsonValue)> = vec![("at", JsonValue::from(ev.round))];
     let kind = match &ev.event {
         ScenarioEvent::CrashNode(u) => {
@@ -215,6 +216,12 @@ fn prob_field(doc: &Doc<'_>, key: &str) -> Result<f64, SchemaError> {
     Ok(p)
 }
 
+/// Reads a [`Named`] value (`protocol`, `runtime`, `scheduler`,
+/// `kernel`) with the TOML parser's message and hint.
+fn name_from_doc<T: Named>(field: &Doc<'_>) -> Result<T, SchemaError> {
+    parse_name(field.str()?).map_err(|e| field.error(e))
+}
+
 /// Decodes one event object back into a [`ScheduledEvent`].
 pub(crate) fn event_from_doc(doc: &Doc<'_>) -> Result<ScheduledEvent, SchemaError> {
     let round = doc.field("at")?.u64()?;
@@ -257,39 +264,19 @@ pub(crate) fn event_from_doc(doc: &Doc<'_>) -> Result<ScheduledEvent, SchemaErro
 }
 
 /// Decodes a spec body (`config` + `events` fields on `doc`) into a
-/// [`ScenarioSpec`] with an all-`at` timeline. `p`, `threads` and the
-/// noise-burst rates get the TOML parser's range checks and messages,
-/// so a decoded spec never reaches an engine assert.
+/// [`ScenarioSpec`] with an all-`at` timeline. `p`, `threads`, the
+/// noise-burst rates and the stack rules get the TOML parser's checks
+/// and messages, so a decoded spec never reaches an engine assert or a
+/// runner refusal; a stack rule is reported at the `config` object.
 pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> {
     let config = doc.field("config")?;
-    let protocol_field = config.field("protocol")?;
-    let protocol = match protocol_field.str()? {
-        "bfw" => ProtocolKind::Bfw,
-        "bfw+recovery" => ProtocolKind::BfwRecovery,
-        other => return Err(protocol_field.error(format!("unknown protocol '{other}'"))),
-    };
-    let runtime_field = config.field("runtime")?;
-    let runtime = match runtime_field.str()? {
-        "sync" => RuntimeKind::Sync,
-        "async" => RuntimeKind::Async,
-        other => return Err(runtime_field.error(format!("unknown runtime '{other}'"))),
-    };
+    let protocol = name_from_doc(&config.field("protocol")?)?;
+    let runtime = name_from_doc(&config.field("runtime")?)?;
     let scheduler = match config.opt_field("scheduler")? {
         None => None,
-        Some(field) => Some(match field.str()? {
-            "uniform" => Scheduler::Uniform,
-            "weighted" => Scheduler::Weighted,
-            "replay" => Scheduler::Replay,
-            other => return Err(field.error(format!("unknown scheduler '{other}'"))),
-        }),
+        Some(field) => Some(name_from_doc(&field)?),
     };
-    let kernel_field = config.field("kernel")?;
-    let kernel = match kernel_field.str()? {
-        "auto" => KernelKind::Auto,
-        "generic" => KernelKind::Generic,
-        "bit" => KernelKind::Bit,
-        other => return Err(kernel_field.error(format!("unknown kernel '{other}'"))),
-    };
+    let kernel = name_from_doc(&config.field("kernel")?)?;
     let threads = match config.opt_field("threads")? {
         None => None,
         Some(field) => match field.u64()? {
@@ -324,7 +311,7 @@ pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> 
     if !(p > 0.0 && p < 1.0) {
         return Err(p_field.error(format!("p must be in (0, 1), got {p}")));
     }
-    Ok(ScenarioSpec {
+    let spec = ScenarioSpec {
         name,
         graph,
         p,
@@ -341,7 +328,9 @@ pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> 
         threads,
         timeline,
         trace: None,
-    })
+    };
+    spec.check_stack().map_err(|e| config.error(e.message()))?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -488,9 +477,15 @@ rounds = 50
         assert!(err.to_string().contains("unknown event kind"), "{err}");
         assert!(err.pointer().contains("/events/"), "{}", err.pointer());
 
-        let bad_kernel = good.render_pretty().replace("\"auto\"", "\"turbo\"");
+        // Unknown names get the TOML parser's message and hint.
+        let bad_kernel = good.render_pretty().replace("\"auto\"", "\"aut\"");
         let err = validate_scenario_spec(&bad_kernel).unwrap_err();
-        assert!(err.to_string().contains("unknown kernel"), "{err}");
+        assert_eq!(err.pointer(), "/config/kernel");
+        assert!(
+            err.message()
+                .contains("unknown kernel 'aut' (did you mean 'auto'?)"),
+            "{err}"
+        );
 
         let err = validate_scenario_spec("{}").unwrap_err();
         assert!(err.to_string().contains("format"), "{err}");

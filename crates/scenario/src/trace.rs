@@ -3,7 +3,7 @@
 //! versioned `bfw/scenario-report` document (see [`crate::RunReport`]).
 //!
 //! A [`ScenarioTrace`] is produced by
-//! [`Engine::run_traced`](crate::Engine::run_traced) when the host's
+//! [`Engine::trace`](crate::Engine::trace) when the host's
 //! instrumentation is on. It is strictly *additive* observability:
 //! instrumentation never draws from an RNG stream, so the
 //! [`ScenarioOutcome`](crate::ScenarioOutcome) of a traced run is

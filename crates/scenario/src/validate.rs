@@ -8,9 +8,9 @@
 //! as a `skipped (...)` line nobody reads. `validate` front-loads every
 //! check the engine would eventually make:
 //!
-//! * **stack invariants** — the same kernel/threads/runtime/scheduler/
-//!   recovery-key rules the runner enforces (shared code, so the two
-//!   can never drift);
+//! * **stack rules** — [`ScenarioSpec`]'s one check of the
+//!   kernel/threads/runtime/scheduler/recovery-key rules, the same the
+//!   parser, the JSON decoder and the runners call;
 //! * **recovery timing** — the relay-window-vs-eccentricity bound of
 //!   [`crate::scenario_recovery_config`], resolved against the actual
 //!   graph;
@@ -25,7 +25,6 @@
 //! Hard misconfigurations are [`SpecError`]s; conditions that are legal
 //! but almost certainly unintended come back as warning strings.
 
-use crate::bfw_run::check_stack_invariants;
 use crate::{
     scenario_recovery_config, InjectKind, ProtocolKind, ScenarioEvent, ScenarioSpec, Schedule,
     SpecError,
@@ -39,17 +38,11 @@ use bfw_graph::{algo, Graph, NodeId};
 /// # Errors
 ///
 /// A [`SpecError`] for anything the runner would reject (stack
-/// invariants, recovery timing) or silently skip on every single
+/// rules, recovery timing) or silently skip on every single
 /// firing (out-of-range node ids, impossible injections) — if an event
 /// can never do anything, scheduling it is a bug worth stopping on.
 pub fn validate_scenario(spec: &ScenarioSpec, graph: &Graph) -> Result<Vec<String>, SpecError> {
-    check_stack_invariants(spec)?;
-    if spec.runtime == crate::RuntimeKind::Async && spec.protocol == ProtocolKind::BfwRecovery {
-        return Err(SpecError::new(
-            "runtime = \"async\" cannot execute protocol = \"bfw+recovery\": slot multiplexing \
-             needs synchronous rounds (did you mean protocol = \"bfw\"?)",
-        ));
-    }
+    spec.check_stack()?;
     if spec.protocol == ProtocolKind::BfwRecovery {
         scenario_recovery_config(spec, graph)?;
     }
@@ -141,7 +134,6 @@ pub fn validate_scenario(spec: &ScenarioSpec, graph: &Graph) -> Result<Vec<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KernelKind, RuntimeKind};
     use bfw_graph::generators;
 
     fn parse(extra: &str) -> ScenarioSpec {
@@ -193,21 +185,6 @@ mod tests {
         let spec = parse("protocol = \"bfw+recovery\"\nheartbeat = 6\ntimeout = 20");
         let err = validate_scenario(&spec, &generators::cycle(32)).unwrap_err();
         assert!(err.to_string().contains("cannot cover"), "{err}");
-    }
-
-    #[test]
-    fn stack_invariants_are_shared_with_the_runner() {
-        let mut spec = parse("");
-        spec.threads = Some(4);
-        spec.kernel = KernelKind::Generic;
-        let err = validate_scenario(&spec, &generators::cycle(12)).unwrap_err();
-        assert!(err.to_string().contains("threads requires"), "{err}");
-
-        let mut spec = parse("");
-        spec.runtime = RuntimeKind::Async;
-        spec.protocol = ProtocolKind::BfwRecovery;
-        let err = validate_scenario(&spec, &generators::cycle(12)).unwrap_err();
-        assert!(err.to_string().contains("synchronous rounds"), "{err}");
     }
 
     #[test]

@@ -69,9 +69,10 @@ fn main() {
                     let protocol = RecoveringProtocol::bfw(0.5, config);
                     let host =
                         bfw_core::RecoveringNetwork::new(protocol, graph.clone().into(), seed);
-                    let (outcome, host) = Engine::new(host, &graph, &timeline, horizon, seed, 100)
-                        .with_injector(recovering_bfw_injector())
-                        .run_with_host();
+                    let mut engine = Engine::new(host, &graph, &timeline, horizon, seed, 100)
+                        .with_injector(recovering_bfw_injector());
+                    engine.run_until(horizon);
+                    let (outcome, host) = engine.into_outcome();
                     let max_epoch = host.states().iter().map(|s| s.epoch).max().unwrap_or(0);
                     (outcome, max_epoch)
                 }

@@ -147,17 +147,30 @@ fn pinned_snapshot_fixture_stays_byte_stable() {
 
 /// The snapshot fixture with the value at `pointer` replaced.
 fn tampered(pointer: &str, value: JsonValue) -> String {
-    let mut doc = JsonValue::parse(SNAPSHOT_FIXTURE).unwrap();
-    let mut node = &mut doc;
-    for token in pointer.split('/').skip(1) {
-        node = match node {
-            JsonValue::Object(map) => map.get_mut(token).unwrap(),
-            JsonValue::Array(items) => &mut items[token.parse::<usize>().unwrap()],
-            _ => panic!("{pointer}: nothing to descend into at {token}"),
-        };
+    edited(SNAPSHOT_FIXTURE, &[(pointer.to_owned(), value)])
+}
+
+/// `text` with the value at each pointer replaced.
+fn edited(text: &str, edits: &[(String, JsonValue)]) -> String {
+    let mut doc = JsonValue::parse(text).unwrap();
+    for (pointer, value) in edits {
+        let mut node = &mut doc;
+        for token in pointer.split('/').skip(1) {
+            node = match node {
+                JsonValue::Object(map) => map.get_mut(token).unwrap(),
+                JsonValue::Array(items) => &mut items[token.parse::<usize>().unwrap()],
+                _ => panic!("{pointer}: nothing to descend into at {token}"),
+            };
+        }
+        *node = value.clone();
     }
-    *node = value;
     doc.render_pretty()
+}
+
+/// Runs one `bfw` command line through the CLI library.
+fn cli(args: &[&str]) -> Result<String, String> {
+    let argv: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+    parse(&argv).and_then(execute)
 }
 
 #[test]
@@ -242,6 +255,95 @@ fn decoded_specs_refuse_what_the_toml_parser_refuses() {
     // In-range values still decode.
     validate_engine_snapshot(&tampered("/spec/events/0", noise_burst(0.5))).unwrap();
     validate_engine_snapshot(&tampered("/spec/config/threads", JsonValue::from(2u64))).unwrap();
+}
+
+#[test]
+fn decoded_specs_obey_the_stack_rules() {
+    // The five stacks a decoded spec used to smuggle past the parser's
+    // rules: each set of `config` edits and what the refusal says.
+    let text = |s: &str| JsonValue::from(s);
+    let stacks: [(Vec<(&str, JsonValue)>, &str); 5] = [
+        (
+            vec![("kernel", text("bit")), ("protocol", text("bfw+recovery"))],
+            "kernel = \"bit\" cannot execute protocol = \"bfw+recovery\"",
+        ),
+        (
+            vec![
+                ("runtime", text("async")),
+                ("protocol", text("bfw+recovery")),
+            ],
+            "runtime = \"async\" cannot execute protocol = \"bfw+recovery\"",
+        ),
+        (
+            vec![("scheduler", text("weighted"))],
+            "scheduler requires runtime = \"async\"",
+        ),
+        (
+            vec![
+                ("kernel", text("generic")),
+                ("threads", JsonValue::from(2u64)),
+            ],
+            "threads requires the bit kernel",
+        ),
+        (
+            vec![("heartbeat", JsonValue::from(40u64))],
+            "heartbeat requires protocol = \"bfw+recovery\"",
+        ),
+    ];
+    let (spec, _) = load(WIPEOUT_E17);
+    let exported = spec_to_json(&spec, spec.seed).render_pretty();
+    let dir = std::env::temp_dir().join(format!("bfw_stack_rules_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (edits, message)) in stacks.iter().enumerate() {
+        let at = |prefix: &str| -> Vec<(String, JsonValue)> {
+            edits
+                .iter()
+                .map(|(key, value)| (format!("{prefix}/{key}"), value.clone()))
+                .collect()
+        };
+        let snapshot = edited(SNAPSHOT_FIXTURE, &at("/spec/config"));
+        let err = validate_engine_snapshot(&snapshot).unwrap_err();
+        assert_eq!(err.pointer(), "/spec/config", "{err}");
+        assert!(err.message().contains(message), "{err}");
+        let spec_doc = edited(&exported, &at("/config"));
+        let err = validate_scenario_spec(&spec_doc).unwrap_err();
+        assert_eq!(err.pointer(), "/config", "{err}");
+        assert!(err.message().contains(message), "{err}");
+
+        // `report validate` fails on both documents, and a resume of the
+        // snapshot is refused (exit 1) naming the config object.
+        let snap_path = dir.join(format!("stack_{i}.snapshot.json"));
+        let spec_path = dir.join(format!("stack_{i}.spec.json"));
+        std::fs::write(&snap_path, &snapshot).unwrap();
+        std::fs::write(&spec_path, &spec_doc).unwrap();
+        for path in [&snap_path, &spec_path] {
+            let err = cli(&["report", "validate", path.to_str().unwrap()]).unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
+        let err = cli(&[
+            "scenario",
+            "run",
+            "--resume-from",
+            snap_path.to_str().unwrap(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("schema error at /spec/config: "), "{err}");
+        assert!(err.contains(message), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_snapshots_are_refused_on_resume() {
+    // The recovery layer's epoch-tagged states have no snapshot
+    // encoding: a snapshot whose spec names that stack can be neither
+    // resumed nor stepped.
+    let text = tampered("/spec/config/protocol", JsonValue::from("bfw+recovery"));
+    let snap = EngineSnapshot::from_json(&text).unwrap();
+    let err = resume_run_bfw_scenario(&snap, None, None).unwrap_err();
+    assert!(err.to_string().contains("no snapshot encoding"), "{err}");
+    let err = resume_step_bfw_scenario(&snap, 10, None, None).unwrap_err();
+    assert!(err.to_string().contains("no snapshot encoding"), "{err}");
 }
 
 #[test]
