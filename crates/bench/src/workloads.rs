@@ -56,16 +56,32 @@ pub enum GraphSpec {
     Geo(usize, u32, u64),
 }
 
+/// Tries [`generators::erdos_renyi_connected`] makes before an `er`
+/// spec is reported as too sparse to connect.
+const ER_CONNECT_TRIES: usize = 1000;
+
 impl GraphSpec {
     /// Builds the graph (deterministic: randomized families embed their
     /// seed in the spec).
     ///
     /// # Panics
     ///
-    /// Panics if a randomized family fails to produce a connected graph
-    /// after many attempts (pick a denser parameterization).
+    /// Panics where [`Self::try_build`] fails.
     pub fn build(&self) -> Graph {
-        match *self {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the graph, or reports an `er` spec whose rejection
+    /// sampling found no connected graph (the one family that can fail
+    /// after parsing: its domain is checked by the parser, its
+    /// connectivity only by sampling).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the connectivity threshold to raise `p`
+    /// above.
+    pub fn try_build(&self) -> Result<Graph, WorkloadError> {
+        Ok(match *self {
             GraphSpec::Path(n) => generators::path(n),
             GraphSpec::Cycle(n) => generators::cycle(n),
             GraphSpec::Clique(n) => generators::complete(n),
@@ -80,8 +96,16 @@ impl GraphSpec {
             }
             GraphSpec::ErdosRenyi(n, p_milli, seed) => {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                generators::erdos_renyi_connected(n, f64::from(p_milli) / 1000.0, 1000, &mut rng)
-                    .expect("could not sample a connected G(n, p); increase p")
+                let p = f64::from(p_milli) / 1000.0;
+                generators::erdos_renyi_connected(n, p, ER_CONNECT_TRIES, &mut rng).ok_or_else(
+                    || {
+                        WorkloadError::new(format!(
+                            "{self}: no connected sample in {ER_CONNECT_TRIES} tries; \
+                             raise p (milli) above the threshold ln(n)/n ≈ {:.0}",
+                            (n as f64).ln() / n as f64 * 1000.0
+                        ))
+                    },
+                )?
             }
             GraphSpec::Barbell(k, b) => generators::barbell(k, b),
             GraphSpec::Ba(n, m, seed) => {
@@ -100,6 +124,39 @@ impl GraphSpec {
                     &mut rng,
                 )
             }
+        })
+    }
+
+    /// The generator's precondition this spec violates, if any — the
+    /// parser refuses such specs, so [`Self::build`] never reaches a
+    /// generator assertion.
+    fn domain_violation(&self) -> Option<&'static str> {
+        match *self {
+            GraphSpec::Path(0)
+            | GraphSpec::Clique(0)
+            | GraphSpec::Star(0)
+            | GraphSpec::RandomTree(0, _)
+            | GraphSpec::ErdosRenyi(0, _, _)
+            | GraphSpec::Geo(0, _, _) => Some("needs n >= 1"),
+            GraphSpec::Cycle(n) if n < 3 => Some("a cycle needs n >= 3"),
+            GraphSpec::Grid(r, c) if r == 0 || c == 0 => Some("a grid needs rows and cols >= 1"),
+            GraphSpec::Torus(r, c) if r < 3 || c < 3 => Some("a torus needs rows and cols >= 3"),
+            GraphSpec::Hypercube(d) if !(1..=30).contains(&d) => {
+                Some("the hypercube dimension must be in 1..=30")
+            }
+            GraphSpec::Tree(0, _) => Some("a tree needs arity >= 1"),
+            GraphSpec::ErdosRenyi(_, p_milli, _) if p_milli > 1000 => {
+                Some("the edge probability (milli) must be at most 1000")
+            }
+            GraphSpec::Barbell(k, _) if k < 2 => Some("a barbell needs cliques of k >= 2 nodes"),
+            GraphSpec::Ba(n, m, _) if m == 0 || n <= m => {
+                Some("preferential attachment needs m >= 1 and n > m")
+            }
+            GraphSpec::PowerLaw(n, _, _) if n < 3 => Some("a power-law graph needs n >= 3"),
+            GraphSpec::PowerLaw(_, gamma_milli, _) if gamma_milli <= 1000 => {
+                Some("the power-law exponent (milli) must exceed 1000")
+            }
+            _ => None,
         }
     }
 
@@ -153,10 +210,24 @@ impl GraphSpec {
     /// Returns the workload as a simulation [`Topology`], using the
     /// `O(n)`-per-round clique fast path where applicable (a `clique:n`
     /// spec never materializes its `Θ(n²)` edges).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Self::try_topology`] fails.
     pub fn topology(&self) -> Topology {
+        self.try_topology().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::topology`], reporting a failed build as
+    /// [`Self::try_build`] does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of [`Self::try_build`].
+    pub fn try_topology(&self) -> Result<Topology, WorkloadError> {
         match *self {
-            GraphSpec::Clique(n) => Topology::Clique(n),
-            _ => Topology::Graph(self.build()),
+            GraphSpec::Clique(n) => Ok(Topology::Clique(n)),
+            _ => self.try_build().map(Topology::Graph),
         }
     }
 
@@ -254,103 +325,72 @@ impl FromStr for GraphSpec {
         let mut parts = s.split(':');
         let kind = parts.next().unwrap_or_default();
         let rest: Vec<&str> = parts.collect();
-        let usize_arg = |i: usize| -> Result<usize, WorkloadError> {
-            rest.get(i)
-                .ok_or_else(|| WorkloadError::new(format!("{kind}: missing argument {i}")))?
-                .parse()
-                .map_err(|_| WorkloadError::new(format!("{kind}: bad integer '{}'", rest[i])))
+        let arity = match kind {
+            "path" | "cycle" | "clique" | "star" | "grid" | "torus" | "hypercube" => 1,
+            "tree" | "randtree" | "barbell" => 2,
+            "er" | "ba" | "plaw" | "geo" => 3,
+            other => return Err(WorkloadError::new(format!("unknown graph kind '{other}'"))),
         };
-        let u64_arg = |i: usize| -> Result<u64, WorkloadError> {
-            rest.get(i)
-                .ok_or_else(|| WorkloadError::new(format!("{kind}: missing argument {i}")))?
-                .parse()
-                .map_err(|_| WorkloadError::new(format!("{kind}: bad integer '{}'", rest[i])))
+        if rest.len() != arity {
+            return Err(WorkloadError::new(format!(
+                "{kind}: expected {arity} argument(s), got {}",
+                rest.len()
+            )));
+        }
+        fn int<T: FromStr>(kind: &str, text: &str) -> Result<T, WorkloadError> {
+            text.parse()
+                .map_err(|_| WorkloadError::new(format!("{kind}: bad integer '{text}'")))
+        }
+        let dims = || -> Result<(usize, usize), WorkloadError> {
+            let (r, c) = rest[0]
+                .split_once('x')
+                .ok_or_else(|| WorkloadError::new(format!("{kind}: expected RxC")))?;
+            let r = r.parse().map_err(|_| WorkloadError::new("bad rows"))?;
+            let c = c.parse().map_err(|_| WorkloadError::new("bad cols"))?;
+            Ok((r, c))
         };
-        let expect_args = |n: usize| -> Result<(), WorkloadError> {
-            if rest.len() == n {
-                Ok(())
-            } else {
-                Err(WorkloadError::new(format!(
-                    "{kind}: expected {n} argument(s), got {}",
-                    rest.len()
-                )))
+        let spec = match kind {
+            "path" => GraphSpec::Path(int(kind, rest[0])?),
+            "cycle" => GraphSpec::Cycle(int(kind, rest[0])?),
+            "clique" => GraphSpec::Clique(int(kind, rest[0])?),
+            "star" => GraphSpec::Star(int(kind, rest[0])?),
+            "grid" => {
+                let (r, c) = dims()?;
+                GraphSpec::Grid(r, c)
             }
+            "torus" => {
+                let (r, c) = dims()?;
+                GraphSpec::Torus(r, c)
+            }
+            "hypercube" => GraphSpec::Hypercube(int(kind, rest[0])?),
+            "tree" => GraphSpec::Tree(int(kind, rest[0])?, int(kind, rest[1])?),
+            "randtree" => GraphSpec::RandomTree(int(kind, rest[0])?, int(kind, rest[1])?),
+            "barbell" => GraphSpec::Barbell(int(kind, rest[0])?, int(kind, rest[1])?),
+            "er" => GraphSpec::ErdosRenyi(
+                int(kind, rest[0])?,
+                int(kind, rest[1])?,
+                int(kind, rest[2])?,
+            ),
+            "ba" => GraphSpec::Ba(
+                int(kind, rest[0])?,
+                int(kind, rest[1])?,
+                int(kind, rest[2])?,
+            ),
+            "plaw" => GraphSpec::PowerLaw(
+                int(kind, rest[0])?,
+                int(kind, rest[1])?,
+                int(kind, rest[2])?,
+            ),
+            // "geo": the arity match refused every other kind.
+            _ => GraphSpec::Geo(
+                int(kind, rest[0])?,
+                int(kind, rest[1])?,
+                int(kind, rest[2])?,
+            ),
         };
-        match kind {
-            "path" => {
-                expect_args(1)?;
-                Ok(GraphSpec::Path(usize_arg(0)?))
-            }
-            "cycle" => {
-                expect_args(1)?;
-                Ok(GraphSpec::Cycle(usize_arg(0)?))
-            }
-            "clique" => {
-                expect_args(1)?;
-                Ok(GraphSpec::Clique(usize_arg(0)?))
-            }
-            "star" => {
-                expect_args(1)?;
-                Ok(GraphSpec::Star(usize_arg(0)?))
-            }
-            "grid" | "torus" => {
-                expect_args(1)?;
-                let dims = rest[0]
-                    .split_once('x')
-                    .ok_or_else(|| WorkloadError::new(format!("{kind}: expected RxC")))?;
-                let r = dims.0.parse().map_err(|_| WorkloadError::new("bad rows"))?;
-                let c = dims.1.parse().map_err(|_| WorkloadError::new("bad cols"))?;
-                Ok(if kind == "grid" {
-                    GraphSpec::Grid(r, c)
-                } else {
-                    GraphSpec::Torus(r, c)
-                })
-            }
-            "hypercube" => {
-                expect_args(1)?;
-                Ok(GraphSpec::Hypercube(usize_arg(0)? as u32))
-            }
-            "tree" => {
-                expect_args(2)?;
-                Ok(GraphSpec::Tree(usize_arg(0)?, usize_arg(1)? as u32))
-            }
-            "randtree" => {
-                expect_args(2)?;
-                Ok(GraphSpec::RandomTree(usize_arg(0)?, u64_arg(1)?))
-            }
-            "er" => {
-                expect_args(3)?;
-                Ok(GraphSpec::ErdosRenyi(
-                    usize_arg(0)?,
-                    usize_arg(1)? as u32,
-                    u64_arg(2)?,
-                ))
-            }
-            "barbell" => {
-                expect_args(2)?;
-                Ok(GraphSpec::Barbell(usize_arg(0)?, usize_arg(1)?))
-            }
-            "ba" => {
-                expect_args(3)?;
-                Ok(GraphSpec::Ba(usize_arg(0)?, usize_arg(1)?, u64_arg(2)?))
-            }
-            "plaw" => {
-                expect_args(3)?;
-                Ok(GraphSpec::PowerLaw(
-                    usize_arg(0)?,
-                    usize_arg(1)? as u32,
-                    u64_arg(2)?,
-                ))
-            }
-            "geo" => {
-                expect_args(3)?;
-                Ok(GraphSpec::Geo(
-                    usize_arg(0)?,
-                    usize_arg(1)? as u32,
-                    u64_arg(2)?,
-                ))
-            }
-            other => Err(WorkloadError::new(format!("unknown graph kind '{other}'"))),
+        match spec.domain_violation() {
+            Some(rule) => Err(WorkloadError::new(format!("{s}: {rule}"))),
+            None => Ok(spec),
         }
     }
 }
@@ -394,6 +434,56 @@ mod tests {
         }
         let e = "wat:3".parse::<GraphSpec>().unwrap_err();
         assert!(e.to_string().contains("unknown graph kind"));
+    }
+
+    /// Specs outside a generator's domain, each with the constraint the
+    /// parser must name instead of letting the generator assert.
+    const OUT_OF_DOMAIN: &[(&str, &str)] = &[
+        ("cycle:2", "n >= 3"),
+        ("torus:2x2", "rows and cols >= 3"),
+        ("grid:0x5", "rows and cols >= 1"),
+        ("hypercube:0", "1..=30"),
+        ("hypercube:40", "1..=30"),
+        ("ba:5:10:1", "n > m"),
+        ("plaw:10:1000:1", "must exceed 1000"),
+        ("tree:0:2", "arity >= 1"),
+        ("barbell:1:0", "k >= 2"),
+        ("geo:0:5:1", "n >= 1"),
+        ("path:0", "n >= 1"),
+        ("er:10:2000:1", "at most 1000"),
+        ("hypercube:4294967297", "bad integer"),
+    ];
+
+    #[test]
+    fn out_of_domain_specs_fail_to_parse() {
+        for &(s, rule) in OUT_OF_DOMAIN {
+            let e = s.parse::<GraphSpec>().expect_err(s).to_string();
+            assert!(e.contains(rule), "{s}: {e}");
+        }
+        // The domain edges themselves parse and build.
+        for s in [
+            "cycle:3",
+            "torus:3x3",
+            "grid:1x1",
+            "hypercube:1",
+            "ba:2:1:1",
+            "plaw:3:1001:1",
+        ] {
+            let spec: GraphSpec = s.parse().unwrap_or_else(|e| panic!("{s}: {e}"));
+            assert!(spec.build().node_count() > 0, "{s}");
+        }
+    }
+
+    #[test]
+    fn unconnectable_er_is_an_error_not_a_panic() {
+        let spec: GraphSpec = "er:10:0:1".parse().unwrap();
+        let e = spec.try_build().unwrap_err().to_string();
+        assert!(
+            e.contains("no connected sample") && e.contains("≈ 230"),
+            "{e}"
+        );
+        assert_eq!(spec.try_topology().unwrap_err().to_string(), e);
+        assert!(std::panic::catch_unwind(|| spec.build()).is_err());
     }
 
     #[test]

@@ -802,7 +802,7 @@ fn parse_int(s: &str, flag: &str) -> Result<u64, String> {
 pub fn execute(cmd: Command) -> Result<String, String> {
     match cmd {
         Command::Help => Ok(usage()),
-        Command::Graph { spec } => Ok(describe_graph(&spec)),
+        Command::Graph { spec } => describe_graph(&spec),
         Command::GraphExport { spec, out } => graph_export(&spec, out.as_deref()),
         Command::GraphImport { file, out } => graph_import(&file, out.as_deref()),
         Command::GraphValidate { file } => graph_validate(file.as_deref()),
@@ -938,7 +938,7 @@ fn run_scenario(
     }
     let seed = seed.unwrap_or(spec.seed);
     let workload: GraphSpec = spec.graph.parse().map_err(|e| format!("{e}"))?;
-    let graph = workload.build();
+    let graph = workload.try_build().map_err(|e| e.to_string())?;
     // Tracing is on when any of the CLI flags or the spec's [trace]
     // section asks for it; CLI values override the spec's.
     let tracing = trace_file.is_some() || trace_last.is_some() || spec.trace.is_some();
@@ -991,7 +991,7 @@ fn load_scenario_spec(file: &str) -> Result<bfw_scenario::ScenarioSpec, String> 
 /// Builds the workload graph a spec names.
 fn build_scenario_graph(spec: &bfw_scenario::ScenarioSpec) -> Result<Graph, String> {
     let workload: GraphSpec = spec.graph.parse().map_err(|e| format!("{e}"))?;
-    Ok(workload.build())
+    workload.try_build().map_err(|e| e.to_string())
 }
 
 /// Reads and decodes a `bfw/engine-snapshot` document.
@@ -1167,7 +1167,7 @@ fn scenario_shrink(
 /// smoke checks with `cmp`.
 fn graph_export(spec: &GraphSpec, out: Option<&str>) -> Result<String, String> {
     let doc = bfw_graph::io::GraphDoc {
-        graph: spec.build(),
+        graph: spec.try_build().map_err(|e| e.to_string())?,
         provenance: Some(spec.provenance()),
         delta: None,
     };
@@ -1367,8 +1367,8 @@ fn report_history(files: &[String], out: Option<&str>) -> Result<String, String>
     }
 }
 
-fn describe_graph(spec: &GraphSpec) -> String {
-    let g = spec.build();
+fn describe_graph(spec: &GraphSpec) -> Result<String, String> {
+    let g = spec.try_build().map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(out, "spec:      {spec}");
     let _ = writeln!(out, "nodes:     {}", g.node_count());
@@ -1394,7 +1394,7 @@ fn describe_graph(spec: &GraphSpec) -> String {
             ds.min, ds.mean, ds.max
         );
     }
-    out
+    Ok(out)
 }
 
 fn run_one(
@@ -1404,7 +1404,7 @@ fn run_one(
     max_rounds: u64,
     stability: u64,
 ) -> Result<String, String> {
-    let topology = spec.topology();
+    let topology = spec.try_topology().map_err(|e| e.to_string())?;
     let p = match p {
         Some(p) => p,
         None => {
@@ -1450,7 +1450,7 @@ fn audit_one(spec: &GraphSpec, p: f64, seed: u64, rounds: u64) -> Result<String,
     if !(p > 0.0 && p < 1.0) {
         return Err(format!("p must be in (0, 1), got {p}"));
     }
-    let graph = spec.build();
+    let graph = spec.try_build().map_err(|e| e.to_string())?;
     let n = graph.node_count();
     if n == 0 {
         return Err("cannot audit an empty graph".to_owned());
@@ -1510,7 +1510,7 @@ fn trace_one(
     if !(p > 0.0 && p < 1.0) {
         return Err(format!("p must be in (0, 1), got {p}"));
     }
-    let topology = spec.topology();
+    let topology = spec.try_topology().map_err(|e| e.to_string())?;
     let n = topology.node_count();
     if n == 0 {
         return Err("cannot trace an empty graph".to_owned());

@@ -17,12 +17,24 @@
 //!   torus) carries a source mask. This is `O(classes · n / 64)` with
 //!   perfect memory locality.
 //! * **EdgeStream** — the general fallback: a destination-major pull
-//!   stream. Every directed edge is packed into one `u32`
-//!   (`src_word << 12 | src_bit << 6 | dst_bit`) and bucketed by
-//!   destination word; propagation streams each bucket branch-free,
-//!   accumulating the destination word in a register and storing it
-//!   once. Entries are sorted by source word inside a bucket, so the
-//!   source bitset is read in order.
+//!   stream. The in-edges of each destination word are grouped by
+//!   source word into *blocks*, and each block is stored in one of two
+//!   encodings, chosen per block from the input:
+//!   - a **dense** block (at least 8 edges, and at least 1.5 edges per
+//!     source node that has one) keeps a bitset of its present sources
+//!     plus one destination mask per present source, in source order.
+//!     Propagation walks only the sources that beep,
+//!     `src[src_word] & present`, and ORs in the mask at each one's rank
+//!     among the present bits;
+//!   - every other block keeps one packed `u32` per directed edge
+//!     (`src_word << 12 | src_bit << 6 | dst_bit`), in source order, and
+//!     propagation tests each edge's source bit branch-free, keeping the
+//!     destination word in a register and storing it once.
+//!
+//!   On unit-disk graphs a source typically reaches several nodes of a
+//!   destination word, so almost every edge lands in a dense block and
+//!   costs nothing unless its source beeps; scale-free, random and tree
+//!   graphs stay mostly packed.
 //!
 //! Before falling back, the builder computes a **Reverse Cuthill–McKee
 //! relabeling** ([`crate::algo::reverse_cuthill_mckee`]) and retries the
@@ -60,6 +72,12 @@ const MAX_SHIFT_CLASSES: usize = 12;
 /// index, so the stream plan handles up to `2^26` nodes.
 const MAX_STREAM_NODES: usize = 1 << 26;
 
+/// A block (the edges from one source word into one destination word)
+/// is stored dense when it has at least this many edges and at least
+/// 1.5 edges per present source; below that, one packed `u32` per edge
+/// is both smaller and cheaper to stream.
+const DENSE_MIN_EDGES: usize = 8;
+
 /// One shift class of the rotation plan: every directed edge `u → v`
 /// with `(v − u) mod n == shift`.
 #[derive(Debug, Clone)]
@@ -74,14 +92,36 @@ struct Rotation {
 #[derive(Debug, Clone)]
 enum Plan {
     Rotations(Vec<Rotation>),
-    EdgeStream {
-        /// `entries[offsets[w]..offsets[w + 1]]` feed destination word
-        /// `w`; length `words + 1`.
-        offsets: Vec<usize>,
-        /// Packed directed edges, `src_word << 12 | src_bit << 6 |
-        /// dst_bit`, sorted by source word within each bucket.
-        entries: Vec<u32>,
-    },
+    EdgeStream(EdgeStream),
+}
+
+/// The edge-stream plan: per destination word, its dense blocks and its
+/// packed sparse edges (see the module docs).
+#[derive(Debug, Clone)]
+struct EdgeStream {
+    /// `blocks[block_offsets[w]..block_offsets[w + 1]]` feed destination
+    /// word `w`; length `words + 1`.
+    block_offsets: Vec<usize>,
+    blocks: Vec<DenseBlock>,
+    /// Destination masks of every dense block, one per present source.
+    masks: Vec<u64>,
+    /// `entries[offsets[w]..offsets[w + 1]]` feed destination word `w`;
+    /// length `words + 1`.
+    offsets: Vec<usize>,
+    /// Packed directed edges of the sparse blocks, `src_word << 12 |
+    /// src_bit << 6 | dst_bit`, in source order within each destination
+    /// word.
+    entries: Vec<u32>,
+}
+
+/// The edges from source word `src_word` into one destination word,
+/// stored per source: source bit `b` of `present` owns
+/// `masks[base + rank]`, where `rank` counts the present bits below `b`.
+#[derive(Debug, Clone)]
+struct DenseBlock {
+    present: u64,
+    src_word: usize,
+    base: usize,
 }
 
 /// A node relabeling attached to a [`WordGraph`]: the plan's bitsets
@@ -196,7 +236,7 @@ impl WordGraph {
                     relabel: Some(relab),
                 };
             }
-            let plan = build_edge_stream(graph, Some(&relab));
+            let plan = Plan::EdgeStream(EdgeStream::build(graph, Some(&relab)));
             return WordGraph {
                 n,
                 words,
@@ -204,7 +244,7 @@ impl WordGraph {
                 relabel: Some(relab),
             };
         }
-        let plan = build_edge_stream(graph, None);
+        let plan = Plan::EdgeStream(EdgeStream::build(graph, None));
         WordGraph {
             n,
             words,
@@ -232,14 +272,14 @@ impl WordGraph {
 
     /// `true` when the destination-major edge-stream plan was selected.
     pub fn uses_edge_stream(&self) -> bool {
-        matches!(self.plan, Plan::EdgeStream { .. })
+        matches!(self.plan, Plan::EdgeStream(_))
     }
 
     /// Short name of the selected plan, for reports.
     pub fn plan_kind(&self) -> &'static str {
         match self.plan {
             Plan::Rotations(_) => "rotations",
-            Plan::EdgeStream { .. } => "edge-stream",
+            Plan::EdgeStream(_) => "edge-stream",
         }
     }
 
@@ -288,15 +328,9 @@ impl WordGraph {
                     rotate_or_into(dst_chunk, lo, src, rot.mask.as_deref(), rot.shift, self.n);
                 }
             }
-            Plan::EdgeStream { offsets, entries } => {
-                for w in lo..hi {
-                    let mut acc = dst_chunk[w - lo];
-                    for &e in &entries[offsets[w]..offsets[w + 1]] {
-                        let bit = src[(e >> 12) as usize] >> ((e >> 6) & 63) & 1;
-                        acc |= bit << (e & 63);
-                    }
-                    dst_chunk[w - lo] = acc;
-                }
+            Plan::EdgeStream(stream) => {
+                stream.gather_dense(src, dst_chunk, lo);
+                stream.gather_packed(src, dst_chunk, lo);
             }
         }
     }
@@ -359,44 +393,147 @@ fn build_rotations(
         .collect()
 }
 
-fn build_edge_stream(graph: &Graph, relab: Option<&Relabeling>) -> Plan {
-    let n = graph.node_count();
-    assert!(
-        n <= MAX_STREAM_NODES,
-        "edge-stream plan packs src words in 20 bits: n = {n} > {MAX_STREAM_NODES}"
-    );
-    let words = words_for(n);
-    let map = |u: usize| match relab {
-        Some(r) => r.to_internal(u),
-        None => u,
-    };
-    // Bucket-count pass, then fill: one packed u32 per directed edge.
-    let mut counts = vec![0usize; words + 1];
-    for u in graph.nodes() {
-        for &v in graph.neighbors(u) {
-            counts[(map(v.index()) >> 6) + 1] += 1;
+impl EdgeStream {
+    /// Builds the stream: a count and a fill pass over the edges pack
+    /// them per destination word, then two passes over the packed
+    /// edges classify the blocks and compress the stream in place.
+    ///
+    /// The fill pass walks sources in internal label order, so each
+    /// destination word's bucket comes out grouped by source word, then
+    /// source bit — no sort needed — and each block is one run of it.
+    fn build(graph: &Graph, relab: Option<&Relabeling>) -> Self {
+        let n = graph.node_count();
+        assert!(
+            n <= MAX_STREAM_NODES,
+            "edge-stream plan packs src words in 20 bits: n = {n} > {MAX_STREAM_NODES}"
+        );
+        let words = words_for(n);
+        let internal = |v: NodeId| relab.map_or(v.index(), |r| r.to_internal(v.index()));
+        let mut bounds = vec![0usize; words + 1];
+        for u in graph.nodes() {
+            for &v in graph.neighbors(u) {
+                bounds[(internal(v) >> 6) + 1] += 1;
+            }
+        }
+        for w in 1..bounds.len() {
+            bounds[w] += bounds[w - 1];
+        }
+        let mut entries = vec![0u32; bounds[words]];
+        let mut cursor = bounds.clone();
+        for ui in 0..n {
+            let u = relab.map_or(ui, |r| r.to_original(ui));
+            for &v in graph.neighbors(NodeId::new(u)) {
+                let vi = internal(v);
+                let slot = &mut cursor[vi >> 6];
+                entries[*slot] =
+                    ((ui >> 6) as u32) << 12 | ((ui & 63) as u32) << 6 | (vi & 63) as u32;
+                *slot += 1;
+            }
+        }
+
+        // Classify the blocks, sizing the masks exactly: the build never
+        // holds a grown buffer and its copy at once.
+        let mut blocks = Vec::new();
+        let mut block_offsets = vec![0];
+        let mut dense_lens = Vec::new();
+        let mut dense_sources = 0;
+        for w in 0..words {
+            for run in entries[bounds[w]..bounds[w + 1]].chunk_by(|a, b| a >> 12 == b >> 12) {
+                if let Some(present) = dense_present(run) {
+                    blocks.push(DenseBlock {
+                        present,
+                        src_word: (run[0] >> 12) as usize,
+                        base: dense_sources,
+                    });
+                    dense_lens.push(run.len());
+                    dense_sources += present.count_ones() as usize;
+                }
+            }
+            block_offsets.push(blocks.len());
+        }
+        // Fill the masks, one per source of each dense run (its edges
+        // are grouped by source bit), and shift the packed edges of the
+        // other runs down over the runs taken out.
+        let mut masks = Vec::with_capacity(dense_sources);
+        let mut offsets = vec![0];
+        let (mut kept, mut next) = (0, 0);
+        for w in 0..words {
+            let mut i = bounds[w];
+            while i < bounds[w + 1] {
+                if next < block_offsets[w + 1]
+                    && blocks[next].src_word == (entries[i] >> 12) as usize
+                {
+                    let run = &entries[i..i + dense_lens[next]];
+                    masks.extend(
+                        run.chunk_by(|a, b| a >> 6 == b >> 6)
+                            .map(|source| source.iter().fold(0u64, |m, &e| m | 1 << (e & 63))),
+                    );
+                    i += run.len();
+                    next += 1;
+                } else {
+                    entries[kept] = entries[i];
+                    kept += 1;
+                    i += 1;
+                }
+            }
+            offsets.push(kept);
+        }
+        entries.truncate(kept);
+        entries.shrink_to_fit();
+        EdgeStream {
+            block_offsets,
+            blocks,
+            masks,
+            offsets,
+            entries,
         }
     }
-    let mut offsets = counts;
-    for w in 1..offsets.len() {
-        offsets[w] += offsets[w - 1];
-    }
-    let mut entries = vec![0u32; offsets[words]];
-    let mut cursor = offsets.clone();
-    for u in graph.nodes() {
-        let ui = map(u.index());
-        for &v in graph.neighbors(u) {
-            let vi = map(v.index());
-            let slot = &mut cursor[vi >> 6];
-            entries[*slot] = ((ui >> 6) as u32) << 12 | ((ui & 63) as u32) << 6 | (vi & 63) as u32;
-            *slot += 1;
+
+    // The two passes of the ranged gather behind
+    // `WordGraph::propagate_or_range`. Each stays out of line so that
+    // its loop gets the registers to itself: inlined together, the
+    // packed loop reloads `src` from the stack on every edge.
+
+    /// ORs the dense blocks of destination words `lo..` into `dst_chunk`.
+    #[inline(never)]
+    fn gather_dense(&self, src: &[u64], dst_chunk: &mut [u64], lo: usize) {
+        for (w, out) in (lo..).zip(dst_chunk.iter_mut()) {
+            for block in &self.blocks[self.block_offsets[w]..self.block_offsets[w + 1]] {
+                let mut live = src[block.src_word] & block.present;
+                while live != 0 {
+                    // The present sources below the lowest live one.
+                    let below = block.present & ((live & live.wrapping_neg()) - 1);
+                    *out |= self.masks[block.base + below.count_ones() as usize];
+                    live &= live - 1;
+                }
+            }
         }
     }
-    // Sort each bucket so the source bitset is read in word order.
-    for w in 0..words {
-        entries[offsets[w]..offsets[w + 1]].sort_unstable();
+
+    /// ORs the packed edges of destination words `lo..` into
+    /// `dst_chunk`.
+    #[inline(never)]
+    fn gather_packed(&self, src: &[u64], dst_chunk: &mut [u64], lo: usize) {
+        for (w, out) in (lo..).zip(dst_chunk.iter_mut()) {
+            let mut acc = *out;
+            for &e in &self.entries[self.offsets[w]..self.offsets[w + 1]] {
+                let bit = src[(e >> 12) as usize] >> ((e >> 6) & 63) & 1;
+                acc |= bit << (e & 63);
+            }
+            *out = acc;
+        }
     }
-    Plan::EdgeStream { offsets, entries }
+}
+
+/// The present-source bitset of `run` — one block's packed edges — when
+/// the block is stored dense: at least [`DENSE_MIN_EDGES`] edges and at
+/// least 1.5 edges per present source.
+fn dense_present(run: &[u32]) -> Option<u64> {
+    if run.len() < DENSE_MIN_EDGES {
+        return None;
+    }
+    let present = run.iter().fold(0u64, |m, &e| m | 1 << (e >> 6 & 63));
+    (2 * run.len() >= 3 * present.count_ones() as usize).then_some(present)
 }
 
 /// ORs the `n`-bit ring rotation of `src` (optionally masked) by
@@ -473,6 +610,7 @@ fn rotate_or_into(
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -528,25 +666,32 @@ mod tests {
                     "bits >= n must stay clear"
                 );
             }
-            // Sharded propagation over uneven chunks must agree with
-            // the whole-range call.
-            for shards in [2usize, 3, 7] {
-                let mut sharded = words.clone();
-                let per = wg.words().div_ceil(shards).max(1);
-                let mut lo = 0;
-                while lo < wg.words() {
-                    let hi = (lo + per).min(wg.words());
-                    let chunk = &mut sharded[lo..hi];
-                    // Reconstruct a read view of the source: chunks only
-                    // write their own range, so src stays `words`.
-                    let mut tmp = chunk.to_vec();
-                    wg.propagate_or_range(&words, &mut tmp, lo);
-                    chunk.copy_from_slice(&tmp);
-                    lo = hi;
+            // Ranged propagation over chunks cut at random word
+            // boundaries (empty chunks included) must compose to the
+            // whole-range call.
+            for _ in 0..4 {
+                let mut cuts: Vec<usize> = (0..rng.random_range(1usize..8))
+                    .map(|_| rng.random_range(0..wg.words() + 1))
+                    .collect();
+                cuts.extend([0, wg.words()]);
+                cuts.sort_unstable();
+                let mut composed = words.clone();
+                for cut in cuts.windows(2) {
+                    wg.propagate_or_range(&words, &mut composed[cut[0]..cut[1]], cut[0]);
                 }
-                assert_eq!(sharded, heard, "shards={shards} n={n}");
+                assert_eq!(composed, heard, "cuts={cuts:?} n={n}");
             }
         }
+    }
+
+    /// Dense blocks, edges stored in dense blocks, and packed sparse
+    /// entries of an edge-stream plan.
+    fn stream_shape(wg: &WordGraph) -> (usize, usize, usize) {
+        let Plan::EdgeStream(stream) = &wg.plan else {
+            panic!("expected the edge-stream plan, got {}", wg.plan_kind());
+        };
+        let dense_edges = stream.masks.iter().map(|m| m.count_ones() as usize).sum();
+        (stream.blocks.len(), dense_edges, stream.entries.len())
     }
 
     fn check_against_naive(graph: &Graph, seed: u64) {
@@ -629,6 +774,60 @@ mod tests {
     }
 
     #[test]
+    fn geometric_graph_mixes_dense_and_sparse_blocks() {
+        // A unit-disk graph with mean degree ≈ 20, like the churn
+        // benchmark's: most (source word, destination word) blocks
+        // qualify as dense, the thin ones at the band's edges do not.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6e0);
+        let g = generators::random_geometric_connected(4096, 0.04, &mut rng);
+        let wg = WordGraph::build(&g);
+        let (blocks, dense_edges, sparse) = stream_shape(&wg);
+        assert!(blocks > 0 && sparse > 0, "blocks {blocks}, sparse {sparse}");
+        assert_eq!(dense_edges + sparse, 2 * g.edge_count());
+        assert!(dense_edges > sparse, "dense {dense_edges}, sparse {sparse}");
+        check_against_naive(&g, 37);
+    }
+
+    #[test]
+    fn preferential_attachment_is_mostly_sparse() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xba);
+        let g = generators::preferential_attachment(3000, 3, &mut rng);
+        let wg = WordGraph::build(&g);
+        let (_, dense_edges, sparse) = stream_shape(&wg);
+        assert_eq!(dense_edges + sparse, 2 * g.edge_count());
+        assert!(sparse > dense_edges, "dense {dense_edges}, sparse {sparse}");
+        check_against_naive(&g, 43);
+    }
+
+    #[test]
+    fn dense_rule_is_per_block() {
+        // Nodes 0..4 and 64..67 form a complete bipartite graph: the
+        // blocks between words 0 and 1 carry 12 edges from 4 (resp. 3)
+        // sources — dense. Nodes 96..104 and 128..136 form a matching:
+        // the blocks between words 1 and 2 carry 8 edges from 8 sources
+        // — packed.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for u in 0..4 {
+            edges.extend((64..67).map(|v| (u, v)));
+        }
+        edges.extend((0..8).map(|i| (96 + i, 128 + i)));
+        let g = Graph::from_edges(192, edges).unwrap();
+        let wg = WordGraph::build_no_relabel(&g);
+        let Plan::EdgeStream(stream) = &wg.plan else {
+            panic!("expected the edge-stream plan, got {}", wg.plan_kind());
+        };
+        assert_eq!(stream.block_offsets, [0, 1, 2, 2]);
+        assert_eq!(stream.blocks[0].present, 0b111);
+        assert_eq!(stream.blocks[1].present, 0b1111);
+        assert_eq!(
+            stream.masks,
+            [0b1111, 0b1111, 0b1111, 0b111, 0b111, 0b111, 0b111]
+        );
+        assert_eq!(stream.offsets, [0, 0, 8, 16]);
+        check_against_naive(&g, 47);
+    }
+
+    #[test]
     fn star_matches_naive() {
         // Hub degree n-1: shift classes exceed the cap even after
         // relabeling — the stress case for the edge-stream plan.
@@ -675,6 +874,25 @@ mod tests {
             assert_eq!(r.to_original(r.to_internal(u)), u);
             assert_eq!(r.perm()[u] as usize, r.to_internal(u));
             assert_eq!(r.inv()[r.to_internal(u)] as usize, u);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random unit-disk graphs, from nearly empty to dense, under
+        /// random beep sets: the edge-stream plan matches the CSR
+        /// reference, whole and over random ranged splits.
+        #[test]
+        fn geometric_streams_match_naive(
+            n in 1usize..700,
+            radius_milli in 10u32..300,
+            graph_seed in any::<u64>(),
+            emit_seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(graph_seed);
+            let g = generators::random_geometric(n, f64::from(radius_milli) / 1000.0, &mut rng);
+            check_against_naive(&g, emit_seed);
         }
     }
 

@@ -291,10 +291,10 @@ impl<H: DynamicHost> Engine<H> {
             let round = self.host.round();
             if self.observed_through != Some(round) {
                 self.apply_due_events(round);
-                let leaders = self.host.leaders();
-                self.monitor.observe(round, &leaders);
+                let unique = self.host.unique_leader();
+                self.monitor.observe(round, unique.as_slice());
                 if tracing {
-                    self.trace_round(leaders);
+                    self.trace_round(self.host.leaders());
                 }
                 self.observed_through = Some(round);
             }

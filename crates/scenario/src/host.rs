@@ -69,6 +69,11 @@ pub trait DynamicHost {
     /// Identifiers of all alive leaders.
     fn leaders(&self) -> Vec<NodeId>;
 
+    /// The alive leader when there is exactly one, `None` for zero or
+    /// several — all the election monitor needs each round, without
+    /// materializing the leader list.
+    fn unique_leader(&self) -> Option<NodeId>;
+
     /// Materializes the host's **current** communication graph, if the
     /// runtime can expose it (`None` otherwise). The engine uses this
     /// in debug builds to assert, after every topology event, that its
@@ -152,6 +157,10 @@ macro_rules! shared_host_methods {
 
         fn leaders(&self) -> Vec<NodeId> {
             $engine::leaders(self)
+        }
+
+        fn unique_leader(&self) -> Option<NodeId> {
+            $engine::unique_leader(self)
         }
 
         fn topology_snapshot(&self) -> Option<Graph> {

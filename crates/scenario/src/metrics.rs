@@ -100,7 +100,9 @@ impl ElectionMonitor {
         self.streak_len = 0;
     }
 
-    /// Feeds the leader set of one round.
+    /// Feeds the leader set of one round. Only a set of exactly one
+    /// leader counts, so the engine passes the host's unique leader (an
+    /// empty slice for zero or several).
     pub fn observe(&mut self, round: u64, leaders: &[NodeId]) {
         let unique = if leaders.len() == 1 {
             Some(leaders[0])

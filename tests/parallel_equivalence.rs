@@ -15,7 +15,9 @@
 //! every sharded phase, not merely that the states happen to agree.
 
 use bfw_core::{Bfw, BfwState, BitNetwork};
-use bfw_graph::{generators, Graph, NodeId, WordGraph};
+use bfw_graph::{generators, Graph, NodeId, TopologyDelta, WordGraph};
+use bfw_scenario::DynamicHost;
+use bfw_sim::{ComplexityLedger, Network};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -115,6 +117,70 @@ fn thread_counts_agree_across_topologies_and_faults() {
                 );
             }
         }
+    }
+}
+
+/// The fault schedule of [`drive`] with an edge-churn phase in the
+/// middle (one edge added, one removed: each replans the bit kernel's
+/// adjacency mid-run), played on any scenario host. Returns the state
+/// vector at every phase boundary and the final complexity ledger.
+fn drive_with_churn<H: DynamicHost<State = BfwState>>(
+    host: &mut H,
+    churn: &TopologyDelta,
+) -> (Vec<Vec<BfwState>>, Option<ComplexityLedger>) {
+    let mut checkpoints = Vec::new();
+    let mut phase = |host: &mut H, rounds: u64, before: &dyn Fn(&mut H)| {
+        before(host);
+        for _ in 0..rounds {
+            host.step();
+        }
+        checkpoints.push(host.capture().0);
+    };
+    phase(host, 40, &|_| {});
+    phase(host, 30, &|h| {
+        h.set_perception_noise(0.2, 0.05);
+    });
+    phase(host, 25, &|h| {
+        h.set_perception_noise(0.0, 0.0);
+        h.crash(NodeId::new(3));
+    });
+    phase(host, 30, &|h| h.apply_delta(churn));
+    phase(host, 30, &|h| h.recover(NodeId::new(3)));
+    phase(host, 30, &|h| {
+        h.set_perception_noise(0.1, 0.1);
+    });
+    (checkpoints, host.complexity_ledger().cloned())
+}
+
+#[test]
+fn large_geometric_graph_agrees_across_threads_replans_and_kernels() {
+    // 4096 nodes (64 words) at mean degree ≈ 20: the edge-stream plan
+    // mixes dense and packed blocks, unlike the one- and two-word
+    // geometric rows of the grid above.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x4096);
+    let graph = generators::random_geometric_connected(4096, 0.04, &mut rng);
+    let mut churn = TopologyDelta::new();
+    let non_neighbor = (1..4096)
+        .map(NodeId::new)
+        .find(|&v| !graph.has_edge(NodeId::new(0), v))
+        .unwrap();
+    churn.add_edge(NodeId::new(0), non_neighbor);
+    let first = graph.edges().next().unwrap();
+    churn.remove_edge(first.0, first.1);
+
+    let mut generic = Network::new(Bfw::new(0.5), graph.clone().into(), 11);
+    generic.enable_instrumentation(None);
+    let expected = drive_with_churn(&mut generic, &churn);
+    assert!(expected.1.as_ref().is_some_and(|l| l.steps() == 185));
+    for threads in [1usize, 2, 7] {
+        let mut net = BitNetwork::new(Bfw::new(0.5), graph.clone().into(), 11);
+        net.set_threads(threads);
+        net.enable_instrumentation(None);
+        assert!(
+            expected == drive_with_churn(&mut net, &churn),
+            "threads {threads}: the bit kernel diverged from the generic engine \
+             (plain/noise/crash/churn/recover/noise checkpoints or ledger)"
+        );
     }
 }
 
