@@ -1,11 +1,13 @@
 //! Churn-scale microbench: per-event cost of delta-applied topology vs
-//! rebuild-per-event on the full-size (10k-node) churn workloads.
+//! rebuild-per-event on the full-size (10k-node) churn workloads, and
+//! of the same deltas on the bit kernel's patched plan.
 //!
 //! This bench **commits its numbers**: it writes `BENCH_churn.json` at
-//! the workspace root with the measured per-event costs and the
-//! delta-vs-rebuild speedup per topology (the CI churn-microbench smoke
-//! step asserts the file is emitted). The acceptance bar for the delta
-//! layer is a ≥5x speedup on a 10k-node graph under per-round churn.
+//! the workspace root with the measured per-event costs, the
+//! delta-vs-rebuild speedup per topology and the bit kernel's per-event
+//! cost (the CI churn-microbench smoke step asserts the file is
+//! emitted). The acceptance bar for the delta layer is a ≥5x speedup on
+//! a 10k-node graph under per-round churn.
 //!
 //! Plain `Instant` timing, as in `tick_scale`: per strategy and
 //! topology, one warm-up call and two timed calls; the report keeps the
@@ -16,7 +18,7 @@ use bfw_stats::JsonValue;
 use std::time::Instant;
 
 /// Events per measured run. Kept moderate: the rebuild strategy costs
-/// O(n + m) per event on 10k nodes, and the bench runs both strategies
+/// O(n + m) per event on 10k nodes, and the bench runs every strategy
 /// on three topologies.
 const EVENTS: usize = 1_024;
 const SEED: u64 = 7;
@@ -24,11 +26,12 @@ const SEED: u64 = 7;
 const TIMED_CALLS: usize = 2;
 
 fn main() {
-    let mut report: Vec<(String, f64, f64)> = Vec::new();
+    let mut report: Vec<(String, [f64; 3])> = Vec::new();
     for (name, graph) in workloads(false) {
-        let [delta, rebuild] = [
+        let costs = [
             ("delta", EventStrategy::Delta),
             ("rebuild", EventStrategy::Rebuild),
+            ("bit-delta", EventStrategy::BitDelta),
         ]
         .map(|(label, strategy)| {
             measure_event_cost(&graph, EVENTS, SEED, strategy);
@@ -43,7 +46,7 @@ fn main() {
             }
             ns_per_event
         });
-        report.push((name, delta, rebuild));
+        report.push((name, costs));
     }
     write_report(&report);
 }
@@ -52,14 +55,15 @@ fn main() {
 /// `bfw/bench-report` document (see `bfw_bench::report`), so
 /// `bfw report validate` and the parse–render–parse fixpoint tests
 /// cover it like every other tracked artifact.
-fn write_report(report: &[(String, f64, f64)]) {
-    let rows = report.iter().map(|(name, delta_ns, rebuild_ns)| {
+fn write_report(report: &[(String, [f64; 3])]) {
+    let rows = report.iter().map(|(name, [delta_ns, rebuild_ns, bit_ns])| {
         let speedup = rebuild_ns / delta_ns.max(1.0);
         JsonValue::object([
             ("graph", JsonValue::from(name.as_str())),
             ("delta_ns_per_event", JsonValue::from(delta_ns.round())),
             ("rebuild_ns_per_event", JsonValue::from(rebuild_ns.round())),
             ("speedup", JsonValue::from((speedup * 10.0).round() / 10.0)),
+            ("bit_delta_ns_per_event", JsonValue::from(bit_ns.round())),
         ])
     });
     let value = bfw_bench::report::bench_report(

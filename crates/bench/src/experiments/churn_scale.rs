@@ -3,23 +3,27 @@
 //! PR 1's scenario engine rebuilt the `O(n + m)` CSR topology on every
 //! edge event, which capped how much churn a big graph could sustain.
 //! The `TickEngine` now applies [`TopologyDelta`]s to an overlay in
-//! `O(deg)` per edge (with periodic compaction); this experiment
-//! measures what that buys: on rings, tori and random regular graphs
-//! it drives one edge event per round — the engine's real churn path,
-//! `DynamicGraph` validation included — once through the delta layer
-//! and once through the old rebuild-per-event strategy, and reports
-//! the per-event cost and speedup. The accompanying `churn_scale`
-//! criterion bench commits the 10k-node numbers to `BENCH_churn.json`.
+//! `O(deg)` per edge (with periodic compaction), and the bit kernel
+//! patches its word-packed adjacency plan instead of replanning it;
+//! this experiment measures what that buys: on rings, tori and random
+//! regular graphs it drives one edge event per round — the engine's
+//! real churn path, `DynamicGraph` validation included — through the
+//! generic engine's delta layer, through the old rebuild-per-event
+//! strategy, and through the bit kernel's delta path, and reports the
+//! per-event cost and the delta-vs-rebuild speedup. The accompanying
+//! `churn_scale` bench commits the 10k-node numbers to
+//! `BENCH_churn.json`.
 //!
-//! Both strategies execute the identical schedule (remove edge `e`,
+//! Every strategy executes the identical schedule (remove edge `e`,
 //! re-add edge `e`, round-robin over the initial edge list, one event
 //! per simulated round) on the same seeded BFW host, so the simulated
 //! executions are bit-identical and only the topology plumbing
 //! differs.
 
 use crate::{ExpConfig, ExperimentResult};
-use bfw_core::Bfw;
+use bfw_core::{Bfw, BitNetwork};
 use bfw_graph::{generators, DynamicGraph, Graph, NodeId, TopologyDelta};
+use bfw_scenario::DynamicHost;
 use bfw_sim::Network;
 use bfw_stats::Table;
 use rand::SeedableRng;
@@ -33,6 +37,9 @@ pub enum EventStrategy {
     Delta,
     /// Rebuild the CSR from the mirror and swap it in (the PR-1 path).
     Rebuild,
+    /// The same deltas on the bit kernel, which patches its adjacency
+    /// plan.
+    BitDelta,
 }
 
 /// Timing of one churn run.
@@ -63,10 +70,44 @@ pub fn measure_event_cost(
     seed: u64,
     strategy: EventStrategy,
 ) -> ChurnMeasurement {
+    let generic = || Network::new(Bfw::new(0.5), graph.clone().into(), seed);
+    match strategy {
+        EventStrategy::Delta => {
+            churn(graph, events, generic(), |host, delta, _| {
+                host.apply_topology_delta(delta)
+            })
+            .0
+        }
+        EventStrategy::Rebuild => {
+            churn(graph, events, generic(), |host, _, mirror| {
+                host.set_topology(mirror.to_graph().into())
+            })
+            .0
+        }
+        EventStrategy::BitDelta => {
+            let host = BitNetwork::new(Bfw::new(0.5), graph.clone().into(), seed);
+            churn(graph, events, host, |host, delta, _| {
+                host.apply_topology_delta(delta)
+            })
+            .0
+        }
+    }
+}
+
+/// The churn schedule of [`measure_event_cost`] on `host`: each
+/// validated event goes to `apply` as a delta, along with the updated
+/// mirror, and counts as applied. Returns the timing and the host after
+/// the last round.
+fn churn<H: DynamicHost>(
+    graph: &Graph,
+    events: usize,
+    mut host: H,
+    mut apply: impl FnMut(&mut H, &TopologyDelta, &DynamicGraph),
+) -> (ChurnMeasurement, H) {
     let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
     assert!(!edges.is_empty(), "churn needs at least one edge");
     let mut mirror = DynamicGraph::from_graph(graph);
-    let mut host = Network::new(Bfw::new(0.5), graph.clone().into(), seed);
+    let mut applied_events = 0;
     let mut event_ns = 0u128;
     let mut step_ns = 0u128;
     for k in 0..events {
@@ -79,31 +120,26 @@ pub fn measure_event_cost(
             mirror.remove_edge(u, v).is_ok()
         };
         if applied {
-            match strategy {
-                EventStrategy::Delta => {
-                    let mut delta = TopologyDelta::new();
-                    if add {
-                        delta.add_edge(u, v);
-                    } else {
-                        delta.remove_edge(u, v);
-                    }
-                    host.apply_topology_delta(&delta);
-                }
-                EventStrategy::Rebuild => {
-                    host.set_topology(mirror.to_graph().into());
-                }
+            let mut delta = TopologyDelta::new();
+            if add {
+                delta.add_edge(u, v);
+            } else {
+                delta.remove_edge(u, v);
             }
+            apply(&mut host, &delta, &mirror);
+            applied_events += 1;
         }
         event_ns += start.elapsed().as_nanos();
         let start = Instant::now();
         host.step();
         step_ns += start.elapsed().as_nanos();
     }
-    ChurnMeasurement {
-        events,
+    let measurement = ChurnMeasurement {
+        events: applied_events,
         event_ns,
         step_ns,
-    }
+    };
+    (measurement, host)
 }
 
 /// The churn-scale workloads: ring, torus and random 4-regular graph at
@@ -136,11 +172,16 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         "delta ns/event",
         "rebuild ns/event",
         "speedup",
+        "bit delta ns/event",
     ]);
     let mut notes = Vec::new();
     for (name, graph) in workloads(cfg.quick) {
-        let delta = measure_event_cost(&graph, events, cfg.seed, EventStrategy::Delta);
-        let rebuild = measure_event_cost(&graph, events, cfg.seed, EventStrategy::Rebuild);
+        let [delta, rebuild, bit] = [
+            EventStrategy::Delta,
+            EventStrategy::Rebuild,
+            EventStrategy::BitDelta,
+        ]
+        .map(|strategy| measure_event_cost(&graph, events, cfg.seed, strategy));
         let speedup = rebuild.ns_per_event() / delta.ns_per_event();
         table.push_row(vec![
             name.clone(),
@@ -150,18 +191,21 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
             format!("{:.0}", delta.ns_per_event()),
             format!("{:.0}", rebuild.ns_per_event()),
             format!("{speedup:.1}x"),
+            format!("{:.0}", bit.ns_per_event()),
         ]);
         notes.push(format!(
             "{name}: delta-applied events are {speedup:.1}x faster than rebuild-per-event \
-             ({:.0} vs {:.0} ns/event over {events} per-round events)",
+             ({:.0} vs {:.0} ns/event over {events} per-round events); the bit kernel's \
+             patched plan takes {:.0} ns/event",
             delta.ns_per_event(),
             rebuild.ns_per_event(),
+            bit.ns_per_event(),
         ));
     }
     notes.push(
-        "both strategies execute the identical remove/re-add schedule on the same seeded \
-         host; only the topology plumbing differs — the delta path is the one the scenario \
-         engine now uses"
+        "every strategy executes the identical remove/re-add schedule on the same seeded \
+         host; only the topology plumbing differs — the delta paths are the ones the scenario \
+         engine uses"
             .to_owned(),
     );
     ExperimentResult {
@@ -180,41 +224,29 @@ mod tests {
     #[test]
     fn delta_and_rebuild_simulate_identically() {
         // The timing harness must not change the execution: after the
-        // same churn schedule, both strategies leave the host with the
-        // same states and the same topology.
+        // same churn schedule, every strategy leaves its host with the
+        // same states and the same topology — the initial one, as the
+        // schedule re-adds every edge it removes.
         let graph = generators::cycle(64);
-        let run = |strategy| {
-            let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
-            let mut mirror = DynamicGraph::from_graph(&graph);
-            let mut host = Network::new(Bfw::new(0.5), graph.clone().into(), 7);
-            for k in 0..100 {
-                let (u, v) = edges[(k / 2) % edges.len()];
-                let ok = if k % 2 == 1 {
-                    mirror.add_edge(u, v).is_ok()
-                } else {
-                    mirror.remove_edge(u, v).is_ok()
-                };
-                assert!(ok, "round-robin schedule is always valid");
-                match strategy {
-                    EventStrategy::Delta => {
-                        let mut delta = TopologyDelta::new();
-                        if k % 2 == 1 {
-                            delta.add_edge(u, v);
-                        } else {
-                            delta.remove_edge(u, v);
-                        }
-                        host.apply_topology_delta(&delta);
-                    }
-                    EventStrategy::Rebuild => host.set_topology(mirror.to_graph().into()),
-                }
-                host.step();
-            }
-            (host.states().to_vec(), host.topology().to_graph())
-        };
-        let (delta_states, delta_graph) = run(EventStrategy::Delta);
-        let (rebuild_states, rebuild_graph) = run(EventStrategy::Rebuild);
-        assert_eq!(delta_states, rebuild_states);
-        assert_eq!(delta_graph, rebuild_graph);
+        let generic = || Network::new(Bfw::new(0.5), graph.clone().into(), 7);
+        let (delta_run, delta) = churn(&graph, 100, generic(), |host, delta, _| {
+            host.apply_topology_delta(delta)
+        });
+        let (rebuild_run, rebuild) = churn(&graph, 100, generic(), |host, _, mirror| {
+            host.set_topology(mirror.to_graph().into())
+        });
+        let bit = BitNetwork::new(Bfw::new(0.5), graph.clone().into(), 7);
+        let (bit_run, bit) = churn(&graph, 100, bit, |host, delta, _| {
+            host.apply_topology_delta(delta)
+        });
+        for run in [delta_run, rebuild_run, bit_run] {
+            assert_eq!(run.events, 100, "round-robin schedule is always valid");
+        }
+        assert_eq!(delta.states(), rebuild.states());
+        assert_eq!(delta.states(), bit.states());
+        for topology in [delta.topology(), rebuild.topology(), bit.topology()] {
+            assert_eq!(topology.to_graph(), graph);
+        }
     }
 
     #[test]

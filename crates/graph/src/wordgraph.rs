@@ -4,8 +4,9 @@
 //! N(v) of beeps(u)` — a boolean sparse matrix–vector product. When node
 //! flags live in `u64` bitsets (one bit per node), that product runs
 //! word-wide: 64 nodes per instruction instead of one. [`WordGraph`] is
-//! the adjacency structure specialised for that product, built once from
-//! a [`Graph`] and then immutable.
+//! the adjacency structure specialised for that product, built from a
+//! [`Graph`] and then *patched*, never rebuilt, as edges come and go
+//! (see "Topology changes" below).
 //!
 //! Two execution plans are chosen at build time:
 //!
@@ -46,6 +47,24 @@
 //! the *internal* (relabeled) space, and callers translate node ids at
 //! their public boundary so the relabeling stays externally invisible.
 //!
+//! # Topology changes: patch, don't replan
+//!
+//! A churning graph keeps the plan and the labeling chosen at build
+//! time. [`WordGraph::apply_delta`] marks *dirty* the destinations
+//! whose live neighborhood differs from the base plan's and stores
+//! exactly their live in-edges as a **patch**, in the same dense and
+//! packed block encoding, built by the same encoder and read by the
+//! same gather. [`propagate_or`] runs the base gather, resets each
+//! dirty destination to the bit it held before that gather, and ORs in
+//! the patch gather — exact for additions and removals alike. An event
+//! reads the live neighbors of the dirty nodes in the words it touches,
+//! `O(deg)` per dirty node, and re-encodes the patch in one linear
+//! pass; a heal that restores the base leaves the patch empty. Once the
+//! patch carries more than a quarter of the base plan's in-edges, the
+//! base is re-packed from the live graph under the kept labeling, with
+//! no RCM, so bitsets in internal label order stay valid across every
+//! change.
+//!
 //! Invariant shared with all callers: in the last word of an `n`-bit
 //! bitset, bits `>= n` are zero. [`WordGraph::propagate_or`] preserves
 //! it and relies on it.
@@ -53,8 +72,8 @@
 //! [`propagate_or`]: WordGraph::propagate_or
 
 use crate::algo::reverse_cuthill_mckee;
-use crate::{Graph, NodeId};
-use std::collections::BTreeMap;
+use crate::{Graph, NodeId, OverlayGraph, TopologyDelta};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Number of `u64` words needed for an `n`-bit node bitset.
 #[inline]
@@ -78,6 +97,20 @@ const MAX_STREAM_NODES: usize = 1 << 26;
 /// is both smaller and cheaper to stream.
 const DENSE_MIN_EDGES: usize = 8;
 
+/// A patched plan re-packs its base once the patch carries more than
+/// `1 / REPACK_DIVISOR` of the base plan's in-edges: the patch gather
+/// then costs every round a sizeable share of what one re-pack costs
+/// once.
+const REPACK_DIVISOR: usize = 4;
+
+/// One packed edge-stream entry: the directed edge from internal node
+/// `src` into internal node `dst`, `src_word << 12 | src_bit << 6 |
+/// dst_bit`.
+#[inline]
+fn pack(src: usize, dst: usize) -> u32 {
+    ((src >> 6) as u32) << 12 | ((src & 63) as u32) << 6 | (dst & 63) as u32
+}
+
 /// One shift class of the rotation plan: every directed edge `u → v`
 /// with `(v − u) mod n == shift`.
 #[derive(Debug, Clone)]
@@ -95,23 +128,45 @@ enum Plan {
     EdgeStream(EdgeStream),
 }
 
-/// The edge-stream plan: per destination word, its dense blocks and its
-/// packed sparse edges (see the module docs).
-#[derive(Debug, Clone)]
+/// The edge-stream encoding: per destination row, its dense blocks and
+/// its packed sparse edges (see the module docs). A base plan has one
+/// row per destination word; a patch has one per dirty word.
+#[derive(Debug, Clone, Default)]
 struct EdgeStream {
-    /// `blocks[block_offsets[w]..block_offsets[w + 1]]` feed destination
-    /// word `w`; length `words + 1`.
+    /// `blocks[block_offsets[w]..block_offsets[w + 1]]` feed row `w`;
+    /// length `rows + 1`.
     block_offsets: Vec<usize>,
     blocks: Vec<DenseBlock>,
     /// Destination masks of every dense block, one per present source.
     masks: Vec<u64>,
-    /// `entries[offsets[w]..offsets[w + 1]]` feed destination word `w`;
-    /// length `words + 1`.
+    /// `entries[offsets[w]..offsets[w + 1]]` feed row `w`; length
+    /// `rows + 1`.
     offsets: Vec<usize>,
-    /// Packed directed edges of the sparse blocks, `src_word << 12 |
-    /// src_bit << 6 | dst_bit`, in source order within each destination
-    /// word.
+    /// Packed directed edges of the sparse blocks (see [`pack`]), in
+    /// source order within each row.
     entries: Vec<u32>,
+}
+
+/// The live graph's departures from a [`WordGraph`]'s base plan (see
+/// [`WordGraph::apply_delta`]).
+#[derive(Debug, Clone, Default)]
+struct Patch {
+    /// Directed edges whose presence differs from the base plan, as
+    /// keys `dst << 32 | src` in internal labels. Every valid add or
+    /// remove toggles one, so a heal that restores the base empties the
+    /// set. A node is dirty while it heads a key.
+    toggled: BTreeSet<u64>,
+    /// Per destination word holding a dirty node: its dirty mask and
+    /// the live in-edges of those nodes, packed and sorted — the
+    /// encoder's input form.
+    rows: BTreeMap<usize, (u64, Vec<u32>)>,
+    /// Live in-edges over all `rows`.
+    edges: usize,
+    /// The encoded rows: `stream` row `k` feeds destination word
+    /// `words[k]`, whose dirty nodes are `dirty[k]`.
+    words: Vec<usize>,
+    dirty: Vec<u64>,
+    stream: EdgeStream,
 }
 
 /// The edges from source word `src_word` into one destination word,
@@ -191,8 +246,12 @@ impl Relabeling {
 pub struct WordGraph {
     n: usize,
     words: usize,
+    /// The base plan, packed at build time or at the last re-pack.
     plan: Plan,
     relabel: Option<Relabeling>,
+    /// Directed edges the base plan carries.
+    base_edges: usize,
+    patch: Patch,
 }
 
 impl WordGraph {
@@ -214,42 +273,26 @@ impl WordGraph {
     }
 
     fn build_inner(graph: &Graph, relabel: bool) -> Self {
-        let n = graph.node_count();
-        let words = words_for(n);
-        if let Some(classes) = classify_shifts(graph, None) {
-            let plan = Plan::Rotations(build_rotations(graph, classes, None));
-            return WordGraph {
-                n,
-                words,
-                plan,
-                relabel: None,
-            };
-        }
-        if relabel {
+        let (plan, relab) = if let Some(classes) = classify_shifts(graph, None) {
+            (Plan::Rotations(build_rotations(graph, classes, None)), None)
+        } else if relabel {
             let relab = Relabeling::new(reverse_cuthill_mckee(graph));
-            if let Some(classes) = classify_shifts(graph, Some(&relab)) {
-                let plan = Plan::Rotations(build_rotations(graph, classes, Some(&relab)));
-                return WordGraph {
-                    n,
-                    words,
-                    plan,
-                    relabel: Some(relab),
-                };
-            }
-            let plan = Plan::EdgeStream(EdgeStream::build(graph, Some(&relab)));
-            return WordGraph {
-                n,
-                words,
-                plan,
-                relabel: Some(relab),
+            let plan = match classify_shifts(graph, Some(&relab)) {
+                Some(classes) => Plan::Rotations(build_rotations(graph, classes, Some(&relab))),
+                None => Plan::EdgeStream(EdgeStream::build(graph, Some(&relab))),
             };
-        }
-        let plan = Plan::EdgeStream(EdgeStream::build(graph, None));
+            (plan, Some(relab))
+        } else {
+            (Plan::EdgeStream(EdgeStream::build(graph, None)), None)
+        };
+        let n = graph.node_count();
         WordGraph {
             n,
-            words,
+            words: words_for(n),
             plan,
-            relabel: None,
+            relabel: relab,
+            base_edges: 2 * graph.edge_count(),
+            patch: Patch::default(),
         }
     }
 
@@ -284,10 +327,104 @@ impl WordGraph {
     }
 
     /// The active node relabeling, or `None` when the plan runs in
-    /// original labels.
+    /// original labels. Fixed at build time: [`Self::apply_delta`]
+    /// never changes it.
     #[inline]
     pub fn relabeling(&self) -> Option<&Relabeling> {
         self.relabel.as_ref()
+    }
+
+    /// Directed in-edges the patch carries on top of the base plan: 0
+    /// right after a build, a re-pack, or a heal that restores the base.
+    pub fn patched_edges(&self) -> usize {
+        self.patch.edges
+    }
+
+    /// Applies `delta`, already applied to `live`, so that the plan
+    /// describes `live` from now on. The base plan and the labeling
+    /// stay; every node whose live neighborhood now differs from the
+    /// base's is dirty, and the patch holds exactly the dirty nodes'
+    /// live in-edges (see the module docs). The adjacency work is
+    /// reading the live neighbors of the dirty nodes in the words the
+    /// delta touches, `O(deg)` per dirty node; the patch is then
+    /// re-encoded in one pass over its packed edges. Once the patch
+    /// carries more than a quarter of the base plan's in-edges, the
+    /// base is re-packed from `live` under the kept labeling and the
+    /// patch empties. A graph with more nodes than a patch addresses
+    /// (`2^26`) re-packs on every delta.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `live` has a different node count, or if a graph with
+    /// more than `2^26` nodes leaves the rotation plan.
+    pub fn apply_delta(&mut self, delta: &TopologyDelta, live: &OverlayGraph) {
+        assert_eq!(live.node_count(), self.n, "delta changes the node count");
+        if self.n > MAX_STREAM_NODES {
+            // A patch packs source words in 20 bits, as the stream does.
+            self.repack(live);
+            return;
+        }
+        let relab = self.relabel.as_ref();
+        let internal = |u: NodeId| relab.map_or(u.index(), |r| r.to_internal(u.index()));
+        let orig = |v: usize| NodeId::new(relab.map_or(v, |r| r.to_original(v)));
+        let mut flips = Vec::with_capacity(2 * delta.len());
+        for &(u, v) in delta.removed().iter().chain(delta.added()) {
+            let (u, v) = (internal(u) as u64, internal(v) as u64);
+            flips.extend([u << 32 | v, v << 32 | u]);
+        }
+        // In key order, the toggles walk the set's leaves in order.
+        flips.sort_unstable();
+        for &key in &flips {
+            if !self.patch.toggled.insert(key) {
+                self.patch.toggled.remove(&key);
+            }
+        }
+        let mut words: Vec<usize> = flips.iter().map(|&key| (key >> 38) as usize).collect();
+        words.dedup();
+
+        // Size the touched rows from live degrees first, so that a delta
+        // ending in a re-pack reads no adjacency for the patch.
+        let mut edges = self.patch.edges;
+        let mut touched = Vec::with_capacity(words.len());
+        for w in words {
+            let dirty = self.patch.dirty_in(w);
+            edges -= self.patch.rows.get(&w).map_or(0, |(_, row)| row.len());
+            edges += nodes_in(w, dirty)
+                .map(|v| live.degree(orig(v)))
+                .sum::<usize>();
+            touched.push((w, dirty));
+        }
+        if edges * REPACK_DIVISOR > self.base_edges {
+            self.repack(live);
+            return;
+        }
+        for (w, dirty) in touched {
+            if dirty == 0 {
+                self.patch.rows.remove(&w);
+                continue;
+            }
+            let mut row = Vec::new();
+            for v in nodes_in(w, dirty) {
+                row.extend(live.neighbors(orig(v)).map(|u| pack(internal(u), v)));
+            }
+            row.sort_unstable();
+            self.patch.rows.insert(w, (dirty, row));
+        }
+        self.patch.edges = edges;
+        self.patch.encode();
+    }
+
+    /// Re-packs the base plan from `live` under the kept labeling, with
+    /// no RCM, and empties the patch.
+    fn repack(&mut self, live: &OverlayGraph) {
+        let graph = live.to_graph();
+        let relab = self.relabel.as_ref();
+        self.plan = match classify_shifts(&graph, relab) {
+            Some(classes) => Plan::Rotations(build_rotations(&graph, classes, relab)),
+            None => Plan::EdgeStream(EdgeStream::build(&graph, relab)),
+        };
+        self.base_edges = 2 * graph.edge_count();
+        self.patch = Patch::default();
     }
 
     /// ORs every emitter's neighborhood into `dst`:
@@ -322,6 +459,15 @@ impl WordGraph {
         assert_eq!(src.len(), self.words, "src has wrong word count");
         let hi = lo + dst_chunk.len();
         assert!(hi <= self.words, "dst chunk overruns word range");
+        let patch = &self.patch;
+        let rows =
+            patch.words.partition_point(|&w| w < lo)..patch.words.partition_point(|&w| w < hi);
+        // The dirty destinations' bits before the base gather; the patch
+        // gather ORs their live in-edges into these.
+        let mut fixed: Vec<u64> = rows
+            .clone()
+            .map(|k| dst_chunk[patch.words[k] - lo] & patch.dirty[k])
+            .collect();
         match &self.plan {
             Plan::Rotations(rotations) => {
                 for rot in rotations {
@@ -333,7 +479,51 @@ impl WordGraph {
                 stream.gather_packed(src, dst_chunk, lo);
             }
         }
+        if !fixed.is_empty() {
+            patch.stream.gather_dense(src, &mut fixed, rows.start);
+            patch.stream.gather_packed(src, &mut fixed, rows.start);
+            for (k, fix) in rows.zip(fixed) {
+                let out = &mut dst_chunk[patch.words[k] - lo];
+                *out = *out & !patch.dirty[k] | fix;
+            }
+        }
     }
+}
+
+impl Patch {
+    /// The dirty nodes of destination word `w`, as a mask.
+    fn dirty_in(&self, w: usize) -> u64 {
+        let w = w as u64;
+        self.toggled
+            .range(w << 38..(w + 1) << 38)
+            .fold(0, |mask, &key| mask | 1 << (key >> 32 & 63))
+    }
+
+    /// Encodes the rows into `words`, `dirty` and `stream`.
+    fn encode(&mut self) {
+        self.words.clear();
+        self.dirty.clear();
+        let mut bounds = vec![0];
+        let mut entries = Vec::with_capacity(self.edges);
+        for (&w, (dirty, row)) in &self.rows {
+            self.words.push(w);
+            self.dirty.push(*dirty);
+            entries.extend_from_slice(row);
+            bounds.push(entries.len());
+        }
+        self.stream = EdgeStream::encode(&bounds, entries);
+    }
+}
+
+/// The nodes of word `w` whose bits are set in `mask`, ascending.
+fn nodes_in(w: usize, mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            64 * w + b
+        })
+    })
 }
 
 /// Classifies every directed edge by its shift `(v − u) mod n` (labels
@@ -394,9 +584,9 @@ fn build_rotations(
 }
 
 impl EdgeStream {
-    /// Builds the stream: a count and a fill pass over the edges pack
-    /// them per destination word, then two passes over the packed
-    /// edges classify the blocks and compress the stream in place.
+    /// Builds a base plan's stream: a count and a fill pass over the
+    /// edges pack them per destination word, then [`Self::encode`]
+    /// compresses them.
     ///
     /// The fill pass walks sources in internal label order, so each
     /// destination word's bucket comes out grouped by source word, then
@@ -425,19 +615,26 @@ impl EdgeStream {
             for &v in graph.neighbors(NodeId::new(u)) {
                 let vi = internal(v);
                 let slot = &mut cursor[vi >> 6];
-                entries[*slot] =
-                    ((ui >> 6) as u32) << 12 | ((ui & 63) as u32) << 6 | (vi & 63) as u32;
+                entries[*slot] = pack(ui, vi);
                 *slot += 1;
             }
         }
+        Self::encode(&bounds, entries)
+    }
 
+    /// Encodes packed edges grouped by destination row —
+    /// `entries[bounds[w]..bounds[w + 1]]` feed row `w`, in source
+    /// order — into dense blocks and packed runs: two passes classify
+    /// the blocks and compress the stream in place.
+    fn encode(bounds: &[usize], mut entries: Vec<u32>) -> Self {
+        let rows = bounds.len() - 1;
         // Classify the blocks, sizing the masks exactly: the build never
         // holds a grown buffer and its copy at once.
         let mut blocks = Vec::new();
         let mut block_offsets = vec![0];
         let mut dense_lens = Vec::new();
         let mut dense_sources = 0;
-        for w in 0..words {
+        for w in 0..rows {
             for run in entries[bounds[w]..bounds[w + 1]].chunk_by(|a, b| a >> 12 == b >> 12) {
                 if let Some(present) = dense_present(run) {
                     blocks.push(DenseBlock {
@@ -457,7 +654,7 @@ impl EdgeStream {
         let mut masks = Vec::with_capacity(dense_sources);
         let mut offsets = vec![0];
         let (mut kept, mut next) = (0, 0);
-        for w in 0..words {
+        for w in 0..rows {
             let mut i = bounds[w];
             while i < bounds[w + 1] {
                 if next < block_offsets[w + 1]
@@ -494,7 +691,7 @@ impl EdgeStream {
     // its loop gets the registers to itself: inlined together, the
     // packed loop reloads `src` from the stack on every edge.
 
-    /// ORs the dense blocks of destination words `lo..` into `dst_chunk`.
+    /// ORs the dense blocks of rows `lo..` into `dst_chunk`.
     #[inline(never)]
     fn gather_dense(&self, src: &[u64], dst_chunk: &mut [u64], lo: usize) {
         for (w, out) in (lo..).zip(dst_chunk.iter_mut()) {
@@ -510,8 +707,7 @@ impl EdgeStream {
         }
     }
 
-    /// ORs the packed edges of destination words `lo..` into
-    /// `dst_chunk`.
+    /// ORs the packed edges of rows `lo..` into `dst_chunk`.
     #[inline(never)]
     fn gather_packed(&self, src: &[u64], dst_chunk: &mut [u64], lo: usize) {
         for (w, out) in (lo..).zip(dst_chunk.iter_mut()) {
@@ -893,6 +1089,167 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(graph_seed);
             let g = generators::random_geometric(n, f64::from(radius_milli) / 1000.0, &mut rng);
             check_against_naive(&g, emit_seed);
+        }
+    }
+
+    /// One patched-plan check: `wg`, patched along with `live`, must
+    /// propagate exactly like a fresh build of `live` — compared in
+    /// original labels, from random emit sets and an arbitrary starting
+    /// `dst` — and ranged calls over random cuts, empty chunks
+    /// included, must compose to the whole call.
+    fn check_patched(wg: &WordGraph, live: &OverlayGraph, rng: &mut ChaCha8Rng) {
+        let fresh = WordGraph::build(&live.to_graph());
+        let n = live.node_count();
+        for density in [0.02, 0.5] {
+            let emit: Vec<bool> = (0..n).map(|_| rng.random_bool(density)).collect();
+            let start: Vec<bool> = (0..n).map(|_| rng.random_bool(0.3)).collect();
+            let mut expected = pack(&start, &fresh);
+            fresh.propagate_or(&pack(&emit, &fresh), &mut expected);
+            let src = pack(&emit, wg);
+            let mut heard = pack(&start, wg);
+            wg.propagate_or(&src, &mut heard);
+            assert_eq!(unpack(&heard, n, wg), unpack(&expected, n, &fresh), "n={n}");
+            if !n.is_multiple_of(64) {
+                assert_eq!(heard[wg.words() - 1] >> (n % 64), 0, "bits >= n stay clear");
+            }
+            for _ in 0..3 {
+                let mut cuts: Vec<usize> = (0..rng.random_range(1usize..6))
+                    .map(|_| rng.random_range(0..wg.words() + 1))
+                    .collect();
+                cuts.extend([0, wg.words()]);
+                cuts.sort_unstable();
+                let mut composed = pack(&start, wg);
+                for cut in cuts.windows(2) {
+                    wg.propagate_or_range(&src, &mut composed[cut[0]..cut[1]], cut[0]);
+                }
+                assert_eq!(composed, heard, "cuts={cuts:?} n={n}");
+            }
+        }
+    }
+
+    /// Drives random delta sequences through [`WordGraph::apply_delta`]
+    /// and an [`OverlayGraph`] in parallel, checking the plan against a
+    /// fresh build after every delta: a cut and its heal, single adds
+    /// and removes, remove-then-re-add pairs, then one batch
+    /// large enough to re-pack the base and compact the overlay, and
+    /// single edits on the re-packed base.
+    fn churn_matches_fresh_builds(graph: Graph, seed: u64) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = graph.node_count();
+        let mut wg = WordGraph::build(&graph);
+        let labels = wg.relabeling().map(|r| r.perm().to_vec());
+        let mut live = OverlayGraph::from_graph(graph);
+        let mut check_rng = ChaCha8Rng::seed_from_u64(!seed);
+        let mut apply = |wg: &mut WordGraph, live: &mut OverlayGraph, delta: &TopologyDelta| {
+            live.apply(delta);
+            wg.apply_delta(delta, live);
+            assert_eq!(wg.relabeling().map(|r| r.perm().to_vec()), labels);
+            check_patched(wg, live, &mut check_rng);
+        };
+        let node = |rng: &mut ChaCha8Rng| NodeId::new(rng.random_range(0..n));
+        let absent = |live: &OverlayGraph, rng: &mut ChaCha8Rng| loop {
+            let (u, v) = (node(rng), node(rng));
+            if u != v && !live.has_edge(u, v) {
+                return (u, v);
+            }
+        };
+        let present = |live: &OverlayGraph, rng: &mut ChaCha8Rng| {
+            let edges: Vec<_> = live.to_graph().edges().collect();
+            edges[rng.random_range(0..edges.len())]
+        };
+        let single = |add: bool, (u, v): (NodeId, NodeId)| {
+            let mut delta = TopologyDelta::new();
+            if add {
+                delta.add_edge(u, v);
+            } else {
+                delta.remove_edge(u, v);
+            }
+            delta
+        };
+
+        // A cut and its heal, from the unpatched plan: unless a re-pack
+        // moved the base in between, the heal restores it exactly.
+        let side: Vec<bool> = (0..n).map(|_| rng.random_bool(0.03)).collect();
+        let (mut cut, mut heal) = (TopologyDelta::new(), TopologyDelta::new());
+        for (u, v) in live.to_graph().edges() {
+            if side[u.index()] != side[v.index()] {
+                cut.remove_edge(u, v);
+                heal.add_edge(u, v);
+            }
+        }
+        let base = wg.base_edges;
+        apply(&mut wg, &mut live, &cut);
+        assert!(cut.is_empty() || wg.base_edges != base || !wg.patch.words.is_empty());
+        apply(&mut wg, &mut live, &heal);
+        if wg.base_edges == base {
+            assert!(wg.patch.toggled.is_empty() && wg.patch.words.is_empty());
+        }
+
+        for k in 0..6 {
+            let delta = if k % 2 == 0 || live.edge_count() == 0 {
+                single(true, absent(&live, &mut rng))
+            } else {
+                single(false, present(&live, &mut rng))
+            };
+            apply(&mut wg, &mut live, &delta);
+        }
+        for _ in 0..2 {
+            let edge = present(&live, &mut rng);
+            apply(&mut wg, &mut live, &single(false, edge));
+            apply(&mut wg, &mut live, &single(true, edge));
+            let mut both = single(false, edge);
+            both.add_edge(edge.0, edge.1);
+            apply(&mut wg, &mut live, &both);
+        }
+
+        // One batch past the re-pack rule, and past the overlay's own
+        // compaction threshold of max(n / 4, 16) edits.
+        let mut bulk = TopologyDelta::new();
+        let mut added = Vec::new();
+        for _ in 0..n / 3 + 8 {
+            let (u, v) = absent(&live, &mut rng);
+            if !added.contains(&(u.min(v), u.max(v))) {
+                added.push((u.min(v), u.max(v)));
+                bulk.add_edge(u, v);
+            }
+        }
+        apply(&mut wg, &mut live, &bulk);
+        assert_eq!(wg.patched_edges(), 0, "the batch must re-pack the base");
+        assert_eq!(
+            live.pending_edits(),
+            0,
+            "the batch must compact the overlay"
+        );
+        for k in 0..4 {
+            let delta = if k % 2 == 0 {
+                single(false, present(&live, &mut rng))
+            } else {
+                single(true, absent(&live, &mut rng))
+            };
+            apply(&mut wg, &mut live, &delta);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Property: a patched plan equals a fresh build of the live
+        /// graph, on random geometric, scale-free, cycle (rotations
+        /// plan) and torus graphs, through random delta sequences.
+        #[test]
+        fn patched_plan_equals_a_fresh_build(
+            family in 0usize..4,
+            n in 24usize..400,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let graph = match family {
+                0 => generators::random_geometric(n, 0.15, &mut rng),
+                1 => generators::preferential_attachment(n, 2, &mut rng),
+                2 => generators::cycle(n),
+                _ => generators::torus(n / 16 + 3, 13),
+            };
+            churn_matches_fresh_builds(graph, seed);
         }
     }
 

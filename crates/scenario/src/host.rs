@@ -45,7 +45,10 @@ pub trait DynamicHost {
 
     /// Applies a batch of edge mutations to the communication graph in
     /// `O(deg)` per edge (the delta must be valid against the host's
-    /// current edge set).
+    /// current edge set). Every engine edits an overlay of its
+    /// topology; the bit kernel also patches its adjacency plan, and
+    /// re-packs it in `O(n + m)` only once the patch outgrows a quarter
+    /// of the plan.
     fn apply_delta(&mut self, delta: &TopologyDelta);
 
     /// Crashes a node (idempotent).

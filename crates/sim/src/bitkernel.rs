@@ -588,80 +588,37 @@ impl<M: BitModel> BitEngine<M> {
         }
     }
 
-    /// Rebuilds the adjacency plan for the current topology and, when
-    /// the old and new plans use different labelings, moves every
-    /// node's planes, crash flag and RNG stream from its old storage
-    /// position to the new one (state follows the node, not the slot).
-    fn rebuild_plan(&mut self) {
-        let old_perm: Option<Vec<u32>> = self
-            .plan
-            .as_ref()
-            .and_then(|p| p.relabeling())
-            .map(|r| r.perm().to_vec());
-        self.plan = build_plan(&self.topology);
-        let new_perm: Option<Vec<u32>> = self
-            .plan
-            .as_ref()
-            .and_then(|p| p.relabeling())
-            .map(|r| r.perm().to_vec());
-        if old_perm.is_none() && new_perm.is_none() {
-            return;
-        }
-        // map[old storage position] = new storage position.
-        let mut map = vec![0u32; self.n];
-        let mut identity = true;
-        for orig in 0..self.n {
-            let old_pos = old_perm.as_ref().map_or(orig, |p| p[orig] as usize);
-            let new_pos = new_perm.as_ref().map_or(orig, |p| p[orig] as usize);
-            map[old_pos] = new_pos as u32;
-            identity &= old_pos == new_pos;
-        }
-        if identity {
-            return;
-        }
-        for plane in [&mut self.leader, &mut self.beeping, &mut self.frozen] {
-            let mut moved = vec![0u64; words_for(self.n)];
-            for (i, &j) in map.iter().enumerate() {
-                let j = j as usize;
-                moved[j >> 6] |= (plane[i >> 6] >> (i & 63) & 1) << (j & 63);
-            }
-            *plane = moved;
-        }
-        self.faults.permute(&map);
-    }
-
-    /// Replaces the communication topology mid-run (node count must be
-    /// preserved); the word-packed adjacency plan is rebuilt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new topology's node count differs.
-    pub fn set_topology(&mut self, topology: Topology) {
-        assert_eq!(
-            topology.node_count(),
-            self.n,
-            "topology mutation must preserve the node count"
-        );
-        self.topology = topology;
-        self.rebuild_plan();
-        if self.instr.is_on() {
-            self.refresh_sampler_caches();
-        }
-    }
-
-    /// Applies a batch of edge mutations. Unlike the generic engine's
-    /// `O(deg)` overlay edit, the bit kernel re-packs its adjacency
-    /// plan (`O(n + m)`) — the price of the word-wide propagation
-    /// layout. High-frequency churn belongs on the generic kernel.
+    /// Applies a batch of edge mutations: the topology's `O(deg)`
+    /// overlay edit, then the adjacency plan's patch — the plan and its
+    /// node labeling stay, and only the destinations whose neighborhood
+    /// changed get new in-edges (see [`WordGraph::apply_delta`]), so
+    /// planes and RNG streams never move. An instrumented engine
+    /// re-reads only the edited endpoints' degrees.
     ///
     /// # Panics
     ///
     /// Panics if the delta removes an absent edge or adds a present one.
     pub fn apply_topology_delta(&mut self, delta: &TopologyDelta) {
         self.topology.apply_delta(delta);
-        self.rebuild_plan();
+        let Topology::Overlay(live) = &self.topology else {
+            unreachable!("a topology with a delta applied is an overlay")
+        };
+        match &mut self.plan {
+            Some(plan) => plan.apply_delta(delta, live),
+            // A clique's any-beep fill ends at its first delta. The
+            // planes are in original labels, so the new plan must be too.
+            None => self.plan = Some(WordGraph::build_no_relabel(&live.to_graph())),
+        }
         if self.instr.is_on() {
-            self.refresh_sampler_caches();
+            if let Some(d) = self.uniform_degree.take() {
+                self.degrees = vec![d as u32; self.n];
+            }
+            for &(u, v) in delta.removed().iter().chain(delta.added()) {
+                for x in [u, v] {
+                    let i = self.int(x.index());
+                    self.degrees[i] = self.topology.degree(x) as u32;
+                }
+            }
         }
     }
 

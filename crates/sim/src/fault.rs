@@ -171,7 +171,8 @@ impl FaultLayer {
 
     /// Reorders the per-node state so that the entry of node `i` moves
     /// to index `map[i]` — the adoption step when the bit engine's
-    /// adjacency plan relabels nodes. Only *storage positions* move:
+    /// adjacency plan relabels nodes at construction (topology changes
+    /// keep that labeling). Only *storage positions* move:
     /// each node keeps the ChaCha8 stream carved for it at construction
     /// (streams never renumber), its crash flag, and its noise
     /// channels, so every later draw is byte-identical to the

@@ -16,8 +16,9 @@
 //! justification here.
 
 use bfw_core::{run_bfw_trials_bitsliced, Bfw, BfwLaneEngine, BfwState, BitNetwork};
-use bfw_graph::{generators, Graph, NodeId};
-use bfw_sim::{bernoulli_words, run_trials, Network};
+use bfw_graph::{generators, Graph, NodeId, TopologyDelta};
+use bfw_scenario::DynamicHost;
+use bfw_sim::{bernoulli_words, run_trials, ComplexityLedger, Network, Topology};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -205,6 +206,42 @@ fn ledgers_are_identical_across_kernels() {
     assert_eq!(g.messages(), b.messages());
     assert_eq!(g.state_bytes_per_node(), b.state_bytes_per_node());
     assert!(g.steps() == 50 && g.beeps_sent() > 0 && g.messages() > 0);
+}
+
+/// A clique under churn: the bit kernel has no adjacency plan (an
+/// any-beep fill) until the first delta, which builds one mid-run in
+/// original labels and moves the instrumented degree cache off its
+/// uniform fast path.
+fn churn_clique<H: DynamicHost<State = BfwState>>(
+    mut host: H,
+) -> (Vec<Vec<BfwState>>, Option<ComplexityLedger>) {
+    host.enable_instrumentation(None);
+    let mut cut = TopologyDelta::new();
+    for v in 1..40 {
+        cut.remove_edge(NodeId::new(0), NodeId::new(v));
+    }
+    cut.remove_edge(NodeId::new(5), NodeId::new(66));
+    let mut heal = TopologyDelta::new();
+    heal.add_edge(NodeId::new(7), NodeId::new(0));
+    let mut checkpoints = Vec::new();
+    for delta in [None, Some(&cut), Some(&heal)] {
+        if let Some(delta) = delta {
+            host.apply_delta(delta);
+        }
+        for _ in 0..25 {
+            host.step();
+        }
+        checkpoints.push(host.capture().0);
+    }
+    (checkpoints, host.complexity_ledger().cloned())
+}
+
+#[test]
+fn clique_churn_agrees_across_kernels() {
+    let generic = churn_clique(Network::new(Bfw::new(0.5), Topology::Clique(70), 3));
+    let bit = churn_clique(BitNetwork::new(Bfw::new(0.5), Topology::Clique(70), 3));
+    assert!(generic.1.as_ref().is_some_and(|l| l.steps() == 75));
+    assert!(generic == bit, "the kernels diverged on the churned clique");
 }
 
 #[test]

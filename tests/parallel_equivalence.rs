@@ -13,9 +13,12 @@
 //! The trailing noise phase after recovery matters: zero drift there
 //! proves the per-node RNG streams sit at identical positions after
 //! every sharded phase, not merely that the states happen to agree.
+//! Topology deltas keep the relabeling: the bit kernel patches its plan
+//! (or re-packs it under the same labels), so the planes and streams
+//! never move.
 
 use bfw_core::{Bfw, BfwState, BitNetwork};
-use bfw_graph::{generators, Graph, NodeId, TopologyDelta, WordGraph};
+use bfw_graph::{generators, Graph, NodeId, OverlayGraph, TopologyDelta, WordGraph};
 use bfw_scenario::DynamicHost;
 use bfw_sim::{ComplexityLedger, Network};
 use proptest::prelude::*;
@@ -120,13 +123,14 @@ fn thread_counts_agree_across_topologies_and_faults() {
     }
 }
 
-/// The fault schedule of [`drive`] with an edge-churn phase in the
-/// middle (one edge added, one removed: each replans the bit kernel's
-/// adjacency mid-run), played on any scenario host. Returns the state
-/// vector at every phase boundary and the final complexity ledger.
+/// The fault schedule of [`drive`] with one topology phase per delta in
+/// the middle, played on any scenario host; `after_delta` inspects the
+/// host right after each delta. Returns the state vector at every phase
+/// boundary and the final complexity ledger.
 fn drive_with_churn<H: DynamicHost<State = BfwState>>(
     host: &mut H,
-    churn: &TopologyDelta,
+    deltas: &[TopologyDelta],
+    after_delta: &dyn Fn(&H),
 ) -> (Vec<Vec<BfwState>>, Option<ComplexityLedger>) {
     let mut checkpoints = Vec::new();
     let mut phase = |host: &mut H, rounds: u64, before: &dyn Fn(&mut H)| {
@@ -144,12 +148,30 @@ fn drive_with_churn<H: DynamicHost<State = BfwState>>(
         h.set_perception_noise(0.0, 0.0);
         h.crash(NodeId::new(3));
     });
-    phase(host, 30, &|h| h.apply_delta(churn));
+    for delta in deltas {
+        phase(host, 30, &|h| {
+            h.apply_delta(delta);
+            after_delta(h);
+        });
+    }
     phase(host, 30, &|h| h.recover(NodeId::new(3)));
     phase(host, 30, &|h| {
         h.set_perception_noise(0.1, 0.1);
     });
     (checkpoints, host.complexity_ledger().cloned())
+}
+
+/// The partition of the nodes on `side` from the rest of `live`, and
+/// the heal that restores it.
+fn cut_and_heal(live: &OverlayGraph, side: impl Fn(usize) -> bool) -> [TopologyDelta; 2] {
+    let (mut cut, mut heal) = (TopologyDelta::new(), TopologyDelta::new());
+    for (u, v) in live.to_graph().edges() {
+        if side(u.index()) != side(v.index()) {
+            cut.remove_edge(u, v);
+            heal.add_edge(u, v);
+        }
+    }
+    [cut, heal]
 }
 
 #[test]
@@ -159,6 +181,9 @@ fn large_geometric_graph_agrees_across_threads_replans_and_kernels() {
     // geometric rows of the grid above.
     let mut rng = ChaCha8Rng::seed_from_u64(0x4096);
     let graph = generators::random_geometric_connected(4096, 0.04, &mut rng);
+    // One edge added and one removed, then two partitions, each healed:
+    // four scattered nodes, whose cut the bit kernel keeps patching,
+    // and every 24th node, whose cut re-packs its plan.
     let mut churn = TopologyDelta::new();
     let non_neighbor = (1..4096)
         .map(NodeId::new)
@@ -167,19 +192,48 @@ fn large_geometric_graph_agrees_across_threads_replans_and_kernels() {
     churn.add_edge(NodeId::new(0), non_neighbor);
     let first = graph.edges().next().unwrap();
     churn.remove_edge(first.0, first.1);
+    let mut live = OverlayGraph::from_graph(graph.clone());
+    live.apply(&churn);
+    let [small_cut, small_heal] = cut_and_heal(&live, |u| u % 1024 == 5);
+    let [large_cut, large_heal] = cut_and_heal(&live, |u| u % 24 == 0);
+    let deltas = [churn, small_cut, small_heal, large_cut, large_heal];
+
+    // The phases exercise what they claim on the plan the kernel builds.
+    let mut plan = WordGraph::build(&graph);
+    let mut live = OverlayGraph::from_graph(graph.clone());
+    let mut patched = Vec::new();
+    for delta in &deltas {
+        live.apply(delta);
+        plan.apply_delta(delta, &live);
+        patched.push(plan.patched_edges());
+    }
+    assert!(
+        patched[1] > patched[0],
+        "the small cut is patched: {patched:?}"
+    );
+    assert_eq!(patched[3], 0, "the large cut re-packs: {patched:?}");
 
     let mut generic = Network::new(Bfw::new(0.5), graph.clone().into(), 11);
     generic.enable_instrumentation(None);
-    let expected = drive_with_churn(&mut generic, &churn);
-    assert!(expected.1.as_ref().is_some_and(|l| l.steps() == 185));
+    let expected = drive_with_churn(&mut generic, &deltas, &|_| {});
+    assert!(expected.1.as_ref().is_some_and(|l| l.steps() == 305));
+    let labels = |net: &BitNetwork| net.relabeling().map(|r| r.perm().to_vec());
     for threads in [1usize, 2, 7] {
         let mut net = BitNetwork::new(Bfw::new(0.5), graph.clone().into(), 11);
         net.set_threads(threads);
         net.enable_instrumentation(None);
+        let built = labels(&net);
+        assert!(built.is_some(), "the geometric plan is relabeled");
+        let unchanged = |net: &BitNetwork| {
+            assert!(
+                labels(net) == built,
+                "threads {threads}: a delta moved the labeling"
+            );
+        };
         assert!(
-            expected == drive_with_churn(&mut net, &churn),
+            expected == drive_with_churn(&mut net, &deltas, &unchanged),
             "threads {threads}: the bit kernel diverged from the generic engine \
-             (plain/noise/crash/churn/recover/noise checkpoints or ledger)"
+             (plain/noise/crash/churn/cut/heal/cut/heal/recover/noise checkpoints or ledger)"
         );
     }
 }
