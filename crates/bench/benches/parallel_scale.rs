@@ -2,7 +2,7 @@
 //!
 //! Two independent floors, matching the two halves of E21:
 //!
-//! 1. **Relabel gather** (unconditional): on `scrambled-cycle:100000`
+//! 1. **Relabel gather** (unconditional): on `scrambled-cycle:100000:97`
 //!    the RCM-relabeled plan (`WordGraph::build`) must beat the
 //!    label-order plan (`build_no_relabel`) by at least 2× per
 //!    `heard |= A·beeps` round. The scrambled labels force the plain
@@ -21,9 +21,8 @@
 //! the `tick_scale` floor idiom: the loops are long enough that
 //! statistical machinery would add more noise than it removes.
 
-use bfw_bench::experiments::parallel_scale::scrambled_cycle;
 use bfw_core::{Bfw, BitNetwork};
-use bfw_graph::{generators, WordGraph};
+use bfw_graph::{generators, GraphSpec, WordGraph};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -52,7 +51,8 @@ fn gather_ns(plan: &WordGraph, src: &[u64], iters: u32) -> f64 {
 }
 
 fn relabel_floor() {
-    let graph = scrambled_cycle(RELABEL_N, 97);
+    let spec = GraphSpec::ScrambledCycle(RELABEL_N, 97);
+    let graph = spec.build();
     let plain = WordGraph::build_no_relabel(&graph);
     let relabeled = WordGraph::build(&graph);
     assert_eq!(relabeled.plan_kind(), "rotations");
@@ -78,7 +78,7 @@ fn relabel_floor() {
 
     let ratio = base / fast;
     println!(
-        "parallel_scale: scrambled-cycle:{RELABEL_N} gather — label-order {base:.0} ns/round, \
+        "parallel_scale: {spec} gather — label-order {base:.0} ns/round, \
          RCM {fast:.0} ns/round, speedup {ratio:.1}x"
     );
     assert!(

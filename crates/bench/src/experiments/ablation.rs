@@ -1,6 +1,6 @@
 //! **Ablation — why the frozen state exists.**
 //!
-//! DESIGN.md singles out the one-round freeze as the design choice that
+//! The one-round freeze is the design choice that
 //! makes Section 3 work: it renders beep waves directional, which is
 //! what Lemma 7's case analysis (and hence Ohm's law and Lemma 9)
 //! relies on. Removing it ([`bfw_core::BfwNoFreeze`])

@@ -22,7 +22,7 @@
 
 use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::Bfw;
-use bfw_graph::{generators, Graph, NodeId};
+use bfw_graph::NodeId;
 use bfw_scenario::{
     run_bfw_scenario, KernelKind, ProtocolKind, Recovery, RuntimeKind, ScenarioEvent, ScenarioSpec,
     Timeline,
@@ -30,8 +30,6 @@ use bfw_scenario::{
 use bfw_sim::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge};
 use bfw_sim::{run_trials, Network};
 use bfw_stats::{Summary, Table};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// The scenario classes, with positions as fractions of the horizon
 /// (scaled to rounds or activations by the caller).
@@ -95,23 +93,16 @@ fn spec_for(
 /// The three workloads: cycle, torus and a 4-regular random graph
 /// (diameter-diverse; the random-regular expander is the topology where
 /// synchronous BFW is fastest, so asynchrony has the most to break).
-fn workloads(quick: bool) -> Vec<(String, Graph)> {
+fn workloads(quick: bool) -> [GraphSpec; 3] {
     let (cyc, rows, cols, rr_n) = if quick {
         (12, 3, 4, 12)
     } else {
         (24, 5, 5, 24)
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(0xE18);
-    vec![
-        (GraphSpec::Cycle(cyc).to_string(), generators::cycle(cyc)),
-        (
-            GraphSpec::Torus(rows, cols).to_string(),
-            generators::torus(rows, cols),
-        ),
-        (
-            format!("rr:{rr_n}:4"),
-            generators::random_regular(rr_n, 4, &mut rng),
-        ),
+    [
+        GraphSpec::Cycle(cyc),
+        GraphSpec::Torus(rows, cols),
+        GraphSpec::RandomRegular(rr_n, 4, 0xE18),
     ]
 }
 
@@ -139,7 +130,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     let mut sync_wipeouts_total = 0usize;
     let mut async_wipeouts_total = 0usize;
 
-    for (label, graph) in workloads(cfg.quick) {
+    for workload in workloads(cfg.quick) {
+        let (label, graph) = (workload.to_string(), workload.build());
         let n = graph.node_count();
         for class in classes {
             for runtime in [RuntimeKind::Sync, RuntimeKind::Async] {
@@ -201,7 +193,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         "reached unique leader",
         "steps to unique (mean; rounds | activations/n)",
     ]);
-    for (label, graph) in workloads(cfg.quick) {
+    for workload in workloads(cfg.quick) {
+        let (label, graph) = (workload.to_string(), workload.build());
         let n = graph.node_count();
         for runtime in [RuntimeKind::Sync, RuntimeKind::Async] {
             let outcomes = run_trials(

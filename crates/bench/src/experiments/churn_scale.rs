@@ -10,29 +10,33 @@
 //! real churn path, `DynamicGraph` validation included — through the
 //! generic engine's delta layer, through the old rebuild-per-event
 //! strategy, and through the bit kernel's delta path, and reports the
-//! per-event cost and the delta-vs-rebuild speedup. The accompanying
-//! `churn_scale` bench commits the 10k-node numbers to
-//! `BENCH_churn.json`.
+//! per-event cost and the delta-vs-rebuild speedup.
 //!
 //! Every strategy executes the identical schedule (remove edge `e`,
 //! re-add edge `e`, round-robin over the initial edge list, one event
 //! per simulated round) on the same seeded BFW host, so the simulated
 //! executions are bit-identical and only the topology plumbing
-//! differs.
+//! differs. Each strategy runs once untimed to warm up, then once
+//! timed.
+//!
+//! Besides the stdout table the experiment **commits its numbers**: it
+//! writes the versioned `BENCH_churn.json` at the workspace root, each
+//! row labeled with the [`GraphSpec`] that rebuilds its graph (the full
+//! run's 10k-node rows are the tracked ones; the CI smoke step asserts
+//! the file is emitted and validates).
 
-use crate::{ExpConfig, ExperimentResult};
+use crate::report::rounded;
+use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::{Bfw, BitNetwork};
-use bfw_graph::{generators, DynamicGraph, Graph, NodeId, TopologyDelta};
+use bfw_graph::{DynamicGraph, Graph, NodeId, TopologyDelta};
 use bfw_scenario::DynamicHost;
 use bfw_sim::Network;
-use bfw_stats::Table;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use bfw_stats::{JsonValue, Table};
 use std::time::Instant;
 
 /// How one churn run applies edge events to the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventStrategy {
+enum EventStrategy {
     /// `O(deg)` [`TopologyDelta`] application (the TickEngine path).
     Delta,
     /// Rebuild the CSR from the mirror and swap it in (the PR-1 path).
@@ -44,14 +48,12 @@ pub enum EventStrategy {
 
 /// Timing of one churn run.
 #[derive(Debug, Clone, Copy)]
-pub struct ChurnMeasurement {
+struct ChurnMeasurement {
     /// Edge events applied.
     pub events: usize,
     /// Total nanoseconds spent applying edge events (mirror validation
     /// plus topology update; simulation steps excluded).
     pub event_ns: u128,
-    /// Total nanoseconds spent stepping the simulation.
-    pub step_ns: u128,
 }
 
 impl ChurnMeasurement {
@@ -64,7 +66,7 @@ impl ChurnMeasurement {
 /// Runs `events` rounds of per-round churn (remove / re-add, round-robin
 /// over the initial edge list) on a seeded BFW host and times the edge
 /// events separately from the steps.
-pub fn measure_event_cost(
+fn measure_event_cost(
     graph: &Graph,
     events: usize,
     seed: u64,
@@ -109,7 +111,6 @@ fn churn<H: DynamicHost>(
     let mut mirror = DynamicGraph::from_graph(graph);
     let mut applied_events = 0;
     let mut event_ns = 0u128;
-    let mut step_ns = 0u128;
     for k in 0..events {
         let (u, v) = edges[(k / 2) % edges.len()];
         let add = k % 2 == 1; // even rounds remove, odd rounds restore
@@ -130,34 +131,24 @@ fn churn<H: DynamicHost>(
             applied_events += 1;
         }
         event_ns += start.elapsed().as_nanos();
-        let start = Instant::now();
         host.step();
-        step_ns += start.elapsed().as_nanos();
     }
     let measurement = ChurnMeasurement {
         events: applied_events,
         event_ns,
-        step_ns,
     };
     (measurement, host)
 }
 
 /// The churn-scale workloads: ring, torus and random 4-regular graph at
-/// `n` nodes (`quick` shrinks `n` for smoke tests and CI).
-pub fn workloads(quick: bool) -> Vec<(String, Graph)> {
+/// `n` nodes (`quick` shrinks `n` for smoke tests).
+fn workloads(quick: bool) -> [GraphSpec; 3] {
     let n = if quick { 1_024 } else { 10_000 };
     let side = (n as f64).sqrt() as usize;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5CA1E);
-    vec![
-        (format!("cycle:{n}"), generators::cycle(n)),
-        (
-            format!("torus:{side}x{side}"),
-            generators::torus(side, side),
-        ),
-        (
-            format!("random-regular:{n}:4"),
-            generators::random_regular(n, 4, &mut rng),
-        ),
+    [
+        GraphSpec::Cycle(n),
+        GraphSpec::Torus(side, side),
+        GraphSpec::RandomRegular(n, 4, 0x5CA1E),
     ]
 }
 
@@ -175,16 +166,37 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         "bit delta ns/event",
     ]);
     let mut notes = Vec::new();
-    for (name, graph) in workloads(cfg.quick) {
+    let mut rows = Vec::new();
+    for spec in workloads(cfg.quick) {
+        let graph = spec.build();
         let [delta, rebuild, bit] = [
             EventStrategy::Delta,
             EventStrategy::Rebuild,
             EventStrategy::BitDelta,
         ]
-        .map(|strategy| measure_event_cost(&graph, events, cfg.seed, strategy));
+        .map(|strategy| {
+            measure_event_cost(&graph, events, cfg.seed, strategy);
+            measure_event_cost(&graph, events, cfg.seed, strategy)
+        });
         let speedup = rebuild.ns_per_event() / delta.ns_per_event();
+        rows.push(JsonValue::object([
+            ("graph", JsonValue::from(spec.to_string())),
+            (
+                "delta_ns_per_event",
+                JsonValue::from(delta.ns_per_event().round()),
+            ),
+            (
+                "rebuild_ns_per_event",
+                JsonValue::from(rebuild.ns_per_event().round()),
+            ),
+            ("speedup", JsonValue::from(rounded(speedup, 1))),
+            (
+                "bit_delta_ns_per_event",
+                JsonValue::from(bit.ns_per_event().round()),
+            ),
+        ]));
         table.push_row(vec![
-            name.clone(),
+            spec.to_string(),
             graph.node_count().to_string(),
             graph.edge_count().to_string(),
             events.to_string(),
@@ -194,7 +206,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
             format!("{:.0}", bit.ns_per_event()),
         ]);
         notes.push(format!(
-            "{name}: delta-applied events are {speedup:.1}x faster than rebuild-per-event \
+            "{spec}: delta-applied events are {speedup:.1}x faster than rebuild-per-event \
              ({:.0} vs {:.0} ns/event over {events} per-round events); the bit kernel's \
              patched plan takes {:.0} ns/event",
             delta.ns_per_event(),
@@ -208,6 +220,15 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
          engine uses"
             .to_owned(),
     );
+    let report = crate::report::bench_report(
+        "E16-churn-scale",
+        cfg.quick,
+        cfg.seed,
+        [("events_per_run", JsonValue::from(events))],
+        rows,
+    );
+    let path = crate::report::write_bench_report(cfg.report_root(), "BENCH_churn.json", &report);
+    notes.insert(0, format!("wrote {}", path.display()));
     ExperimentResult {
         id: "E16-churn-scale",
         reproduces: "extension beyond the paper: O(deg) TopologyDelta edge events vs. \
@@ -227,7 +248,7 @@ mod tests {
         // same churn schedule, every strategy leaves its host with the
         // same states and the same topology — the initial one, as the
         // schedule re-adds every edge it removes.
-        let graph = generators::cycle(64);
+        let graph = GraphSpec::Cycle(64).build();
         let generic = || Network::new(Bfw::new(0.5), graph.clone().into(), 7);
         let (delta_run, delta) = churn(&graph, 100, generic(), |host, delta, _| {
             host.apply_topology_delta(delta)
@@ -251,17 +272,35 @@ mod tests {
 
     #[test]
     fn quick_run_produces_full_table() {
+        // Redirect the report into a scratch directory: the tracked
+        // workspace-root BENCH_churn.json holds release-build timings
+        // and must not be overwritten by this debug-build quick run.
+        let scratch = std::env::temp_dir().join(format!("bfw-churn-scale-{}", std::process::id()));
+        std::fs::create_dir_all(&scratch).unwrap();
         let mut cfg = ExpConfig::quick();
         cfg.trials = 1;
+        cfg.report_dir = Some(scratch.clone());
         let result = run(&cfg);
         let table = &result.tables[0].1;
         assert_eq!(table.row_count(), 3, "{}", table.to_markdown());
-        assert!(result.notes.len() == 4, "{:?}", result.notes);
+        assert!(result.notes.len() == 5, "{:?}", result.notes);
+        let json = std::fs::read_to_string(scratch.join("BENCH_churn.json")).unwrap();
+        let summary = crate::report::validate_bench_report(&json).unwrap();
+        assert_eq!(summary.experiment, "E16-churn-scale");
+        assert_eq!(summary.rows, 3);
+        let value = JsonValue::parse(&json).unwrap();
+        let rows = value.get("rows").and_then(JsonValue::as_array).unwrap();
+        let graphs: Vec<&str> = rows
+            .iter()
+            .map(|row| row.get("graph").and_then(JsonValue::as_str).unwrap())
+            .collect();
+        assert_eq!(graphs, ["cycle:1024", "torus:32x32", "rr:1024:4:379422"]);
+        let _ = std::fs::remove_dir_all(&scratch);
     }
 
     #[test]
     fn measurement_reports_events() {
-        let g = generators::cycle(32);
+        let g = GraphSpec::Cycle(32).build();
         let m = measure_event_cost(&g, 16, 0, EventStrategy::Delta);
         assert_eq!(m.events, 16);
         assert!(m.ns_per_event() >= 0.0);
@@ -269,11 +308,10 @@ mod tests {
 
     #[test]
     fn workloads_are_three_topologies() {
-        let w = workloads(true);
-        assert_eq!(w.len(), 3);
-        assert!(w.iter().all(|(_, g)| g.node_count() == 1_024));
+        let w = workloads(true).map(|spec| spec.build());
+        assert!(w.iter().all(|g| g.node_count() == 1_024));
         // The random regular graph really is 4-regular.
-        let rr = &w[2].1;
+        let rr = &w[2];
         assert!(rr.nodes().all(|u| rr.degree(u) == 4));
     }
 }

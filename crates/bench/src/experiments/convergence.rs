@@ -67,7 +67,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     ]);
     let mut total_violations = 0usize;
 
-    for spec in GraphSpec::standard_suite(cfg.quick) {
+    for spec in crate::standard_suite(cfg.quick) {
         let d = spec.diameter();
         let n = spec.topology().node_count();
         let budget = super::thm2_d::d2_budget(d, n);

@@ -6,7 +6,7 @@
 //! number of checks performed vs violations found (must be zero — any
 //! violation is an implementation bug, not noise).
 
-use crate::{ExpConfig, ExperimentResult, GraphSpec};
+use crate::{ExpConfig, ExperimentResult};
 use bfw_core::{flow, Bfw, FlowAuditor, InvariantChecker};
 use bfw_sim::{Network, Topology};
 use bfw_stats::Table;
@@ -27,7 +27,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     ]);
     let mut total_violations = 0u64;
 
-    for spec in GraphSpec::standard_suite(cfg.quick) {
+    for spec in crate::standard_suite(cfg.quick) {
         // FlowAuditor needs explicit adjacency; materialize cliques
         // (and compact overlays, though specs never produce them).
         let graph = match spec.topology() {

@@ -1,4 +1,4 @@
-//! One module per experiment of the DESIGN.md index (E1 lives in
+//! One module per experiment, E2–E21 (E1 lives in
 //! `bfw-core`'s exhaustive state-machine tests; E10 lives in the
 //! workspace `model_equivalence` integration test — both are pure test
 //! artifacts. Everything that produces a table or series is here).

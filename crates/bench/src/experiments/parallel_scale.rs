@@ -9,12 +9,13 @@
 //!
 //! * **stepping sweep** — rounds/second of the bit kernel at
 //!   `T ∈ {1, 2, 4, 8}` worker threads on the cycle and a random
-//!   4-regular graph, with the speedup over the same graph's `T = 1`
-//!   row;
+//!   4-regular graph (`rr:n:4:1820`), with the speedup over the same
+//!   graph's `T = 1` row;
 //! * **relabel microbench** — nanoseconds per propagation round of the
 //!   `heard |= A·beeps` gather with and without the RCM relabeling
 //!   that `WordGraph::build` applies at plan-build time. The headline
-//!   workload is a **label-scrambled cycle**: under the scrambled
+//!   workload is a **label-scrambled cycle** (`scrambled-cycle:n:97`,
+//!   see `bfw_graph::generators::scrambled_cycle`): under the scrambled
 //!   labels the shift classification fails and the plan degrades to
 //!   the general edge stream, while RCM recovers the banded order and
 //!   snaps the plan back to a handful of word-wide ring rotations —
@@ -23,6 +24,8 @@
 //!   find, and its source bitset fits in cache at these sizes, so the
 //!   relabeling neither helps nor hurts there (~1x, reported but not
 //!   floored).
+//!
+//! Every row is labeled with the [`GraphSpec`] that rebuilds its graph.
 //!
 //! Speedups are a property of the **host**: the committed numbers
 //! record `host_cores` (what `std::thread::available_parallelism`
@@ -34,12 +37,11 @@
 //! it writes the versioned `BENCH_parallel.json` at the workspace root
 //! (tracked like `BENCH_tick.json`; the CI smoke asserts it validates).
 
-use crate::{ExpConfig, ExperimentResult};
+use crate::report::rounded;
+use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::{Bfw, BitNetwork};
-use bfw_graph::{generators, Graph, WordGraph};
+use bfw_graph::{Graph, WordGraph};
 use bfw_stats::Table;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// One measured row of the thread sweep.
@@ -81,15 +83,8 @@ fn sizes(quick: bool) -> Vec<usize> {
 /// The sweep workloads at `n` nodes: the rotation-planned cycle and
 /// the edge-stream-planned random 4-regular graph — one per plan kind,
 /// so the sweep exercises both sharded gather paths.
-fn workloads(n: usize) -> Vec<(String, Graph)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x71C);
-    vec![
-        (format!("cycle:{n}"), generators::cycle(n)),
-        (
-            format!("random-regular:{n}:4"),
-            generators::random_regular(n, 4, &mut rng),
-        ),
-    ]
+fn workloads(n: usize) -> [GraphSpec; 2] {
+    [GraphSpec::Cycle(n), GraphSpec::RandomRegular(n, 4, 0x71C)]
 }
 
 /// Rounds to time per sweep cell: long enough to measure, short enough
@@ -124,36 +119,15 @@ fn relabel_sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-/// A cycle whose node labels have been shuffled (Fisher–Yates under a
-/// fixed seed). The topology is still a ring, but in label order the
-/// adjacency is scattered: `WordGraph::build_no_relabel` falls back to
-/// the general edge stream, while `build`'s RCM pass recovers the band
-/// and plans word-wide ring rotations. This is the graph family where
-/// the relabeling is not a cache tweak but a plan upgrade.
-pub fn scrambled_cycle(n: usize, seed: u64) -> Graph {
-    use rand::Rng;
-    let mut scramble: Vec<u32> = (0..n as u32).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    for i in (1..n).rev() {
-        scramble.swap(i, rng.random_range(0..i + 1));
-    }
-    let edges: Vec<(u32, u32)> = (0..n)
-        .map(|i| (scramble[i], scramble[(i + 1) % n]))
-        .collect();
-    Graph::from_edges(n, edges).expect("scrambled cycle edges are in range")
-}
-
 /// The relabel workloads at `n` nodes: the scrambled cycle (headline —
-/// RCM recovers the rotations plan) and the random 4-regular expander
-/// (caveat — no low-bandwidth order exists, ~1x).
-fn relabel_workloads(n: usize) -> Vec<(String, Graph)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x71C);
-    vec![
-        (format!("scrambled-cycle:{n}"), scrambled_cycle(n, 97)),
-        (
-            format!("random-regular:{n}:4"),
-            generators::random_regular(n, 4, &mut rng),
-        ),
+/// in label order the plan falls back to the edge stream, and RCM
+/// recovers the rotations plan, a plan upgrade rather than a cache
+/// tweak) and the random 4-regular expander (caveat — no low-bandwidth
+/// order exists, ~1x).
+fn relabel_workloads(n: usize) -> [GraphSpec; 2] {
+    [
+        GraphSpec::ScrambledCycle(n, 97),
+        GraphSpec::RandomRegular(n, 4, 0x71C),
     ]
 }
 
@@ -181,7 +155,7 @@ fn time_gather(plan: &WordGraph, src: &[u64], iters: u32) -> f64 {
 /// Measures the relabeling win on one graph: the same gather, timed on
 /// the label-order plan (`build_no_relabel`) and the RCM-relabeled
 /// plan (`build`).
-fn measure_relabel(name: &str, graph: &Graph) -> RelabelRow {
+fn measure_relabel(spec: &GraphSpec, graph: &Graph) -> RelabelRow {
     let n = graph.node_count();
     let base = WordGraph::build_no_relabel(graph);
     let relabeled = WordGraph::build(graph);
@@ -198,20 +172,13 @@ fn measure_relabel(name: &str, graph: &Graph) -> RelabelRow {
     let base_ns = time_gather(&base, &src, iters);
     let relabeled_ns = time_gather(&relabeled, &src, iters);
     RelabelRow {
-        graph: name.to_owned(),
+        graph: spec.to_string(),
         n,
         plan: relabeled.plan_kind(),
         base_ns_per_round: base_ns,
         relabeled_ns_per_round: relabeled_ns,
         speedup: base_ns / relabeled_ns.max(1e-9),
     }
-}
-
-/// Rounds a measured float to `decimals` places so the report renders
-/// compact, stable spellings.
-fn rounded(x: f64, decimals: u32) -> f64 {
-    let scale = 10f64.powi(decimals as i32);
-    (x * scale).round() / scale
 }
 
 /// Assembles the `bfw/bench-report` document. Stepping rows carry
@@ -272,7 +239,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
         Table::with_columns(&["graph", "n", "threads", "rounds/s", "speedup vs T=1"]);
     let mut steps: Vec<StepRow> = Vec::new();
     for n in sizes(cfg.quick) {
-        for (name, graph) in workloads(n) {
+        for spec in workloads(n) {
+            let graph = spec.build();
             let mut baseline_rps = 0.0;
             for threads in THREAD_COUNTS {
                 let (rounds, rps) = measure_step(&graph, threads, cfg.seed);
@@ -280,7 +248,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
                     baseline_rps = rps;
                 }
                 steps.push(StepRow {
-                    graph: name.clone(),
+                    graph: spec.to_string(),
                     n,
                     threads,
                     rounds,
@@ -310,8 +278,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     ]);
     let mut relabels = Vec::new();
     for n in relabel_sizes(cfg.quick) {
-        for (name, graph) in relabel_workloads(n) {
-            relabels.push(measure_relabel(&name, &graph));
+        for spec in relabel_workloads(n) {
+            relabels.push(measure_relabel(&spec, &spec.build()));
         }
     }
     for row in &relabels {
@@ -357,11 +325,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
             headline.speedup
         ));
     }
-    if let Some(caveat) = relabels
-        .iter()
-        .rev()
-        .find(|r| r.graph.starts_with("random-regular"))
-    {
+    if let Some(caveat) = relabels.iter().rev().find(|r| r.graph.starts_with("rr:")) {
         notes.push(format!(
             "{}: {:.2}x — an expander has no low-bandwidth order for RCM to exploit \
              (reported, not floored)",
@@ -411,11 +375,14 @@ mod tests {
         assert_eq!(sweep.row_count(), 8, "{}", sweep.to_markdown());
         let md = sweep.to_markdown();
         assert!(md.contains("cycle:1000"), "{md}");
-        assert!(md.contains("random-regular:1000:4"), "{md}");
+        assert!(md.contains("rr:1000:4:1820"), "{md}");
         // 1 quick size x 2 relabel workloads.
         let relabel_md = result.tables[1].1.to_markdown();
         assert_eq!(result.tables[1].1.row_count(), 2, "{relabel_md}");
-        assert!(relabel_md.contains("scrambled-cycle:1000"), "{relabel_md}");
+        assert!(
+            relabel_md.contains("scrambled-cycle:1000:97"),
+            "{relabel_md}"
+        );
 
         let json = std::fs::read_to_string(scratch.join("BENCH_parallel.json")).unwrap();
         let summary = crate::report::validate_bench_report(&json).unwrap();
@@ -458,7 +425,7 @@ mod tests {
         // The headline relabel claim: in scrambled label order the
         // plan degrades to the edge stream, and RCM's relabeling
         // restores the rotations plan.
-        let graph = scrambled_cycle(1_000, 97);
+        let graph = GraphSpec::ScrambledCycle(1_000, 97).build();
         assert_eq!(
             WordGraph::build_no_relabel(&graph).plan_kind(),
             "edge-stream"

@@ -7,7 +7,8 @@
 //! (the `bit_kernel_equivalence` workspace tests pin it). This
 //! experiment measures what the equivalence buys: rounds/second for
 //! each kernel across `n ∈ {10³ … 10⁷}` on the cycle, the torus and a
-//! random 4-regular graph, and the wall-clock seconds of the timed
+//! random 4-regular graph (`rr:n:4:1820`), each row labeled with the
+//! [`GraphSpec`] that rebuilds it, and the wall-clock seconds of the timed
 //! bit-kernel segment at each size — the headline being the `n = 10⁶`
 //! cycle completing in single-digit seconds where the generic engine
 //! needs minutes, with the `n = 10⁷` rows pinning that the kernel
@@ -24,13 +25,12 @@
 //! (tracked like `BENCH_churn.json` / `BENCH_complexity.json`; the CI
 //! smoke step asserts it is emitted and parses).
 
-use crate::{ExpConfig, ExperimentResult};
+use crate::report::rounded;
+use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::{Bfw, BitNetwork};
-use bfw_graph::{generators, Graph};
+use bfw_graph::Graph;
 use bfw_sim::Network;
 use bfw_stats::Table;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// One measured row of the throughput sweep.
@@ -58,19 +58,12 @@ fn sizes(quick: bool) -> Vec<usize> {
 /// The throughput workloads at `n` nodes: ring, torus and random
 /// 4-regular graph (the diameter-diverse trio of the churn-scale
 /// experiment).
-fn workloads(n: usize) -> Vec<(String, Graph)> {
+fn workloads(n: usize) -> [GraphSpec; 3] {
     let side = (n as f64).sqrt() as usize;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x71C);
-    vec![
-        (format!("cycle:{n}"), generators::cycle(n)),
-        (
-            format!("torus:{side}x{side}"),
-            generators::torus(side, side),
-        ),
-        (
-            format!("random-regular:{n}:4"),
-            generators::random_regular(n, 4, &mut rng),
-        ),
+    [
+        GraphSpec::Cycle(n),
+        GraphSpec::Torus(side, side),
+        GraphSpec::RandomRegular(n, 4, 0x71C),
     ]
 }
 
@@ -92,7 +85,7 @@ fn bit_rounds(n: usize) -> u64 {
 /// Times both kernels on one graph at one seed. The engines run the
 /// same protocol from the same seed (warmup included), so the rounds
 /// they execute are the same work — the ratio is pure kernel speed.
-fn measure(name: &str, graph: &Graph, seed: u64) -> Row {
+fn measure(spec: &GraphSpec, graph: &Graph, seed: u64) -> Row {
     let n = graph.node_count();
     let warmup = 16;
 
@@ -117,7 +110,7 @@ fn measure(name: &str, graph: &Graph, seed: u64) -> Row {
     let generic_rps = g_rounds as f64 / g_secs.max(1e-9);
     let bit_rps = b_rounds as f64 / b_secs.max(1e-9);
     Row {
-        graph: name.to_owned(),
+        graph: spec.to_string(),
         n,
         generic_rounds: g_rounds,
         generic_rps,
@@ -126,14 +119,6 @@ fn measure(name: &str, graph: &Graph, seed: u64) -> Row {
         bit_seconds: b_secs,
         speedup: bit_rps / generic_rps.max(1e-9),
     }
-}
-
-/// Rounds a measured float to `decimals` places so the report renders
-/// compact, stable spellings (the renderer prints the shortest exact
-/// form of the rounded value).
-fn rounded(x: f64, decimals: u32) -> f64 {
-    let scale = 10f64.powi(decimals as i32);
-    (x * scale).round() / scale
 }
 
 /// Assembles the `bfw/bench-report` document (see [`crate::report`]);
@@ -173,8 +158,8 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     ]);
     let mut rows = Vec::new();
     for n in sizes(cfg.quick) {
-        for (name, graph) in workloads(n) {
-            rows.push(measure(&name, &graph, cfg.seed));
+        for spec in workloads(n) {
+            rows.push(measure(&spec, &spec.build(), cfg.seed));
         }
     }
     for row in &rows {
@@ -240,7 +225,7 @@ mod tests {
         assert_eq!(table.row_count(), 3, "{}", table.to_markdown());
         let md = table.to_markdown();
         assert!(md.contains("cycle:1000"), "{md}");
-        assert!(md.contains("random-regular:1000:4"), "{md}");
+        assert!(md.contains("rr:1000:4:1820"), "{md}");
 
         // The JSON report exists, carries the envelope, and validates.
         let json = std::fs::read_to_string(scratch.join("BENCH_tick.json")).unwrap();

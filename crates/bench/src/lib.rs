@@ -3,12 +3,11 @@
 //!
 //! The paper (PODC 2025) is a theory paper; its "evaluation" consists of
 //! Figure 1 (the protocol), Table 1 (comparison against prior work) and
-//! the Theorems. This crate turns each into a measured artifact — see
-//! DESIGN.md's experiment index (E1–E12) for the mapping. Each
+//! the Theorems. This crate turns each into a measured artifact. Each
 //! experiment lives in [`experiments`] and returns paper-style
-//! [`bfw_stats::Table`]s; the `experiments` binary prints them
-//! and writes CSVs, and one Criterion bench per experiment keeps the
-//! workloads timed.
+//! [`bfw_stats::Table`]s; `bfw experiment NAME` prints them and, with
+//! `--out DIR`, writes one CSV per table. E16, E19, E20 and E21 also
+//! write their tracked `BENCH_*.json` reports (see [`report`]).
 //!
 //! # Example
 //!
@@ -30,8 +29,9 @@ pub mod report;
 mod runner;
 mod workloads;
 
+pub use bfw_graph::{GraphSpec, WorkloadError};
 pub use runner::{election_summary, ElectionSummary};
-pub use workloads::{GraphSpec, WorkloadError};
+pub use workloads::standard_suite;
 
 use bfw_stats::Table;
 
@@ -44,23 +44,24 @@ pub struct ExpConfig {
     pub threads: usize,
     /// Base RNG seed; trial `i` of each point uses derived seeds.
     pub seed: u64,
-    /// Reduce workload sizes (used by CI and the Criterion benches).
+    /// Reduce workload sizes (`bfw experiment --quick`, used by CI and
+    /// the tests).
     pub quick: bool,
     /// Enable the optional noise sweeps (`--noise`): experiments that
     /// support it (E17) add perception-noise rows on top of their
     /// noise-free tables.
     pub noise: bool,
-    /// Where report-emitting experiments (E19/E20) write their
-    /// `BENCH_*.json`. `None` means the workspace root — the tracked
+    /// Where report-emitting experiments (E16, E19, E20, E21) write
+    /// their `BENCH_*.json`. `None` means the workspace root — the tracked
     /// location the CI smoke steps assert on. Tests point this at a
     /// scratch directory so `cargo test` never clobbers the committed
-    /// artifacts (the tick-scale report holds wall-clock timings from a
+    /// artifacts (the timing reports hold wall-clock numbers from a
     /// release build; a quick debug-build rewrite would destroy them).
     pub report_dir: Option<std::path::PathBuf>,
 }
 
 impl ExpConfig {
-    /// Full-size configuration used to produce EXPERIMENTS.md.
+    /// Full-size configuration (`bfw experiment` without `--quick`).
     pub fn full() -> Self {
         ExpConfig {
             trials: 30,
@@ -72,7 +73,7 @@ impl ExpConfig {
         }
     }
 
-    /// Reduced configuration for smoke tests and benches.
+    /// Reduced configuration for smoke tests.
     pub fn quick() -> Self {
         ExpConfig {
             trials: 8,
@@ -103,7 +104,7 @@ fn default_threads() -> usize {
 }
 
 /// Output of one experiment: named tables plus free-form observations
-/// (the "measured vs. paper" notes that feed EXPERIMENTS.md).
+/// (the "measured vs. paper" notes).
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
     /// Experiment identifier (e.g. `"E4-thm2-d-scaling"`).
@@ -117,8 +118,8 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Renders the full result as Markdown (used by the binary and by
-    /// EXPERIMENTS.md).
+    /// Renders the full result as Markdown (what `bfw experiment`
+    /// prints).
     pub fn to_markdown(&self) -> String {
         let mut out = format!("## {} — {}\n\n", self.id, self.reproduces);
         for (name, table) in &self.tables {
@@ -131,5 +132,26 @@ impl ExperimentResult {
             }
         }
         out
+    }
+
+    /// Writes one CSV per table into `dir` (created if missing), named
+    /// `{id}_{slug}.csv` with the table name's non-alphanumerics as
+    /// `_`; returns the paths written.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O error.
+    pub fn write_csvs(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+        std::fs::create_dir_all(dir)?;
+        let mut written = Vec::new();
+        for (name, table) in &self.tables {
+            let slug = name
+                .to_ascii_lowercase()
+                .replace(|c: char| !c.is_ascii_alphanumeric(), "_");
+            let path = dir.join(format!("{}_{slug}.csv", self.id));
+            std::fs::write(&path, table.to_csv())?;
+            written.push(path);
+        }
+        Ok(written)
     }
 }

@@ -1,9 +1,10 @@
 //! Shared `bfw/bench-report` assembly, writing and validation.
 //!
-//! Every committed `BENCH_*.json` artifact (E19's complexity faceoff,
-//! E20's tick-scale timings, the churn-scale Criterion report) is one
-//! schema: the common envelope, the experiment id, the run
-//! configuration that produced it, and a flat `rows` array —
+//! Every committed `BENCH_*.json` artifact (E16's churn-scale costs,
+//! E19's complexity faceoff, E20's tick-scale timings, E21's
+//! parallel-scale sweep) is one schema: the common envelope, the
+//! experiment id, the run configuration that produced it, and a flat
+//! `rows` array, each row naming its graph in the workload grammar —
 //!
 //! ```json
 //! {
@@ -42,6 +43,14 @@ pub fn bench_report(
     }
     fields.push(("rows".to_owned(), JsonValue::array(rows)));
     JsonValue::object(fields)
+}
+
+/// Rounds a measured float to `decimals` places so a report renders
+/// compact, stable spellings (the renderer prints the shortest exact
+/// form of the rounded value).
+pub(crate) fn rounded(x: f64, decimals: u32) -> f64 {
+    let scale = 10f64.powi(decimals as i32);
+    (x * scale).round() / scale
 }
 
 /// Renders a report (pretty, deterministic) and writes it as

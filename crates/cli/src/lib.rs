@@ -11,14 +11,14 @@
 //! * `bfw graph export|import|validate` — move graphs through the
 //!   versioned `bfw/graph` interchange document (see [`bfw_graph::io`]);
 //! * `bfw experiment <name> ...` — run one of the paper-reproduction
-//!   experiments (same registry as the `experiments` binary);
+//!   experiments, optionally writing one CSV per table;
 //! * `bfw scenario run <file>` — run a TOML fault-injection scenario
 //!   (crashes, churn, partitions, noise bursts; see [`bfw_scenario`]);
 //! * `bfw report validate|diff` — check or structurally compare any
 //!   `bfw/*` report document (bench reports, scenario reports, graphs).
 //!
 //! Graph specs use the compact [`GraphSpec`] syntax, e.g. `path:64`,
-//! `grid:8x8`, `er:100:120:7`, `ba:1000:3:7`.
+//! `grid:8x8`, `er:100:120:7`, `ba:1000:3:7`, `rr:1000:4:7`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,9 +26,10 @@
 use bfw_bench::{experiments, ExpConfig, GraphSpec};
 use bfw_core::{theory, viz, Bfw, InitialConfig};
 use bfw_graph::{algo, Graph, NodeId};
-use bfw_scenario::did_you_mean;
 use bfw_sim::{run_election, ElectionConfig, Network};
+use bfw_stats::did_you_mean;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// A parsed command, ready to execute.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,6 +127,8 @@ pub enum Command {
         trials: Option<usize>,
         /// Base seed.
         seed: Option<u64>,
+        /// Write one CSV per table into this directory.
+        out: Option<String>,
     },
     /// `bfw scenario run`
     Scenario {
@@ -230,7 +233,7 @@ usage:
   bfw graph import FILE [--out FILE]
   bfw graph validate [FILE]
   bfw invariants --graph SPEC [--p P] [--seed S] [--rounds N]
-  bfw experiment [NAME ...] [--quick] [--noise] [--trials N] [--seed S]
+  bfw experiment [NAME ...] [--quick] [--noise] [--trials N] [--seed S] [--out DIR]
   bfw scenario run FILE [--seed S] [--rounds N] [--trace FILE] [--trace-last N]
                         [--kernel auto|generic|bit] [--threads N]
   bfw scenario run --resume-from SNAP [--rounds N] [--kernel K] [--threads N]
@@ -250,6 +253,7 @@ experiment flags:
   --seed S     base seed for the experiment's trial streams
   --noise      adds the optional perception-noise sweeps; only the
                'recovery' experiment reads it, the others ignore it
+  --out DIR    also writes each table as DIR/<id>_<table>.csv
   the 'complexity' experiment (E19) emits a Table-1-style faceoff
   (rounds/beeps/bits/messages/state across protocols and topologies)
   and writes the versioned BENCH_complexity.json next to the table
@@ -280,7 +284,10 @@ scenario lifecycle (plain synchronous/async bfw):
 graph specs: path:N cycle:N clique:N star:N grid:RxC torus:RxC hypercube:DIM
              tree:ARITY:DEPTH randtree:N:SEED er:N:P_MILLI:SEED barbell:K:BRIDGE
              ba:N:M:SEED plaw:N:GAMMA_MILLI:SEED geo:N:RADIUS_MILLI:SEED
-             (scenario TOML `graph = \"...\"` accepts the same syntax)
+             rr:N:D:SEED scrambled-cycle:N:SEED
+             (scenario TOML `graph = \"...\"` and every bench row's `graph` use
+             the same syntax; graphs past 2^26 nodes, 2^27 edges or 2^32
+             generator steps are refused before they are built)
 interchange: every artifact is one versioned JSON envelope, format bfw/KIND
              (graph, scenario-report, bench-report, bench-history); `bfw graph
              export` emits canonical bfw/graph documents with generator
@@ -323,6 +330,12 @@ fn take_value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&
     it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
+fn take_spec(it: &mut std::slice::Iter<'_, String>) -> Result<GraphSpec, String> {
+    let text = take_value("--graph", it)?;
+    text.parse()
+        .map_err(|e: bfw_bench::WorkloadError| e.to_string())
+}
+
 fn parse_run(args: &[String]) -> Result<Command, String> {
     let mut spec = None;
     let mut p = Some(0.5);
@@ -332,13 +345,7 @@ fn parse_run(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--graph" => {
-                spec = Some(
-                    take_value("--graph", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
+            "--graph" => spec = Some(take_spec(&mut it)?),
             "--p" => {
                 p = Some(
                     take_value("--p", &mut it)?
@@ -376,13 +383,7 @@ fn parse_trace(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--graph" => {
-                spec = Some(
-                    take_value("--graph", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
+            "--graph" => spec = Some(take_spec(&mut it)?),
             "--p" => {
                 p = take_value("--p", &mut it)?
                     .parse()
@@ -412,13 +413,7 @@ fn parse_invariants(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--graph" => {
-                spec = Some(
-                    take_value("--graph", &mut it)?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
+            "--graph" => spec = Some(take_spec(&mut it)?),
             "--p" => {
                 p = take_value("--p", &mut it)?
                     .parse()
@@ -444,11 +439,13 @@ fn parse_experiment(args: &[String]) -> Result<Command, String> {
     let mut noise = false;
     let mut trials = None;
     let mut seed = None;
+    let mut out = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--noise" => noise = true,
+            "--out" => out = Some(take_value("--out", &mut it)?.to_owned()),
             "--trials" => {
                 trials = Some(parse_int(take_value("--trials", &mut it)?, "--trials")? as usize)
             }
@@ -465,6 +462,7 @@ fn parse_experiment(args: &[String]) -> Result<Command, String> {
         noise,
         trials,
         seed,
+        out,
     })
 }
 
@@ -875,6 +873,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             noise,
             trials,
             seed,
+            out: out_dir,
         } => {
             let mut cfg = if quick {
                 ExpConfig::quick()
@@ -909,7 +908,16 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             };
             let mut out = String::new();
             for (_, runner) in selected {
-                let _ = writeln!(out, "{}", runner(&cfg).to_markdown());
+                let result = runner(&cfg);
+                let _ = writeln!(out, "{}", result.to_markdown());
+                if let Some(dir) = &out_dir {
+                    for path in result
+                        .write_csvs(Path::new(dir))
+                        .map_err(|e| format!("cannot write CSVs to {dir}: {e}"))?
+                    {
+                        let _ = writeln!(out, "wrote {}", path.display());
+                    }
+                }
             }
             Ok(out)
         }
@@ -925,8 +933,7 @@ fn run_scenario(
     kernel: Option<bfw_scenario::KernelKind>,
     threads: Option<usize>,
 ) -> Result<String, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let mut spec = bfw_scenario::ScenarioSpec::parse(&text).map_err(|e| e.to_string())?;
+    let (mut spec, graph) = load_scenario(file)?;
     if let Some(rounds) = rounds {
         spec.rounds = rounds;
     }
@@ -937,8 +944,6 @@ fn run_scenario(
         spec.threads = Some(threads);
     }
     let seed = seed.unwrap_or(spec.seed);
-    let workload: GraphSpec = spec.graph.parse().map_err(|e| format!("{e}"))?;
-    let graph = workload.try_build().map_err(|e| e.to_string())?;
     // Tracing is on when any of the CLI flags or the spec's [trace]
     // section asks for it; CLI values override the spec's.
     let tracing = trace_file.is_some() || trace_last.is_some() || spec.trace.is_some();
@@ -964,7 +969,7 @@ fn run_scenario(
     // output starts with the untraced output, byte for byte.
     let report = bfw_scenario::RunReport::new(
         &spec,
-        workload.to_string(),
+        spec.graph.clone(),
         graph.node_count(),
         seed,
         outcome,
@@ -988,10 +993,11 @@ fn load_scenario_spec(file: &str) -> Result<bfw_scenario::ScenarioSpec, String> 
     bfw_scenario::ScenarioSpec::parse(&text).map_err(|e| format!("{file}: {e}"))
 }
 
-/// Builds the workload graph a spec names.
-fn build_scenario_graph(spec: &bfw_scenario::ScenarioSpec) -> Result<Graph, String> {
-    let workload: GraphSpec = spec.graph.parse().map_err(|e| format!("{e}"))?;
-    workload.try_build().map_err(|e| e.to_string())
+/// [`load_scenario_spec`], plus the graph the spec names.
+fn load_scenario(file: &str) -> Result<(bfw_scenario::ScenarioSpec, Graph), String> {
+    let spec = load_scenario_spec(file)?;
+    let graph = spec.build_graph().map_err(|e| format!("{file}: {e}"))?;
+    Ok((spec, graph))
 }
 
 /// Reads and decodes a `bfw/engine-snapshot` document.
@@ -1004,8 +1010,7 @@ fn load_snapshot(path: &str) -> Result<bfw_scenario::EngineSnapshot, String> {
 /// graph — no rounds are executed. Hard misconfigurations fail the
 /// command; legal-but-suspect conditions print as warning lines.
 fn scenario_validate(file: &str) -> Result<String, String> {
-    let spec = load_scenario_spec(file)?;
-    let graph = build_scenario_graph(&spec)?;
+    let (spec, graph) = load_scenario(file)?;
     let warnings =
         bfw_scenario::validate_scenario(&spec, &graph).map_err(|e| format!("{file}: {e}"))?;
     let mut out = format!(
@@ -1048,9 +1053,8 @@ fn scenario_step(
 ) -> Result<String, String> {
     let snap = match (file, resume_from) {
         (Some(file), None) => {
-            let spec = load_scenario_spec(file)?;
+            let (spec, graph) = load_scenario(file)?;
             let seed = seed.unwrap_or(spec.seed);
-            let graph = build_scenario_graph(&spec)?;
             bfw_scenario::step_bfw_scenario(&spec, &graph, seed, rounds, kernel, threads)
                 .map_err(|e| e.to_string())?
         }
@@ -1102,12 +1106,11 @@ fn scenario_resume_run(
     }
     // The report names the spec's workload; the graph itself comes from
     // the snapshot, so the initial one is never generated.
-    let workload: GraphSpec = snap.spec.graph.parse().map_err(|e| format!("{e}"))?;
     let outcome =
         bfw_scenario::resume_run_bfw_scenario(&snap, None, None).map_err(|e| e.to_string())?;
     let (spec, nodes) = (&snap.spec, snap.graph.node_count());
     let report =
-        bfw_scenario::RunReport::new(spec, workload.to_string(), nodes, snap.seed, outcome, None);
+        bfw_scenario::RunReport::new(spec, spec.graph.clone(), nodes, snap.seed, outcome, None);
     Ok(report.to_text())
 }
 
@@ -1139,9 +1142,8 @@ fn scenario_shrink(
     quick: bool,
     out: Option<&str>,
 ) -> Result<String, String> {
-    let spec = load_scenario_spec(file)?;
+    let (spec, graph) = load_scenario(file)?;
     let seed = seed.unwrap_or(spec.seed);
-    let graph = build_scenario_graph(&spec)?;
     let report =
         bfw_scenario::shrink_wipeout(&spec, &graph, seed, quick).map_err(|e| e.to_string())?;
     let mut text = report.to_text();
@@ -1669,6 +1671,7 @@ mod tests {
             noise: false,
             trials: Some(1),
             seed: None,
+            out: None,
         })
         .unwrap_err();
         assert!(err.contains("unknown experiment"));
@@ -2403,6 +2406,31 @@ mod tests {
     }
 
     #[test]
+    fn experiment_out_writes_one_csv_per_table() {
+        let dir =
+            std::env::temp_dir().join(format!("bfw_cli_experiment_out_{}", std::process::id()));
+        let args = format!(
+            "experiment chain --quick --trials 2 --out {}",
+            dir.display()
+        );
+        let out = execute(parse(&argv(&args)).unwrap()).unwrap();
+        let written: Vec<&str> = out.lines().filter(|l| l.starts_with("wrote ")).collect();
+        assert!(!written.is_empty(), "{out}");
+        for line in written {
+            let path = std::path::Path::new(&line["wrote ".len()..]);
+            assert!(path.starts_with(&dir), "{line}");
+            let name = path.file_name().unwrap().to_string_lossy();
+            assert!(name.starts_with("E") && name.ends_with(".csv"), "{name}");
+            let csv = std::fs::read_to_string(path).unwrap();
+            assert!(csv.lines().count() >= 2, "header and rows: {csv}");
+        }
+        assert!(parse(&argv("experiment chain --out"))
+            .unwrap_err()
+            .contains("--out"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn execute_async_scenario_prints_runtime_line() {
         let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -2506,6 +2534,7 @@ mod tests {
             noise: false,
             trials: Some(1),
             seed: None,
+            out: None,
         })
         .unwrap_err();
         assert_eq!(err, "unknown experiment 'tabel1' (did you mean 'table1'?)");
@@ -2516,6 +2545,7 @@ mod tests {
             noise: false,
             trials: Some(1),
             seed: None,
+            out: None,
         })
         .unwrap_err();
         assert!(!err.contains("did you mean"), "{err}");

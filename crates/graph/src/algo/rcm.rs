@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn rcm_is_a_permutation_and_deterministic() {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let g = generators::random_regular(200, 4, &mut rng);
+        let g = generators::random_regular(200, 4, 10_000, &mut rng).unwrap();
         let p1 = reverse_cuthill_mckee(&g);
         let p2 = reverse_cuthill_mckee(&g);
         assert!(is_permutation(&p1));

@@ -276,17 +276,22 @@ pub fn erdos_renyi_connected<R: Rng + ?Sized>(
 /// shuffled and paired; a pairing producing a self-loop or duplicate
 /// edge is discarded and re-sampled.
 ///
-/// For the sparse degrees the churn experiments use (`d ≤ 8`, `n` in
-/// the thousands) a uniformly shuffled pairing is simple with constant
-/// probability `≈ exp(-(d²-1)/4)`, so a bounded number of retries
-/// suffices in practice; the result is a uniform random regular graph
-/// conditioned on simplicity.
+/// A uniformly shuffled pairing is simple with probability
+/// `≈ exp(-(d²-1)/4)`: about one in 42 for `d = 4`, but one in
+/// 7·10⁶ for `d = 8`. So the search gives up after `max_tries`
+/// pairings and returns `None`. The result is a uniform random regular
+/// graph conditioned on simplicity; it may be disconnected (small `n`,
+/// or `d ≤ 2`).
 ///
 /// # Panics
 ///
-/// Panics if `n·d` is odd, `d >= n`, `d == 0`, or no simple pairing is
-/// found within an (astronomically generous) retry budget.
-pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph {
+/// Panics if `n·d` is odd, `d >= n` or `d == 0`.
+pub fn random_regular<R: Rng + ?Sized>(
+    n: usize,
+    d: usize,
+    max_tries: usize,
+    rng: &mut R,
+) -> Option<Graph> {
     assert!(d > 0, "degree must be positive");
     assert!(d < n, "degree must be below the node count");
     assert!(
@@ -296,7 +301,7 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
     let mut stubs: Vec<u32> = (0..n as u32)
         .flat_map(|u| std::iter::repeat_n(u, d))
         .collect();
-    'attempt: for _ in 0..10_000 {
+    'attempt: for _ in 0..max_tries {
         // Fisher–Yates shuffle, then pair consecutive stubs.
         for i in (1..stubs.len()).rev() {
             stubs.swap(i, rng.random_range(0..i + 1));
@@ -313,9 +318,29 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
         if edges.windows(2).any(|w| w[0] == w[1]) {
             continue 'attempt;
         }
-        return Graph::from_edges(n, edges).expect("pairing checked simple");
+        return Some(Graph::from_edges(n, edges).expect("pairing checked simple"));
     }
-    panic!("no simple {d}-regular pairing on {n} nodes found (retry budget exhausted)");
+    None
+}
+
+/// Returns a cycle whose node labels are shuffled (Fisher–Yates over
+/// `rng`): still a ring, but in label order its adjacency is scattered,
+/// so a word-packed plan built without relabeling falls back to the
+/// general edge stream.
+///
+/// # Panics
+///
+/// Panics if `n < 3`.
+pub fn scrambled_cycle<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
+    assert!(n >= 3, "cycle requires at least three nodes");
+    let mut scramble: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        scramble.swap(i, rng.random_range(0..i + 1));
+    }
+    let edges: Vec<(u32, u32)> = (0..n)
+        .map(|i| (scramble[i], scramble[(i + 1) % n]))
+        .collect();
+    Graph::from_edges(n, edges).expect("scrambled cycle edges are in range")
 }
 
 /// Returns a Barabási–Albert preferential-attachment graph: a star on

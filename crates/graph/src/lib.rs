@@ -13,6 +13,9 @@
 //!   (paths, cycles, cliques, stars, grids, tori, hypercubes, trees,
 //!   Erdős–Rényi, preferential attachment, power-law configuration,
 //!   random geometric, barbells, …),
+//! * [`GraphSpec`] — the workload grammar (`cycle:32`, `rr:1000:4:7`)
+//!   that the CLI, the scenario TOML and every bench row name their
+//!   graphs in, and [`Topology`], the form a simulation runs on,
 //! * [`algo`] — BFS, diameter, connectivity and distance oracles,
 //! * [`io`] — the versioned `bfw/graph` JSON interchange format
 //!   (topology + generator provenance + overlay deltas) plus a
@@ -42,7 +45,9 @@ mod graph;
 pub mod io;
 mod node;
 mod overlay;
+mod topology;
 mod wordgraph;
+mod workloads;
 
 pub use builder::GraphBuilder;
 pub use dynamic::DynamicGraph;
@@ -50,4 +55,6 @@ pub use error::GraphError;
 pub use graph::{Edges, Graph, Nodes};
 pub use node::NodeId;
 pub use overlay::{OverlayGraph, OverlayNeighbors, TopologyDelta};
+pub use topology::Topology;
 pub use wordgraph::{words_for, Relabeling, WordGraph};
+pub use workloads::{GraphSpec, WorkloadError};

@@ -1,6 +1,7 @@
-use bfw_graph::{algo, Graph, NodeId, OverlayGraph, TopologyDelta};
+use crate::{algo, generators, Graph, NodeId, OverlayGraph, TopologyDelta};
 
-/// The communication structure a [`Network`](crate::Network) runs on.
+/// The communication structure a simulation runs on (the `bfw-sim`
+/// engines take one).
 ///
 /// The general case wraps a CSR [`Graph`]; `Clique(n)` is a fast path
 /// for the complete graph that computes hearing in `O(n)` per round
@@ -14,8 +15,7 @@ use bfw_graph::{algo, Graph, NodeId, OverlayGraph, TopologyDelta};
 /// # Example
 ///
 /// ```
-/// use bfw_sim::Topology;
-/// use bfw_graph::generators;
+/// use bfw_graph::{generators, Topology};
 ///
 /// let t: Topology = generators::path(10).into();
 /// assert_eq!(t.node_count(), 10);
@@ -82,7 +82,7 @@ impl Topology {
             _ => {
                 let graph = match std::mem::replace(self, Topology::Clique(0)) {
                     Topology::Graph(g) => g,
-                    Topology::Clique(n) => bfw_graph::generators::complete(n.max(1)),
+                    Topology::Clique(n) => generators::complete(n.max(1)),
                     Topology::Overlay(_) => unreachable!("handled above"),
                 };
                 let mut ov = OverlayGraph::from_graph(graph);
@@ -183,7 +183,7 @@ impl Topology {
     pub fn to_graph(&self) -> Graph {
         match self {
             Topology::Graph(g) => g.clone(),
-            Topology::Clique(n) => bfw_graph::generators::complete((*n).max(1)),
+            Topology::Clique(n) => generators::complete((*n).max(1)),
             Topology::Overlay(ov) => ov.to_graph(),
         }
     }
@@ -204,7 +204,6 @@ impl From<OverlayGraph> for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bfw_graph::generators;
 
     #[test]
     fn clique_heard_matches_graph_heard() {

@@ -950,7 +950,7 @@ mod tests {
     #[test]
     fn random_regular_uses_relabeled_edge_stream() {
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let g = generators::random_regular(96, 4, &mut rng);
+        let g = generators::random_regular(96, 4, 10_000, &mut rng).unwrap();
         assert_eq!(g.uniform_degree(), Some(4));
         let wg = WordGraph::build(&g);
         assert!(!wg.uses_rotations());
@@ -1063,7 +1063,7 @@ mod tests {
     #[test]
     fn relabeling_round_trips() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let g = generators::random_regular(130, 4, &mut rng);
+        let g = generators::random_regular(130, 4, 10_000, &mut rng).unwrap();
         let wg = WordGraph::build(&g);
         let r = wg.relabeling().expect("relabeled");
         for u in 0..130 {

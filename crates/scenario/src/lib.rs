@@ -91,9 +91,7 @@ pub use lifecycle::{
 pub use metrics::{ElectionMonitor, MonitorState, Recovery};
 pub use report::{validate_run_report, RunReport, RunSummary};
 pub use shrink::{shrink_wipeout, ShrinkReport};
-pub use spec::{
-    did_you_mean, KernelKind, ProtocolKind, RuntimeKind, ScenarioSpec, SpecError, TraceSpec,
-};
+pub use spec::{KernelKind, ProtocolKind, RuntimeKind, ScenarioSpec, SpecError, TraceSpec};
 pub use spec_io::{spec_from_json, spec_to_json, validate_scenario_spec, SpecSummary};
 pub use timeline::{Schedule, ScheduledEvent, Timeline, TimelineEntry};
 pub use trace::ScenarioTrace;

@@ -746,5 +746,11 @@ kind = "recover-random"
 
         let err = validate_engine_snapshot("{}").unwrap_err();
         assert!(err.to_string().contains("format"), "{err}");
+
+        let bad_graph = good.replace("\"cycle:12\"", "\"cylce:12\"");
+        assert_ne!(bad_graph, good);
+        let err = EngineSnapshot::from_json(&bad_graph).unwrap_err();
+        assert_eq!(err.pointer(), "/spec/config/graph", "{err}");
+        assert!(validate_engine_snapshot(&bad_graph).is_err());
     }
 }

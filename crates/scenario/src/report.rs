@@ -272,7 +272,8 @@ pub fn validate_run_report(text: &str) -> Result<RunSummary, SchemaError> {
 
     let config = doc.field("config")?;
     let scenario = config.field("scenario")?.str()?.to_owned();
-    config.field("graph")?.str()?;
+    let graph = config.field("graph")?;
+    crate::spec::canonical_graph(graph.str()?).map_err(|e| graph.error(e.to_string()))?;
     config.field("protocol")?.str()?;
     config.field("runtime")?.str()?;
     if let Some(scheduler) = config.opt_field("scheduler")? {
@@ -576,6 +577,18 @@ mod tests {
                     v
                 },
                 "/config/p",
+            ),
+            (
+                {
+                    let mut v = good.clone();
+                    if let JsonValue::Object(map) = &mut v {
+                        if let Some(JsonValue::Object(config)) = map.get_mut("config") {
+                            config.insert("graph".to_owned(), JsonValue::from("cylce:8"));
+                        }
+                    }
+                    v
+                },
+                "/config/graph",
             ),
         ];
         for (value, pointer) in cases {

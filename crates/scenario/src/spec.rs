@@ -6,7 +6,7 @@
 //! ```toml
 //! [scenario]
 //! name = "ring churn"
-//! graph = "cycle:32"     # resolved by the caller (CLI: GraphSpec syntax)
+//! graph = "cycle:32"     # bfw_graph::GraphSpec grammar, checked at parse
 //! p = 0.5                # BFW beep probability
 //! rounds = 20000         # horizon
 //! stability = 50         # stable rounds required to count a recovery
@@ -95,21 +95,23 @@
 
 use crate::toml_mini::{self, Table, Value};
 use crate::{InjectKind, ScenarioEvent, Schedule, Timeline};
-use bfw_graph::NodeId;
+use bfw_graph::{Graph, GraphSpec, NodeId, WorkloadError};
 use bfw_sim::Scheduler;
+use bfw_stats::did_you_mean;
 use std::fmt;
 
 /// A parsed scenario file, before graph resolution.
 ///
-/// The `graph` field stays a string: workload-spec parsing
-/// (`"cycle:32"`) lives in `bfw-bench` and the CLI resolves it; tests
-/// and library users may supply any graph they like alongside the
-/// spec's timeline.
+/// The `graph` field stays a string, in the [`GraphSpec`] grammar:
+/// the TOML parser and the JSON decoders check it and keep its
+/// canonical spelling, and [`ScenarioSpec::build_graph`] builds it.
+/// Tests and library users may also run a spec's timeline on any graph
+/// they like.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Human-readable scenario name.
     pub name: String,
-    /// Workload spec string (e.g. `"cycle:32"`), resolved by the caller.
+    /// Workload spec string (e.g. `"cycle:32"`), canonical when parsed.
     pub graph: String,
     /// BFW beep probability.
     pub p: f64,
@@ -338,35 +340,11 @@ fn err(message: impl Into<String>) -> SpecError {
     SpecError(message.into())
 }
 
-/// Levenshtein distance (iterative two-row DP) — small inputs only.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Returns ` (did you mean 'x'?)` when a known name is within edit
-/// distance 2 of `given` (ties resolved toward the closest, then the
-/// first listed), or an empty string otherwise. The one hint helper
-/// of the workspace: spec keys, event kinds and CLI verbs all use it.
-pub fn did_you_mean(given: &str, known: &[&str]) -> String {
-    known
-        .iter()
-        .map(|k| (edit_distance(given, k), *k))
-        .filter(|&(d, _)| d <= 2)
-        .min_by_key(|&(d, _)| d)
-        .map(|(_, k)| format!(" (did you mean '{k}'?)"))
-        .unwrap_or_default()
+/// Checks a `graph` value against the workload grammar and returns its
+/// canonical spelling. Every parser of a spec calls this, so a
+/// misspelled graph fails where the spec enters, at its key.
+pub(crate) fn canonical_graph(text: &str) -> Result<String, WorkloadError> {
+    text.parse::<GraphSpec>().map(|spec| spec.to_string())
 }
 
 impl ScenarioSpec {
@@ -435,6 +413,19 @@ impl ScenarioSpec {
         }
         spec.check_stack()?;
         Ok(spec)
+    }
+
+    /// Builds the graph [`graph`](Self::graph) names.
+    ///
+    /// # Errors
+    ///
+    /// A [`SpecError`] at the `graph` key when the grammar refuses the
+    /// spec or [`GraphSpec::try_build`] cannot build it.
+    pub fn build_graph(&self) -> Result<Graph, SpecError> {
+        self.graph
+            .parse::<GraphSpec>()
+            .and_then(|spec| spec.try_build())
+            .map_err(|e| err(format!("graph: {e}")))
     }
 
     /// The stack rules, in one place: the TOML parser, the JSON
@@ -524,10 +515,10 @@ impl ScenarioSpec {
                         .to_owned();
                 }
                 "graph" => {
-                    self.graph = value
+                    let text = value
                         .as_str()
-                        .ok_or_else(|| err("graph must be a string"))?
-                        .to_owned();
+                        .ok_or_else(|| err("graph must be a string"))?;
+                    self.graph = canonical_graph(text).map_err(|e| err(format!("graph: {e}")))?;
                 }
                 "p" => {
                     self.p = value.as_float().ok_or_else(|| err("p must be a number"))?;
@@ -1241,11 +1232,31 @@ rounds = 200
     }
 
     #[test]
-    fn edit_distance_basics() {
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("abc", "abc"), 0);
-        assert_eq!(edit_distance("kitten", "sitting"), 3);
-        assert_eq!(did_you_mean("zzzzzz", &["heal"]), "");
+    fn graph_is_checked_at_its_key_and_kept_canonical() {
+        let e = ScenarioSpec::parse("[scenario]\ngraph = \"cylce:12\"").unwrap_err();
+        assert!(
+            e.to_string().starts_with(
+                "scenario spec: graph: invalid graph spec: unknown graph kind 'cylce' \
+                 (did you mean 'cycle'?)"
+            ),
+            "{e}"
+        );
+        let e = ScenarioSpec::parse("[scenario]\ngraph = \"cycle:2\"").unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("graph: invalid graph spec: cycle:2: "),
+            "{e}"
+        );
+        let spec = ScenarioSpec::parse("[scenario]\ngraph = \"cycle:012\"").unwrap();
+        assert_eq!(spec.graph, "cycle:12");
+        assert_eq!(spec.build_graph().unwrap().node_count(), 12);
+        // The grammar holds, but the graph cannot be built.
+        let spec = ScenarioSpec::parse("[scenario]\ngraph = \"er:10:0:1\"").unwrap();
+        let e = spec.build_graph().unwrap_err().to_string();
+        assert!(
+            e.starts_with("scenario spec: graph: invalid graph spec: er:10:0:1: "),
+            "{e}"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! shrinker emits its minimal reproducers in this format, and an
 //! engine snapshot embeds one as its run configuration.
 
-use crate::spec::{parse_name, Named};
+use crate::spec::{canonical_graph, parse_name, Named};
 use crate::{InjectKind, ScenarioEvent, ScenarioSpec, ScheduledEvent, Timeline};
 use bfw_graph::NodeId;
 use bfw_stats::{Doc, Envelope, JsonValue, SchemaError};
@@ -305,7 +305,9 @@ pub(crate) fn spec_from_doc(doc: &Doc<'_>) -> Result<ScenarioSpec, SchemaError> 
         timeline = timeline.at(ev.round, ev.event);
     }
     let name = config.field("name")?.str()?.to_owned();
-    let graph = config.field("graph")?.str()?.to_owned();
+    let graph_field = config.field("graph")?;
+    let graph =
+        canonical_graph(graph_field.str()?).map_err(|e| graph_field.error(e.to_string()))?;
     let p_field = config.field("p")?;
     let p = p_field.f64()?;
     if !(p > 0.0 && p < 1.0) {
@@ -377,6 +379,17 @@ fn = 0.1
 fp = 0.01
 rounds = 50
 "#;
+
+    #[test]
+    fn misspelled_graph_is_refused_at_its_pointer() {
+        let spec = ScenarioSpec::parse(MIXED).unwrap();
+        let rendered = spec_to_json(&spec, spec.seed).render_pretty();
+        let bad = rendered.replace("\"cycle:12\"", "\"cylce:12\"");
+        let err = spec_from_json(&bad).unwrap_err();
+        assert_eq!(err.pointer(), "/config/graph", "{err}");
+        assert!(err.message().contains("did you mean 'cycle'?"), "{err}");
+        assert!(validate_scenario_spec(&bad).is_err());
+    }
 
     #[test]
     fn export_compiles_and_round_trips() {

@@ -64,9 +64,9 @@ mod runner;
 mod snapshot;
 pub mod stone_age;
 mod tick;
-mod topology;
 
 pub use activation::{ActivationEngine, ActivationLeaderModel, ActivationModel, Scheduler};
+pub use bfw_graph::Topology;
 pub use bitkernel::{bernoulli_words, BitEngine, BitModel, PlaneWord};
 pub use error::SimError;
 pub use fault::FaultLayer;
@@ -79,4 +79,3 @@ pub use recovering::{SlotAware, SlotSyncedModel};
 pub use runner::{run_election, ElectionConfig, ElectionOutcome};
 pub use snapshot::{EngineCheckpoint, SchedulerCheckpoint};
 pub use tick::{LeaderModel, TickEngine, TickModel};
-pub use topology::Topology;

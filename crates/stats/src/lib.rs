@@ -18,7 +18,9 @@
 //! * [`Envelope`] / [`Doc`] / [`SchemaError`] / [`ToJson`] /
 //!   [`FromJson`] — the versioned interchange seam
 //!   (`{"format": "bfw/<kind>", "version": 1}`) every shipped JSON
-//!   artifact opens with, plus [`diff`] for structural report diffs.
+//!   artifact opens with, plus [`diff`] for structural report diffs and
+//!   [`did_you_mean`], the one typo hint of every parser in the
+//!   workspace.
 //!
 //! # Example
 //!
@@ -45,7 +47,8 @@ pub use histogram::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use regression::{linear_fit, loglog_fit, LinearFit};
 pub use schema::{
-    diff, diff_to_json, DiffEntry, Doc, Envelope, FromJson, SchemaError, ToJson, SCHEMA_VERSION,
+    did_you_mean, diff, diff_to_json, DiffEntry, Doc, Envelope, FromJson, SchemaError, ToJson,
+    SCHEMA_VERSION,
 };
 pub use summary::Summary;
 pub use table::Table;

@@ -415,6 +415,37 @@ pub fn diff_to_json(entries: &[DiffEntry]) -> JsonValue {
     JsonValue::object(fields)
 }
 
+/// Levenshtein distance (iterative two-row DP) — small inputs only.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut cur = vec![0; b.len() + 1];
+    for (i, &ca) in a.iter().enumerate() {
+        cur[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[b.len()]
+}
+
+/// Returns ` (did you mean 'x'?)` when a known name is within edit
+/// distance 2 of `given` (ties resolved toward the closest, then the
+/// first listed), or an empty string otherwise. The one hint helper
+/// of the workspace: spec keys, event kinds and CLI verbs all use it.
+pub fn did_you_mean(given: &str, known: &[&str]) -> String {
+    known
+        .iter()
+        .map(|k| (edit_distance(given, k), *k))
+        .filter(|&(d, _)| d <= 2)
+        .min_by_key(|&(d, _)| d)
+        .map(|(_, k)| format!(" (did you mean '{k}'?)"))
+        .unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,5 +567,13 @@ mod tests {
         let doc = Doc::root(&rendered);
         Envelope::expect(&doc, "report-diff").unwrap();
         assert_eq!(doc.field("entries").unwrap().items().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn edit_distance_basics() {
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("abc", "abc"), 0);
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
+        assert_eq!(did_you_mean("zzzzzz", &["heal"]), "");
     }
 }

@@ -115,7 +115,7 @@ fn bit_kernel_matches_generic_across_topologies_and_faults() {
         ("torus:8x8", generators::torus(8, 8)),
         (
             "random-regular:64:4",
-            generators::random_regular(64, 4, &mut rng),
+            generators::random_regular(64, 4, 10_000, &mut rng).unwrap(),
         ),
         ("path:65", generators::path(65)),
         ("clique:40", generators::complete(40)),

@@ -14,7 +14,7 @@ fn budget_for(spec: &GraphSpec) -> u64 {
 
 #[test]
 fn every_suite_workload_elects_a_stable_leader() {
-    for spec in GraphSpec::standard_suite(true) {
+    for spec in bfw_bench::standard_suite(true) {
         let budget = budget_for(&spec);
         let outcome = run_election(
             Bfw::new(0.5),
@@ -34,7 +34,7 @@ fn every_suite_workload_elects_a_stable_leader() {
 
 #[test]
 fn known_diameter_variant_elects_on_suite() {
-    for spec in GraphSpec::standard_suite(true) {
+    for spec in bfw_bench::standard_suite(true) {
         let d = spec.diameter();
         let outcome = run_election(
             Bfw::with_known_diameter(d),

@@ -6,10 +6,11 @@
 //!
 //! The tracked bench artifacts are committed from release runs; these
 //! tests only *read* them (regeneration stays a release-binary affair — see
-//! the CI smoke steps).
+//! the CI smoke steps). Every row names its graph in the workload
+//! grammar, so the small ones are rebuilt here.
 
-use bfw_graph::generators;
 use bfw_graph::io::{export_json, import_json, GraphDoc, Provenance};
+use bfw_graph::{algo, generators, Graph, GraphSpec};
 use bfw_stats::JsonValue;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -50,6 +51,76 @@ fn tracked_bench_reports_validate_and_are_canonical() {
             "{name}: parse–render–parse is not a fixpoint"
         );
         assert_eq!(rendered, text, "{name}: committed bytes are not canonical");
+    }
+}
+
+#[test]
+fn tracked_bench_rows_name_graphs_that_rebuild() {
+    for name in TRACKED_REPORTS {
+        let text = std::fs::read_to_string(workspace_root().join(name)).unwrap();
+        let value = JsonValue::parse(&text).unwrap();
+        let rows = value.get("rows").and_then(JsonValue::as_array).unwrap();
+        for row in rows {
+            let label = row.get("graph").and_then(JsonValue::as_str).unwrap();
+            let spec: GraphSpec = label
+                .parse()
+                .unwrap_or_else(|e| panic!("{name}: row graph {label}: {e}"));
+            assert_eq!(spec.to_string(), label, "{name}: {label} is not canonical");
+            let n = row.get("n").and_then(JsonValue::as_number);
+            if let Some(n) = n.filter(|&n| n <= 1e4) {
+                assert_eq!(spec.build().node_count() as f64, n, "{name}: {label}");
+            }
+            if let Some(d) = row.get("diameter").and_then(JsonValue::as_number) {
+                let g = spec.build();
+                assert_eq!(
+                    algo::diameter(&g).map(f64::from),
+                    Some(d),
+                    "{name}: {label}"
+                );
+            }
+        }
+    }
+}
+
+/// FNV-1a over a graph's edge list, endpoints as little-endian `u32`s.
+fn edge_digest(g: &Graph) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (u, v) in g.edges() {
+        let bytes = (u.index() as u32).to_le_bytes();
+        for b in bytes.into_iter().chain((v.index() as u32).to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn new_families_rebuild_the_experiments_graphs() {
+    // The seeds E16 (0x5CA1E), E18 (0xE18) and E20/E21 (0x71C) build
+    // their random regular graphs from: the spec must draw exactly what
+    // the generator draws.
+    for (n, seed) in [
+        (1_024, 379_422u64),
+        (12, 3_608),
+        (24, 3_608),
+        (1_000, 1_820),
+    ] {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let expected = generators::random_regular(n, 4, 10_000, &mut rng).unwrap();
+        let spec: GraphSpec = format!("rr:{n}:4:{seed}").parse().unwrap();
+        assert_eq!(spec.build(), expected, "{spec}");
+    }
+    // Edge-list digests of the graphs the tracked E16, E18, E20 and E21
+    // rows were measured on.
+    for (label, digest) in [
+        ("rr:1000:4:1820", 0x4ef9_7d79_0005_b911u64),
+        ("rr:10000:4:379422", 0xaf8a_c5cc_63e8_d88d),
+        ("rr:12:4:3608", 0xbda5_5d7f_d67d_3fb5),
+        ("scrambled-cycle:1000:97", 0xbad5_e36c_0368_a14d),
+    ] {
+        let g = label.parse::<GraphSpec>().unwrap().build();
+        assert_eq!(edge_digest(&g), digest, "{label}");
     }
 }
 

@@ -23,7 +23,7 @@ fn assert_equivalent(topology: Topology, seed: u64, rounds: u64) {
 
 #[test]
 fn bfw_identical_in_both_runtimes_across_suite() {
-    for spec in GraphSpec::standard_suite(true) {
+    for spec in bfw_bench::standard_suite(true) {
         assert_equivalent(spec.topology(), 42, 300);
     }
 }

@@ -93,7 +93,7 @@ fn grid() -> Vec<(&'static str, Graph)> {
         ("torus:8x8", generators::torus(8, 8)),
         (
             "random-regular:64:4",
-            generators::random_regular(64, 4, &mut rng),
+            generators::random_regular(64, 4, 10_000, &mut rng).unwrap(),
         ),
         (
             "ba:64:2",

@@ -1,7 +1,6 @@
 //! Workspace tests for the scenario engine: determinism of the whole
 //! TOML → engine → report pipeline, and dynamic-topology invariants.
 
-use bfw_bench::GraphSpec;
 use bfw_core::{Bfw, RecoveringProtocol, RecoveryConfig};
 use bfw_graph::{generators, DynamicGraph, NodeId};
 use bfw_scenario::{
@@ -19,8 +18,7 @@ const RING_CHURN: &str = include_str!("../examples/scenarios/ring_churn.toml");
 fn shipped_ring_churn_scenario_is_byte_deterministic() {
     let spec = ScenarioSpec::parse(RING_CHURN).expect("shipped scenario must parse");
     assert_eq!(spec.graph, "cycle:32");
-    let graph: GraphSpec = spec.graph.parse().unwrap();
-    let graph = graph.build();
+    let graph = spec.build_graph().unwrap();
     let a = run_bfw_scenario(&spec, &graph, 42).unwrap();
     let b = run_bfw_scenario(&spec, &graph, 42).unwrap();
     assert_eq!(a, b);
@@ -58,8 +56,7 @@ v = 1
 "#;
     let parse_and_run = |seed| {
         let spec = ScenarioSpec::parse(toml).unwrap();
-        let graph: GraphSpec = spec.graph.parse().unwrap();
-        run_bfw_scenario(&spec, &graph.build(), seed).unwrap()
+        run_bfw_scenario(&spec, &spec.build_graph().unwrap(), seed).unwrap()
     };
     let a = parse_and_run(3);
     let b = parse_and_run(3);
@@ -335,8 +332,7 @@ fn injected_phantom_waves_are_flushed_under_bfw_recovery() {
          [[event]]\nat = 5000\nkind = \"inject-phantom\"\nwaves = 1\n",
     )
     .unwrap();
-    let graph: GraphSpec = spec.graph.parse().unwrap();
-    let outcome = run_bfw_scenario(&spec, &graph.build(), 11).unwrap();
+    let outcome = run_bfw_scenario(&spec, &spec.build_graph().unwrap(), 11).unwrap();
     assert_eq!(
         outcome.final_leaders.len(),
         1,
@@ -460,8 +456,7 @@ fn injected_phantom_waves_defeat_re_election_as_section5_predicts() {
          [[event]]\nat = 5000\nkind = \"inject-phantom\"\nwaves = 1\n",
     )
     .unwrap();
-    let graph: GraphSpec = spec.graph.parse().unwrap();
-    let outcome = run_bfw_scenario(&spec, &graph.build(), 11).unwrap();
+    let outcome = run_bfw_scenario(&spec, &spec.build_graph().unwrap(), 11).unwrap();
     assert!(outcome.final_leaders.is_empty(), "{}", outcome.to_text());
     assert_eq!(outcome.pending_disruption, Some(5_000));
 }
@@ -476,8 +471,7 @@ fn shipped_async_storm_scenario_is_byte_deterministic() {
     let spec = ScenarioSpec::parse(ASYNC_STORM).expect("shipped scenario must parse");
     assert_eq!(spec.runtime, bfw_scenario::RuntimeKind::Async);
     assert_eq!(spec.scheduler, Some(bfw_sim::Scheduler::Uniform));
-    let graph: GraphSpec = spec.graph.parse().unwrap();
-    let graph = graph.build();
+    let graph = spec.build_graph().unwrap();
     let a = run_bfw_scenario(&spec, &graph, 42).unwrap();
     let b = run_bfw_scenario(&spec, &graph, 42).unwrap();
     assert_eq!(a, b);
@@ -656,8 +650,7 @@ fn recovery_survives_the_lowest_noise_sweep_point() {
     for (label, spec) in
         bfw_bench::experiments::recovery::noisy_wipeout_specs(12, 40_000, fn_rate, fp_rate)
     {
-        let graph: GraphSpec = spec.graph.parse().unwrap();
-        let graph = graph.build();
+        let graph = spec.build_graph().unwrap();
         for seed in 0..8u64 {
             let outcome = run_bfw_scenario(&spec, &graph, seed).unwrap();
             assert!(

@@ -5,7 +5,6 @@
 //! must minimize the shipped corpus classes (E15 crash-leader
 //! no-rejoin, E17 phantom wave).
 
-use bfw_bench::GraphSpec;
 use bfw_cli::{execute, parse};
 use bfw_graph::Graph;
 use bfw_scenario::{
@@ -26,8 +25,8 @@ const SNAPSHOT_FIXTURE: &str = include_str!("fixtures/wipeout_e17_round600.snaps
 
 fn load(toml: &str) -> (ScenarioSpec, Graph) {
     let spec = ScenarioSpec::parse(toml).expect("shipped scenario must parse");
-    let graph: GraphSpec = spec.graph.parse().unwrap();
-    (spec, graph.build())
+    let graph = spec.build_graph().unwrap();
+    (spec, graph)
 }
 
 fn wipes(outcome: &bfw_scenario::ScenarioOutcome) -> bool {

@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 
 #[test]
 fn flow_theory_exact_across_suite() {
-    for spec in GraphSpec::standard_suite(true) {
+    for spec in bfw_bench::standard_suite(true) {
         let graph = match spec.topology() {
             Topology::Graph(g) => g,
             t => t.to_graph(),

@@ -25,18 +25,40 @@ fn arb_spec() -> impl Strategy<Value = GraphSpec> {
     ]
 }
 
+/// [`arb_spec`] plus the seeded families whose samples can be refused:
+/// `rr` (no simple pairing, or a disconnected sample) and
+/// `scrambled-cycle`.
+fn arb_seeded_spec() -> impl Strategy<Value = GraphSpec> {
+    prop_oneof![
+        arb_spec(),
+        (3usize..20, 1usize..5, any::<u64>()).prop_map(|(half, d, s)| GraphSpec::RandomRegular(
+            2 * half,
+            d,
+            s
+        )),
+        (3usize..40, any::<u64>()).prop_map(|(n, s)| GraphSpec::ScrambledCycle(n, s)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every spec string round-trips through Display/FromStr and builds
     /// a connected graph whose diameter helper agrees with the exact
-    /// algorithm.
+    /// algorithm, or — for a refused `rr` sample — an error naming it.
     #[test]
-    fn spec_round_trip_and_consistency(spec in arb_spec()) {
+    fn spec_round_trip_and_consistency(spec in arb_seeded_spec()) {
         let text = spec.to_string();
         let parsed: GraphSpec = text.parse().expect("display output must parse");
         prop_assert_eq!(&parsed, &spec);
-        let g = spec.build();
+        let g = match spec.try_build() {
+            Ok(g) => g,
+            Err(e) => {
+                prop_assert!(matches!(spec, GraphSpec::RandomRegular(..)), "{text}: {e}");
+                prop_assert!(e.to_string().contains(&text), "{e}");
+                return Ok(());
+            }
+        };
         prop_assert!(algo::is_connected(&g), "{text}");
         prop_assert_eq!(spec.diameter(), algo::diameter(&g).expect("connected"));
         prop_assert_eq!(spec.topology().node_count(), g.node_count());
