@@ -7,10 +7,11 @@
 //! patches its word-packed adjacency plan instead of replanning it;
 //! this experiment measures what that buys: on rings, tori and random
 //! regular graphs it drives one edge event per round — the engine's
-//! real churn path, `DynamicGraph` validation included — through the
-//! generic engine's delta layer, through the old rebuild-per-event
-//! strategy, and through the bit kernel's delta path, and reports the
-//! per-event cost and the delta-vs-rebuild speedup.
+//! real churn path, each event checked against the host's live
+//! topology first — through the generic engine's delta layer, through
+//! the old rebuild-per-event strategy, and through the bit kernel's
+//! delta path, and reports the per-event cost and the delta-vs-rebuild
+//! speedup.
 //!
 //! Every strategy executes the identical schedule (remove edge `e`,
 //! re-add edge `e`, round-robin over the initial edge list, one event
@@ -28,7 +29,7 @@
 use crate::report::rounded;
 use crate::{ExpConfig, ExperimentResult, GraphSpec};
 use bfw_core::{Bfw, BitNetwork};
-use bfw_graph::{DynamicGraph, Graph, NodeId, TopologyDelta};
+use bfw_graph::{Graph, NodeId, Topology, TopologyDelta};
 use bfw_scenario::DynamicHost;
 use bfw_sim::Network;
 use bfw_stats::{JsonValue, Table};
@@ -39,7 +40,8 @@ use std::time::Instant;
 enum EventStrategy {
     /// `O(deg)` [`TopologyDelta`] application (the TickEngine path).
     Delta,
-    /// Rebuild the CSR from the mirror and swap it in (the PR-1 path).
+    /// Apply the delta to a copy of the topology, rebuild the CSR from
+    /// it and swap it in (the PR-1 path).
     Rebuild,
     /// The same deltas on the bit kernel, which patches its adjacency
     /// plan.
@@ -51,8 +53,8 @@ enum EventStrategy {
 struct ChurnMeasurement {
     /// Edge events applied.
     pub events: usize,
-    /// Total nanoseconds spent applying edge events (mirror validation
-    /// plus topology update; simulation steps excluded).
+    /// Total nanoseconds spent applying edge events (the check against
+    /// the live topology plus the update; simulation steps excluded).
     pub event_ns: u128,
 }
 
@@ -74,60 +76,51 @@ fn measure_event_cost(
 ) -> ChurnMeasurement {
     let generic = || Network::new(Bfw::new(0.5), graph.clone().into(), seed);
     match strategy {
-        EventStrategy::Delta => {
-            churn(graph, events, generic(), |host, delta, _| {
-                host.apply_topology_delta(delta)
-            })
-            .0
-        }
-        EventStrategy::Rebuild => {
-            churn(graph, events, generic(), |host, _, mirror| {
-                host.set_topology(mirror.to_graph().into())
-            })
-            .0
-        }
+        EventStrategy::Delta => churn(graph, events, generic(), Network::apply_topology_delta).0,
+        EventStrategy::Rebuild => churn(graph, events, generic(), rebuild_per_event(graph)).0,
         EventStrategy::BitDelta => {
             let host = BitNetwork::new(Bfw::new(0.5), graph.clone().into(), seed);
-            churn(graph, events, host, |host, delta, _| {
-                host.apply_topology_delta(delta)
-            })
-            .0
+            churn(graph, events, host, BitNetwork::apply_topology_delta).0
         }
     }
 }
 
-/// The churn schedule of [`measure_event_cost`] on `host`: each
-/// validated event goes to `apply` as a delta, along with the updated
-/// mirror, and counts as applied. Returns the timing and the host after
-/// the last round.
+/// The PR-1 strategy: keep a copy of the topology, apply each delta
+/// to it, and swap a freshly built CSR of it into the host.
+fn rebuild_per_event(graph: &Graph) -> impl FnMut(&mut Network<Bfw>, &TopologyDelta) {
+    let mut copy = Topology::from(graph.clone());
+    move |host, delta| {
+        copy.apply_delta(delta);
+        host.set_topology(copy.to_graph().into());
+    }
+}
+
+/// The churn schedule of [`measure_event_cost`] on `host`: each event
+/// is checked against the host's live topology, as the scenario engine
+/// checks it, and a valid one goes to `apply` as a delta and counts as
+/// applied. Returns the timing and the host after the last round.
 fn churn<H: DynamicHost>(
     graph: &Graph,
     events: usize,
     mut host: H,
-    mut apply: impl FnMut(&mut H, &TopologyDelta, &DynamicGraph),
+    mut apply: impl FnMut(&mut H, &TopologyDelta),
 ) -> (ChurnMeasurement, H) {
     let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
     assert!(!edges.is_empty(), "churn needs at least one edge");
-    let mut mirror = DynamicGraph::from_graph(graph);
     let mut applied_events = 0;
     let mut event_ns = 0u128;
     for k in 0..events {
         let (u, v) = edges[(k / 2) % edges.len()];
         let add = k % 2 == 1; // even rounds remove, odd rounds restore
         let start = Instant::now();
-        let applied = if add {
-            mirror.add_edge(u, v).is_ok()
-        } else {
-            mirror.remove_edge(u, v).is_ok()
-        };
-        if applied {
-            let mut delta = TopologyDelta::new();
-            if add {
-                delta.add_edge(u, v);
-            } else {
-                delta.remove_edge(u, v);
-            }
-            apply(&mut host, &delta, &mirror);
+        let mut delta = TopologyDelta::new();
+        if add && host.topology().check_add_edge(u, v).is_ok() {
+            delta.add_edge(u, v);
+        } else if !add && host.topology().check_remove_edge(u, v).is_ok() {
+            delta.remove_edge(u, v);
+        }
+        if !delta.is_empty() {
+            apply(&mut host, &delta);
             applied_events += 1;
         }
         event_ns += start.elapsed().as_nanos();
@@ -250,16 +243,10 @@ mod tests {
         // schedule re-adds every edge it removes.
         let graph = GraphSpec::Cycle(64).build();
         let generic = || Network::new(Bfw::new(0.5), graph.clone().into(), 7);
-        let (delta_run, delta) = churn(&graph, 100, generic(), |host, delta, _| {
-            host.apply_topology_delta(delta)
-        });
-        let (rebuild_run, rebuild) = churn(&graph, 100, generic(), |host, _, mirror| {
-            host.set_topology(mirror.to_graph().into())
-        });
+        let (delta_run, delta) = churn(&graph, 100, generic(), Network::apply_topology_delta);
+        let (rebuild_run, rebuild) = churn(&graph, 100, generic(), rebuild_per_event(&graph));
         let bit = BitNetwork::new(Bfw::new(0.5), graph.clone().into(), 7);
-        let (bit_run, bit) = churn(&graph, 100, bit, |host, delta, _| {
-            host.apply_topology_delta(delta)
-        });
+        let (bit_run, bit) = churn(&graph, 100, bit, BitNetwork::apply_topology_delta);
         for run in [delta_run, rebuild_run, bit_run] {
             assert_eq!(run.events, 100, "round-robin schedule is always valid");
         }

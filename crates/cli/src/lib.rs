@@ -1370,13 +1370,14 @@ fn report_history(files: &[String], out: Option<&str>) -> Result<String, String>
 }
 
 fn describe_graph(spec: &GraphSpec) -> Result<String, String> {
+    let diameter = spec.try_diameter().map_err(|e| e.to_string())?;
     let g = spec.try_build().map_err(|e| e.to_string())?;
     let mut out = String::new();
     let _ = writeln!(out, "spec:      {spec}");
     let _ = writeln!(out, "nodes:     {}", g.node_count());
     let _ = writeln!(out, "edges:     {}", g.edge_count());
     let _ = writeln!(out, "connected: {}", algo::is_connected(&g));
-    match algo::diameter(&g) {
+    match diameter {
         Some(d) => {
             let _ = writeln!(out, "diameter:  {d}");
             let _ = writeln!(
@@ -1410,7 +1411,10 @@ fn run_one(
     let p = match p {
         Some(p) => p,
         None => {
-            let d = spec.diameter();
+            let d = spec
+                .try_diameter()
+                .map_err(|e| format!("{e}; --known-d needs it, pass --p P instead"))?
+                .expect("workload graphs are connected");
             1.0 / (f64::from(d) + 1.0)
         }
     };

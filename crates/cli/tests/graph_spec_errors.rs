@@ -94,6 +94,44 @@ fn oversized_specs_exit_1_with_their_estimate() {
 }
 
 #[test]
+fn exact_diameters_past_the_bfs_limit_exit_1_at_once() {
+    // `graph` refuses before building; `run` builds the topology first
+    // (its own errors come first), so it gets a ring that builds fast in
+    // a debug binary but is still far past the BFS limit.
+    for (args, spec, work, hint) in [
+        (
+            ["graph", "cycle:10000000"].as_slice(),
+            "cycle:10000000",
+            "300000000000000",
+            "",
+        ),
+        (
+            &["run", "--graph", "cycle:100000", "--known-d"],
+            "cycle:100000",
+            "30000000000",
+            "; --known-d needs it, pass --p P instead",
+        ),
+    ] {
+        let start = std::time::Instant::now();
+        let (code, stderr) = bfw(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!(
+                "error: invalid graph spec: {spec}: too large for an exact diameter: all-pairs \
+                 BFS takes ≈{work} steps, n·(n + 2m) (limit: 2147483648 steps){hint}\n"
+            ),
+            "{args:?}"
+        );
+        assert!(
+            start.elapsed().as_secs() < 10,
+            "{args:?} took {:?}",
+            start.elapsed()
+        );
+    }
+}
+
+#[test]
 fn misspelled_graph_is_refused_wherever_a_spec_enters() {
     let dir = std::env::temp_dir().join(format!("bfw_misspelled_graph_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -35,7 +35,7 @@ pub enum GraphError {
         v: u32,
     },
     /// A mutation referenced an edge that does not exist (see
-    /// [`DynamicGraph`](crate::DynamicGraph)).
+    /// [`Topology::check_remove_edge`](crate::Topology::check_remove_edge)).
     MissingEdge {
         /// Smaller endpoint of the missing edge.
         u: u32,

@@ -38,7 +38,6 @@
 
 pub mod algo;
 mod builder;
-mod dynamic;
 mod error;
 pub mod generators;
 mod graph;
@@ -50,7 +49,6 @@ mod wordgraph;
 mod workloads;
 
 pub use builder::GraphBuilder;
-pub use dynamic::DynamicGraph;
 pub use error::GraphError;
 pub use graph::{Edges, Graph, Nodes};
 pub use node::NodeId;

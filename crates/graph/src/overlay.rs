@@ -16,10 +16,11 @@
 //!   amortized per-edit cost `O(deg)`.
 //!
 //! Deltas are assumed valid against the current edge set (the scenario
-//! engine validates against its [`DynamicGraph`](crate::DynamicGraph)
-//! mirror before applying); applying an add for an existing edge or a
-//! remove for a missing one panics, as it means the caller's mirror and
-//! the overlay diverged.
+//! engine checks each edit against the live topology first, with
+//! [`Topology::check_add_edge`](crate::Topology::check_add_edge) and
+//! [`Topology::check_remove_edge`](crate::Topology::check_remove_edge));
+//! applying an add for an existing edge or a remove for a missing one
+//! panics, as it means the caller's edge bookkeeping is wrong.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-use crate::{algo, generators, Graph, NodeId, OverlayGraph, TopologyDelta};
+use crate::{algo, generators, Graph, GraphError, NodeId, OverlayGraph, TopologyDelta};
 
 /// The communication structure a simulation runs on (the `bfw-sim`
 /// engines take one).
@@ -40,6 +40,80 @@ impl Topology {
             Topology::Clique(n) => *n,
             Topology::Overlay(ov) => ov.node_count(),
         }
+    }
+
+    /// Returns the number of undirected edges (`n(n − 1)/2` for the
+    /// clique, which is never materialized to count them).
+    pub fn edge_count(&self) -> usize {
+        match self {
+            Topology::Graph(g) => g.edge_count(),
+            Topology::Clique(n) => n * n.saturating_sub(1) / 2,
+            Topology::Overlay(ov) => ov.edge_count(),
+        }
+    }
+
+    /// Returns `true` if `{u, v}` is currently an edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        match self {
+            Topology::Graph(g) => g.has_edge(u, v),
+            Topology::Clique(n) => {
+                assert!(u.index() < *n, "node {u} out of range of clique({n})");
+                v.index() < *n && u != v
+            }
+            Topology::Overlay(ov) => ov.has_edge(u, v),
+        }
+    }
+
+    /// Checks that adding the undirected edge `{u, v}` keeps the graph
+    /// simple, so the edit can go into a [`TopologyDelta`].
+    ///
+    /// # Errors
+    ///
+    /// The first of [`GraphError::NodeOutOfRange`],
+    /// [`GraphError::SelfLoop`] and [`GraphError::DuplicateEdge`] (the
+    /// edge is already present) that applies.
+    pub fn check_add_edge(&self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
+        self.check_endpoints(u, v)?;
+        if self.has_edge(u, v) {
+            let (u, v) = (u.min(v).as_u32(), u.max(v).as_u32());
+            return Err(GraphError::DuplicateEdge { u, v });
+        }
+        Ok(())
+    }
+
+    /// Checks that the undirected edge `{u, v}` can be removed, so the
+    /// edit can go into a [`TopologyDelta`].
+    ///
+    /// # Errors
+    ///
+    /// The first of [`GraphError::NodeOutOfRange`],
+    /// [`GraphError::SelfLoop`] and [`GraphError::MissingEdge`] (the
+    /// edge is absent) that applies.
+    pub fn check_remove_edge(&self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
+        self.check_endpoints(u, v)?;
+        if !self.has_edge(u, v) {
+            let (u, v) = (u.min(v).as_u32(), u.max(v).as_u32());
+            return Err(GraphError::MissingEdge { u, v });
+        }
+        Ok(())
+    }
+
+    fn check_endpoints(&self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
+        let node_count = self.node_count();
+        if let Some(w) = [u, v].into_iter().find(|w| w.index() >= node_count) {
+            return Err(GraphError::NodeOutOfRange {
+                node: w.as_u32(),
+                node_count,
+            });
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { node: u.as_u32() });
+        }
+        Ok(())
     }
 
     /// Returns `true` if the topology is connected (a prerequisite for
@@ -315,6 +389,50 @@ mod tests {
         assert_eq!(t.to_graph().edge_count(), 5);
         assert!(t.is_connected());
         assert_eq!(t.diameter(), Some(2));
+    }
+
+    #[test]
+    fn edge_queries_agree_across_forms() {
+        let mut overlay: Topology = generators::complete(5).into();
+        let mut delta = TopologyDelta::new();
+        delta.remove_edge(NodeId::new(1), NodeId::new(3));
+        overlay.apply_delta(&delta);
+        for t in [Topology::Clique(5), generators::complete(5).into(), overlay] {
+            let removed = !t.has_edge(NodeId::new(3), NodeId::new(1));
+            assert_eq!(t.edge_count(), 10 - usize::from(removed));
+            assert_eq!(t.edge_count(), t.to_graph().edge_count());
+            for (u, v) in [(0, 4), (4, 0), (2, 2), (1, 3)] {
+                let (u, v) = (NodeId::new(u), NodeId::new(v));
+                assert_eq!(t.has_edge(u, v), t.to_graph().has_edge(u, v), "{u}-{v}");
+            }
+        }
+        assert_eq!(Topology::Clique(0).edge_count(), 0);
+    }
+
+    #[test]
+    fn edge_edits_are_checked_in_order() {
+        let t: Topology = generators::cycle(4).into();
+        let id = NodeId::new;
+        let add = |u, v| t.check_add_edge(id(u), id(v)).map_err(|e| e.to_string());
+        let remove = |u, v| t.check_remove_edge(id(u), id(v)).map_err(|e| e.to_string());
+        assert_eq!(add(0, 2), Ok(()));
+        assert_eq!(remove(1, 0), Ok(()));
+        // Range first (even on a self-loop), then the self-loop, then
+        // the edge set.
+        assert_eq!(
+            add(9, 9),
+            Err("node 9 out of range for graph with 4 nodes".to_owned())
+        );
+        assert_eq!(
+            remove(0, 7).unwrap_err(),
+            "node 7 out of range for graph with 4 nodes"
+        );
+        assert_eq!(add(2, 2).unwrap_err(), "self-loop at node 2");
+        assert_eq!(add(1, 0).unwrap_err(), "duplicate edge (0, 1)");
+        assert_eq!(remove(2, 0).unwrap_err(), "missing edge (0, 2)");
+        let clique = Topology::Clique(3);
+        assert!(clique.check_add_edge(id(0), id(1)).is_err());
+        assert!(clique.check_remove_edge(id(2), id(0)).is_ok());
     }
 
     #[test]

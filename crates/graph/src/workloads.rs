@@ -80,6 +80,12 @@ const MAX_NODES: u64 = 1 << 26;
 const MAX_EDGES: u64 = 1 << 27;
 const MAX_WORK: u64 = 1 << 32;
 
+/// The most all-pairs BFS work, n · (n + 2m) adjacency steps, that
+/// [`GraphSpec::try_diameter`] spends on an exact diameter: 6–12 s on a
+/// 2-core x86 host. `rr:10000:4:S` (≈5·10⁸) fits; `cycle:10000000`
+/// (≈3·10¹⁴, hours) does not.
+const MAX_DIAMETER_WORK: u64 = 1 << 31;
+
 /// The family names, in the order the usage text lists them.
 const FAMILIES: &str = "path, cycle, clique, star, grid, torus, hypercube, tree, randtree, er, \
                         barbell, ba, plaw, geo, rr, scrambled-cycle";
@@ -119,17 +125,7 @@ impl GraphSpec {
     /// Returns an error naming the spec and the estimate or the
     /// constraint it failed.
     pub fn try_build(&self) -> Result<Graph, WorkloadError> {
-        let size = self.size();
-        if size.nodes > MAX_NODES as f64
-            || size.edges > MAX_EDGES as f64
-            || size.work > MAX_WORK as f64
-        {
-            return Err(WorkloadError::new(format!(
-                "{self}: too large to build: ≈{} nodes, ≈{} edges, ≈{} generator steps \
-                 (limits: {MAX_NODES} nodes, {MAX_EDGES} edges, {MAX_WORK} steps)",
-                size.nodes as u64, size.edges as u64, size.work as u64
-            )));
-        }
+        self.buildable_size()?;
         Ok(match *self {
             GraphSpec::Path(n) => generators::path(n),
             GraphSpec::Cycle(n) => generators::cycle(n),
@@ -196,6 +192,22 @@ impl GraphSpec {
                 generators::scrambled_cycle(n, &mut rng)
             }
         })
+    }
+
+    /// The closed-form [`Size`], refused past the build limits.
+    fn buildable_size(&self) -> Result<Size, WorkloadError> {
+        let size = self.size();
+        if size.nodes > MAX_NODES as f64
+            || size.edges > MAX_EDGES as f64
+            || size.work > MAX_WORK as f64
+        {
+            return Err(WorkloadError::new(format!(
+                "{self}: too large to build: ≈{} nodes, ≈{} edges, ≈{} generator steps \
+                 (limits: {MAX_NODES} nodes, {MAX_EDGES} edges, {MAX_WORK} steps)",
+                size.nodes as u64, size.edges as u64, size.work as u64
+            )));
+        }
+        Ok(size)
     }
 
     /// The closed-form [`Size`] of this spec's graph and generator run.
@@ -389,15 +401,41 @@ impl GraphSpec {
     ///
     /// # Panics
     ///
-    /// Panics where [`Self::build`] does (a built spec is connected).
+    /// Panics where [`Self::try_diameter`] fails (a built spec is
+    /// connected).
     pub fn diameter(&self) -> u32 {
+        self.try_diameter()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .expect("workload graphs are connected")
+    }
+
+    /// The exact diameter of the built graph by all-pairs BFS (`None`
+    /// when it is disconnected). Like the build limits, the BFS's work,
+    /// n · (n + 2m) adjacency steps over the size estimate, is checked
+    /// against a fixed limit before anything is built. Cliques answer in
+    /// closed form.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the spec, the work and the limit, or the
+    /// error of [`Self::try_build`].
+    pub fn try_diameter(&self) -> Result<Option<u32>, WorkloadError> {
         match *self {
-            // Avoid materializing large cliques.
-            GraphSpec::Clique(0) => panic!("empty clique has no diameter"),
-            GraphSpec::Clique(1) => 0,
-            GraphSpec::Clique(_) => 1,
-            _ => algo::diameter(&self.build()).expect("workload graphs are connected"),
+            GraphSpec::Clique(0) => return Ok(None),
+            GraphSpec::Clique(1) => return Ok(Some(0)),
+            GraphSpec::Clique(_) => return Ok(Some(1)),
+            _ => {}
         }
+        let size = self.buildable_size()?;
+        let work = size.nodes * (size.nodes + 2.0 * size.edges);
+        if work > MAX_DIAMETER_WORK as f64 {
+            return Err(WorkloadError::new(format!(
+                "{self}: too large for an exact diameter: all-pairs BFS takes ≈{} steps, \
+                 n·(n + 2m) (limit: {MAX_DIAMETER_WORK} steps)",
+                work as u64
+            )));
+        }
+        Ok(algo::diameter(&self.try_build()?))
     }
 }
 
@@ -742,6 +780,25 @@ mod tests {
         assert_eq!(GraphSpec::Clique(10).diameter(), 1);
         assert_eq!(GraphSpec::Grid(3, 4).diameter(), 5);
         assert_eq!(GraphSpec::ScrambledCycle(10, 3).diameter(), 5);
+        // A huge clique answers in closed form, never materialized.
+        assert_eq!(GraphSpec::Clique(1 << 20).try_diameter(), Ok(Some(1)));
+    }
+
+    #[test]
+    fn costly_diameters_are_refused_before_the_build() {
+        // n · (n + 2m) = 10⁷ · 3·10⁷: hours of BFS, refused at once.
+        let e = GraphSpec::Cycle(10_000_000).try_diameter().unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "invalid graph spec: cycle:10000000: too large for an exact diameter: all-pairs BFS takes \
+             ≈300000000000000 steps, n·(n + 2m) (limit: 2147483648 steps)"
+        );
+        // An unbuildable spec keeps the build's refusal.
+        let e = GraphSpec::Hypercube(30).try_diameter().unwrap_err();
+        assert!(e.to_string().contains(": too large to build: ≈"), "{e}");
+        // The tracked churn rows' largest graph fits.
+        let size = GraphSpec::RandomRegular(10_000, 4, 1).size();
+        assert!(size.nodes * (size.nodes + 2.0 * size.edges) <= MAX_DIAMETER_WORK as f64);
     }
 
     #[test]

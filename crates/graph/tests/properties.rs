@@ -1,12 +1,11 @@
 //! Property-based tests for graph construction, generators and
 //! algorithms.
 
-use bfw_graph::{
-    algo, generators, io, DynamicGraph, Graph, GraphBuilder, NodeId, OverlayGraph, TopologyDelta,
-};
+use bfw_graph::{algo, generators, io, Graph, GraphBuilder, NodeId, OverlayGraph, TopologyDelta};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 
 /// Strategy: a small random simple graph as (n, unique normalized edges).
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -204,10 +203,12 @@ proptest! {
     /// Any sequence of valid add/remove deltas applied to an overlay,
     /// followed by compaction, equals a fresh CSR build of the final
     /// edge set: same sorted neighbors, same degrees, same edge count.
-    /// A `DynamicGraph` mirror decides validity (exactly how the
-    /// scenario engine uses the pair) and provides the reference edge
-    /// set; a delta is checked both before and after compaction, and a
-    /// `remove_cut` partition batch is exercised mid-sequence.
+    /// A model edge set of normalized `(min, max)` pairs decides
+    /// validity (self-loops, duplicates and missing edges never become
+    /// deltas, the scenario engine's contract with the overlay) and is
+    /// the reference; a delta is checked both before and after
+    /// compaction, and a whole partition cut is applied as one batch
+    /// mid-sequence.
     #[test]
     fn overlay_deltas_plus_compaction_equal_fresh_build(
         n in 4usize..20,
@@ -215,11 +216,12 @@ proptest! {
         cut_seed in any::<u64>(),
     ) {
         let base = generators::cycle(n);
-        let mut mirror = DynamicGraph::from_graph(&base);
+        let mut model: BTreeSet<(u32, u32)> =
+            base.edges().map(|(u, v)| (u.as_u32(), v.as_u32())).collect();
         let mut overlay = OverlayGraph::from_graph(base);
 
-        let check = |overlay: &OverlayGraph, mirror: &DynamicGraph| -> Result<(), TestCaseError> {
-            let fresh = mirror.to_graph();
+        let check = |overlay: &OverlayGraph, model: &BTreeSet<(u32, u32)>| -> Result<(), TestCaseError> {
+            let fresh = Graph::from_edges(n, model.iter().copied()).expect("the model is simple");
             prop_assert_eq!(overlay.edge_count(), fresh.edge_count());
             for u in fresh.nodes() {
                 let via_overlay: Vec<NodeId> = overlay.neighbors(u).collect();
@@ -234,40 +236,36 @@ proptest! {
         for (k, (a, b, add)) in ops.into_iter().enumerate() {
             let u = NodeId::new((a % n as u64) as usize);
             let v = NodeId::new((b % n as u64) as usize);
-            // The mirror rejects invalid ops (self-loop, duplicate,
-            // missing); only validated ops become deltas — the engine's
-            // contract with the overlay.
+            let key = (u.min(v).as_u32(), u.max(v).as_u32());
             let mut delta = TopologyDelta::new();
-            if add {
-                if mirror.add_edge(u, v).is_ok() {
-                    delta.add_edge(u, v);
-                }
-            } else if mirror.remove_edge(u, v).is_ok() {
+            if u != v && add && model.insert(key) {
+                delta.add_edge(u, v);
+            } else if u != v && !add && model.remove(&key) {
                 delta.remove_edge(u, v);
             }
             if !delta.is_empty() {
                 overlay.apply(&delta);
             }
             if k == mid {
-                // Partition: remove a whole cut in one batch via the
-                // DynamicGraph::remove_cut path, as Partition events do.
-                let side: Vec<bool> = (0..n).map(|i| {
-                    (cut_seed >> (i % 64)) & 1 == 1
-                }).collect();
-                let removed = mirror.remove_cut(&side);
-                if !removed.is_empty() {
+                // Partition: remove every edge crossing a cut in one
+                // batch, as Partition events do.
+                let side = |i: u32| (cut_seed >> (i % 64)) & 1 == 1;
+                let crossing: Vec<(u32, u32)> =
+                    model.iter().copied().filter(|&(x, y)| side(x) != side(y)).collect();
+                if !crossing.is_empty() {
                     let mut cut = TopologyDelta::new();
-                    for &(x, y) in &removed {
-                        cut.remove_edge(x, y);
+                    for &(x, y) in &crossing {
+                        model.remove(&(x, y));
+                        cut.remove_edge(NodeId::from_u32(x), NodeId::from_u32(y));
                     }
                     overlay.apply(&cut);
                 }
-                check(&overlay, &mirror)?;
+                check(&overlay, &model)?;
             }
         }
-        check(&overlay, &mirror)?;
+        check(&overlay, &model)?;
         overlay.compact();
         prop_assert_eq!(overlay.pending_edits(), 0);
-        check(&overlay, &mirror)?;
+        check(&overlay, &model)?;
     }
 }

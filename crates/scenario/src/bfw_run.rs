@@ -332,7 +332,6 @@ impl Leg<'_> {
             ),
             Some(snap) => Engine::resume(
                 host,
-                self.graph,
                 &spec.timeline,
                 spec.rounds,
                 self.seed,

@@ -4,9 +4,10 @@ use crate::{
     DynamicHost, ElectionMonitor, InjectKind, MonitorState, Recovery, ScenarioEvent, ScenarioTrace,
     ScheduledEvent, Timeline,
 };
-use bfw_graph::{DynamicGraph, Graph, NodeId, TopologyDelta};
+use bfw_graph::{Graph, NodeId, TopologyDelta};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Resolves an [`InjectKind`] into a concrete configuration for the
@@ -15,22 +16,22 @@ pub type Injector<S> = Box<dyn Fn(&InjectKind, usize) -> Option<Vec<S>>>;
 
 /// Drives a [`DynamicHost`] through a perturbed execution.
 ///
-/// The engine owns a [`DynamicGraph`] mirror of the host's topology
-/// (used to *validate* edge events and enumerate partition cuts in
-/// `O(log deg)`), the compiled timeline, a dedicated ChaCha stream for
-/// the randomized event targets (`CrashRandom`, `RecoverRandom`), and
-/// the [`ElectionMonitor`] measuring re-election latency and leader
-/// flaps. Validated edge events are forwarded to the host as
-/// [`TopologyDelta`] batches, applied in `O(deg)` per edge — the CSR
-/// is never rebuilt per event, so per-round churn stays cheap even on
-/// graphs with tens of thousands of nodes (see the `churn-scale`
-/// experiment). Everything is a pure function of the initial graph,
-/// the timeline, and the two seeds (host seed, scenario seed) —
-/// running the same scenario twice produces bit-identical event logs
-/// and outcomes.
+/// The engine owns the compiled timeline, a dedicated ChaCha stream
+/// for the randomized event targets (`CrashRandom`, `RecoverRandom`),
+/// the partition backlog, and the [`ElectionMonitor`] measuring
+/// re-election latency and leader flaps. It keeps no edge set of its
+/// own: edge events are checked against the host's live
+/// [`topology`](DynamicHost::topology), a partition collects its cut
+/// from the cut side's neighbors, and valid edits are forwarded to the
+/// host as [`TopologyDelta`] batches, applied in `O(deg)` per edge —
+/// the CSR is never rebuilt per event, so per-round churn stays cheap
+/// even on graphs with tens of thousands of nodes (see the
+/// `churn-scale` experiment). Everything is a pure function of the
+/// initial graph, the timeline, and the two seeds (host seed, scenario
+/// seed) — running the same scenario twice produces bit-identical event
+/// logs and outcomes.
 pub struct Engine<H: DynamicHost> {
     host: H,
-    graph: DynamicGraph,
     events: Vec<ScheduledEvent>,
     next_event: usize,
     horizon: u64,
@@ -159,8 +160,9 @@ impl ScenarioOutcome {
 }
 
 impl<H: DynamicHost> Engine<H> {
-    /// Creates an engine around `host`, whose current topology must be
-    /// `graph`.
+    /// Creates an engine around `host`, whose current topology is
+    /// `graph` (only its node count is checked: the engine reads edges
+    /// off the host).
     ///
     /// `timeline` is compiled against `horizon` (events past it never
     /// fire); `scenario_seed` drives random event targets and arrival
@@ -183,9 +185,19 @@ impl<H: DynamicHost> Engine<H> {
             host.node_count(),
             "engine graph must match the host topology"
         );
+        Engine::at_round_zero(host, timeline, horizon, scenario_seed, stability_window)
+    }
+
+    /// The engine before its first event and observation.
+    fn at_round_zero(
+        host: H,
+        timeline: &Timeline,
+        horizon: u64,
+        scenario_seed: u64,
+        stability_window: u64,
+    ) -> Self {
         Engine {
             host,
-            graph: DynamicGraph::from_graph(graph),
             events: timeline.compile(horizon, scenario_seed),
             next_event: 0,
             horizon,
@@ -203,25 +215,19 @@ impl<H: DynamicHost> Engine<H> {
     }
 
     /// Rebuilds an engine mid-run from a snapshot: `host` must already
-    /// be restored to the snapshot's states and fault checkpoint, and
-    /// `graph` must be its **current** topology at the snapshot round
-    /// (not the initial one — topology events may have fired already).
-    /// `timeline`, `horizon` and `scenario_seed` must be the original
-    /// run's; the scenario RNG is re-seeded and fast-forwarded to the
-    /// cursor's stream position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` and `host` disagree on the node count.
+    /// be built on the snapshot round's topology (not the initial one —
+    /// topology events may have fired already) and restored to its
+    /// states and fault checkpoint. `timeline`, `horizon` and
+    /// `scenario_seed` must be the original run's; the scenario RNG is
+    /// re-seeded and fast-forwarded to the cursor's stream position.
     pub fn resume(
         host: H,
-        graph: &Graph,
         timeline: &Timeline,
         horizon: u64,
         scenario_seed: u64,
         cursor: EngineCursor,
     ) -> Self {
-        let mut engine = Engine::new(host, graph, timeline, horizon, scenario_seed, 0);
+        let mut engine = Engine::at_round_zero(host, timeline, horizon, scenario_seed, 0);
         let (counter, word) = cursor.rng_position;
         engine.rng.set_position(counter, word);
         Engine {
@@ -333,7 +339,7 @@ impl<H: DynamicHost> Engine<H> {
             leader_flaps: self.monitor.flaps(),
             final_leaders,
             final_alive,
-            final_edges: self.graph.edge_count(),
+            final_edges: self.host.topology().edge_count(),
         };
         (outcome, self.host)
     }
@@ -397,43 +403,6 @@ impl<H: DynamicHost> Engine<H> {
             if applied {
                 self.monitor.mark_disruption(round);
             }
-            #[cfg(debug_assertions)]
-            if applied && touches_topology(&event) {
-                self.assert_mirror_matches_host(round, &event);
-            }
-        }
-    }
-
-    /// Debug-build divergence guard: the engine's [`DynamicGraph`]
-    /// mirror and the host's actual topology track the same edge set
-    /// through independent code paths (mirror mutation vs. forwarded
-    /// [`TopologyDelta`]s); a bug in either — or a future event type
-    /// forwarding something the mirror does not — would silently
-    /// invalidate every subsequently validated event. Checked after
-    /// every applied topology event, in debug builds only (the
-    /// materialization is `O(n + m)`).
-    #[cfg(debug_assertions)]
-    fn assert_mirror_matches_host(&self, round: u64, event: &ScenarioEvent) {
-        let Some(host_graph) = self.host.topology_snapshot() else {
-            return;
-        };
-        assert_eq!(
-            host_graph.node_count(),
-            self.graph.node_count(),
-            "@{round} after {event}: node counts diverged"
-        );
-        assert_eq!(
-            host_graph.edge_count(),
-            self.graph.edge_count(),
-            "@{round} after {event}: edge counts diverged (mirror {}, host {})",
-            self.graph.edge_count(),
-            host_graph.edge_count()
-        );
-        for (u, v) in self.graph.edges() {
-            assert!(
-                host_graph.has_edge(u, v),
-                "@{round} after {event}: mirror edge ({u}, {v}) is absent from the host topology"
-            );
         }
     }
 
@@ -518,14 +487,15 @@ impl<H: DynamicHost> Engine<H> {
                     !crashed.is_empty(),
                 )
             }
-            ScenarioEvent::AddEdge(u, v) => match self.graph.add_edge(*u, *v) {
+            ScenarioEvent::AddEdge(u, v) => match self.host.topology().check_add_edge(*u, *v) {
                 Ok(()) => {
                     self.push_edge(*u, *v, true);
                     (format!("added edge ({u}, {v})"), true)
                 }
                 Err(e) => (format!("skipped ({e})"), false),
             },
-            ScenarioEvent::RemoveEdge(u, v) => match self.graph.remove_edge(*u, *v) {
+            ScenarioEvent::RemoveEdge(u, v) => match self.host.topology().check_remove_edge(*u, *v)
+            {
                 Ok(()) => {
                     self.push_edge(*u, *v, false);
                     (format!("removed edge ({u}, {v})"), true)
@@ -533,16 +503,23 @@ impl<H: DynamicHost> Engine<H> {
                 Err(e) => (format!("skipped ({e})"), false),
             },
             ScenarioEvent::Partition { side } => {
-                let mut flags = vec![false; self.graph.node_count()];
-                let mut ignored = 0usize;
-                for u in side {
-                    if u.index() < flags.len() {
-                        flags[u.index()] = true;
-                    } else {
-                        ignored += 1;
-                    }
+                let mut members: Vec<NodeId> =
+                    side.iter().copied().filter(|u| u.index() < n).collect();
+                let ignored = side.len() - members.len();
+                members.sort_unstable();
+                members.dedup();
+                // Each crossing edge has exactly one end on the cut side,
+                // so the side's neighbors list it once; sorted `(min,
+                // max)` pairs are the order heals and snapshots replay.
+                let mut removed = Vec::new();
+                for &u in &members {
+                    self.host.topology().for_each_neighbor(u, |v| {
+                        if members.binary_search(&v).is_err() {
+                            removed.push((u.min(v), u.max(v)));
+                        }
+                    });
                 }
-                let removed = self.graph.remove_cut(&flags);
+                removed.sort_unstable();
                 let count = removed.len();
                 if count > 0 {
                     let mut delta = TopologyDelta::new();
@@ -561,12 +538,16 @@ impl<H: DynamicHost> Engine<H> {
             }
             ScenarioEvent::Heal => {
                 let backlog = std::mem::take(&mut self.partition_backlog);
+                let topology = self.host.topology();
+                let mut queued = BTreeSet::new();
                 let mut delta = TopologyDelta::new();
                 for (u, v) in backlog {
                     // A backlog edge can have reappeared through an
-                    // AddEdge event in the meantime; restore only what
-                    // is still missing.
-                    if self.graph.add_edge(u, v).is_ok() {
+                    // AddEdge event in the meantime, or been cut twice
+                    // (partition, add-edge, partition); restore each
+                    // missing edge once.
+                    if topology.check_add_edge(u, v).is_ok() && queued.insert((u.min(v), u.max(v)))
+                    {
                         delta.add_edge(u, v);
                     }
                 }
@@ -600,19 +581,6 @@ impl<H: DynamicHost> Engine<H> {
             }
         }
     }
-}
-
-/// `true` for events that mutate the communication graph (the ones the
-/// mirror-consistency guard must run after).
-#[cfg(debug_assertions)]
-fn touches_topology(event: &ScenarioEvent) -> bool {
-    matches!(
-        event,
-        ScenarioEvent::AddEdge(..)
-            | ScenarioEvent::RemoveEdge(..)
-            | ScenarioEvent::Partition { .. }
-            | ScenarioEvent::Heal
-    )
 }
 
 #[cfg(test)]
@@ -695,6 +663,29 @@ mod tests {
         assert!(outcome.event_log[0].contains("cut 2 edge(s)"));
         assert!(outcome.event_log[1].contains("restored 2 edge(s)"));
         assert_eq!(outcome.final_edges, 8);
+    }
+
+    #[test]
+    fn partition_cut_lists_crossing_edges_in_cut_order() {
+        // Cycle 0-1-2-3-0, cut {1, 0} (given twice, out of order) vs
+        // {2, 3}: the crossing edges are (0, 3) and (1, 2), as sorted
+        // (min, max) pairs.
+        let id = NodeId::new;
+        let timeline = Timeline::new().at(
+            5,
+            ScenarioEvent::Partition {
+                side: vec![id(1), id(0), id(1)],
+            },
+        );
+        let mut engine = engine_on_cycle(4, timeline, 10, 3);
+        engine.run_until(5);
+        assert_eq!(
+            engine.cursor().partition_backlog,
+            [(id(0), id(3)), (id(1), id(2))]
+        );
+        assert_eq!(engine.host().topology().edge_count(), 2);
+        assert!(!engine.host().topology().has_edge(id(3), id(0)));
+        assert!(engine.host().topology().has_edge(id(0), id(1)));
     }
 
     #[test]

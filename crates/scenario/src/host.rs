@@ -15,7 +15,7 @@
 //! [`Network`]: bfw_sim::Network
 //! [`StoneAgeNetwork`]: bfw_sim::stone_age::StoneAgeNetwork
 
-use bfw_graph::{Graph, NodeId, TopologyDelta};
+use bfw_graph::{NodeId, Topology, TopologyDelta};
 use bfw_sim::{
     ActivationEngine, ActivationLeaderModel, BitEngine, BitModel, ComplexityLedger,
     EngineCheckpoint, FlightRecorder, LeaderModel, TickEngine,
@@ -77,14 +77,12 @@ pub trait DynamicHost {
     /// materializing the leader list.
     fn unique_leader(&self) -> Option<NodeId>;
 
-    /// Materializes the host's **current** communication graph, if the
-    /// runtime can expose it (`None` otherwise). The engine uses this
-    /// in debug builds to assert, after every topology event, that its
-    /// own [`DynamicGraph`](bfw_graph::DynamicGraph) mirror and the
-    /// host's edge set have not diverged — the two track the same edges
-    /// independently, and a silent divergence would invalidate every
-    /// event validated against the mirror from that point on.
-    fn topology_snapshot(&self) -> Option<Graph>;
+    /// The host's **live** communication graph, in original labels:
+    /// the one edge set a scenario run keeps. The engine checks every
+    /// edge event against it before forwarding the delta, collects a
+    /// partition's cut from it, and reads the final edge count off it;
+    /// a snapshot materializes it.
+    fn topology(&self) -> &Topology;
 
     /// Per-node states in original label order, and the engine
     /// checkpoint: crash mask, noise channels, per-node RNG stream
@@ -166,8 +164,8 @@ macro_rules! shared_host_methods {
             $engine::unique_leader(self)
         }
 
-        fn topology_snapshot(&self) -> Option<Graph> {
-            Some(self.topology().to_graph())
+        fn topology(&self) -> &Topology {
+            $engine::topology(self)
         }
 
         fn capture(&self) -> (Vec<M::State>, EngineCheckpoint) {

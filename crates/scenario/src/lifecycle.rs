@@ -184,9 +184,7 @@ impl OnHost for StepTo {
             spec: leg.spec.clone(),
             seed: leg.seed,
             round: host.round(),
-            graph: host
-                .topology_snapshot()
-                .expect("lifecycle hosts expose their topology"),
+            graph: host.topology().to_graph(),
             states,
             checkpoint,
             cursor: engine.cursor(),

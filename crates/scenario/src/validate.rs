@@ -121,7 +121,7 @@ pub fn validate_scenario(spec: &ScenarioSpec, graph: &Graph) -> Result<Vec<Strin
             spec.stability, spec.rounds
         ));
     }
-    if algo::diameter(graph).is_none() && n > 0 {
+    if n > 0 && !algo::is_connected(graph) {
         warnings.push(
             "graph is disconnected — BFW's eventual-election guarantee assumes a connected \
              graph (Theorem 1); components elect independently"

@@ -1,15 +1,19 @@
 //! Workspace tests for the scenario engine: determinism of the whole
-//! TOML → engine → report pipeline, and dynamic-topology invariants.
+//! TOML → engine → report pipeline, and edge events checked against
+//! the host's live topology.
 
-use bfw_core::{Bfw, RecoveringProtocol, RecoveryConfig};
-use bfw_graph::{generators, DynamicGraph, NodeId};
+use bfw_core::{Bfw, BitNetwork, RecoveringProtocol, RecoveryConfig};
+use bfw_graph::{generators, GraphSpec, NodeId, Topology};
 use bfw_scenario::{
-    bfw_injector, run_bfw_scenario, Engine, InjectKind, ProtocolKind, ScenarioEvent, ScenarioSpec,
-    Timeline,
+    bfw_injector, run_bfw_scenario, DynamicHost, Engine, InjectKind, ProtocolKind, ScenarioEvent,
+    ScenarioOutcome, ScenarioSpec, Timeline,
 };
 use bfw_sim::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge, StoneAgeNetwork};
 use bfw_sim::{BeepingProtocol, LeaderElection, Network, NodeCtx};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::collections::BTreeSet;
 
 /// The shipped example scenario, exercised exactly as the CLI would.
 const RING_CHURN: &str = include_str!("../examples/scenarios/ring_churn.toml");
@@ -70,6 +74,197 @@ v = 1
     assert_ne!(a.event_log, c.event_log);
 }
 
+/// The edge set a scenario run should keep, written independently of
+/// the engine: normalized `(min, max)` pairs, and the partition backlog
+/// in cut order.
+struct EdgeModel {
+    n: usize,
+    edges: BTreeSet<(u32, u32)>,
+    backlog: Vec<(u32, u32)>,
+}
+
+impl EdgeModel {
+    /// Applies one edge event and returns the note its log line must
+    /// carry.
+    fn apply(&mut self, event: &ScenarioEvent) -> String {
+        let n = self.n;
+        let key = |u: NodeId, v: NodeId| (u.min(v).as_u32(), u.max(v).as_u32());
+        let skip = |u: NodeId, v: NodeId| {
+            [u, v]
+                .into_iter()
+                .find(|w| w.index() >= n)
+                .map(|w| format!("skipped (node {w} out of range for graph with {n} nodes)"))
+                .or_else(|| (u == v).then(|| format!("skipped (self-loop at node {u})")))
+        };
+        match event {
+            &ScenarioEvent::AddEdge(u, v) => {
+                if let Some(note) = skip(u, v) {
+                    return note;
+                }
+                let (a, b) = key(u, v);
+                if self.edges.insert((a, b)) {
+                    format!("added edge ({u}, {v})")
+                } else {
+                    format!("skipped (duplicate edge ({a}, {b}))")
+                }
+            }
+            &ScenarioEvent::RemoveEdge(u, v) => {
+                if let Some(note) = skip(u, v) {
+                    return note;
+                }
+                let (a, b) = key(u, v);
+                if self.edges.remove(&(a, b)) {
+                    format!("removed edge ({u}, {v})")
+                } else {
+                    format!("skipped (missing edge ({a}, {b}))")
+                }
+            }
+            ScenarioEvent::Partition { side } => {
+                let members: BTreeSet<u32> = side
+                    .iter()
+                    .filter(|u| u.index() < n)
+                    .map(|u| u.as_u32())
+                    .collect();
+                let ignored = side.iter().filter(|u| u.index() >= n).count();
+                let cut: Vec<(u32, u32)> = self
+                    .edges
+                    .iter()
+                    .copied()
+                    .filter(|(a, b)| members.contains(a) != members.contains(b))
+                    .collect();
+                for e in &cut {
+                    self.edges.remove(e);
+                }
+                self.backlog.extend(&cut);
+                match ignored {
+                    0 => format!("cut {} edge(s)", cut.len()),
+                    k => format!(
+                        "cut {} edge(s), ignored {k} out-of-range node id(s)",
+                        cut.len()
+                    ),
+                }
+            }
+            ScenarioEvent::Heal => {
+                let mut restored = 0;
+                for e in std::mem::take(&mut self.backlog) {
+                    restored += usize::from(self.edges.insert(e));
+                }
+                format!("restored {restored} edge(s)")
+            }
+            other => panic!("not an edge event: {other}"),
+        }
+    }
+}
+
+/// A random edge event on `n` nodes: ids run to `n + 1`, so some are
+/// out of range, and `u == v` draws self-loops.
+fn random_edge_event(rng: &mut ChaCha8Rng, n: usize) -> ScenarioEvent {
+    let kind = rng.random_range(0..8u32);
+    let len = rng.random_range(0..n / 2 + 2);
+    let mut node = || NodeId::new(rng.random_range(0..n + 2));
+    match kind {
+        0..=2 => ScenarioEvent::AddEdge(node(), node()),
+        3..=5 => ScenarioEvent::RemoveEdge(node(), node()),
+        6 => ScenarioEvent::Partition {
+            side: (0..len).map(|_| node()).collect(),
+        },
+        _ => ScenarioEvent::Heal,
+    }
+}
+
+/// Runs `events` (one per round from round 1) on `host` and checks
+/// every log line, the reported edge count and the host's final edge
+/// set against an [`EdgeModel`] of `topology`.
+fn check_edge_events<H: DynamicHost>(
+    host: H,
+    topology: &Topology,
+    events: &[ScenarioEvent],
+    seed: u64,
+) -> ScenarioOutcome {
+    let graph = topology.to_graph();
+    let mut model = EdgeModel {
+        n: graph.node_count(),
+        edges: graph
+            .edges()
+            .map(|(u, v)| (u.as_u32(), v.as_u32()))
+            .collect(),
+        backlog: Vec::new(),
+    };
+    let mut timeline = Timeline::new();
+    for (i, event) in events.iter().enumerate() {
+        timeline = timeline.at(i as u64 + 1, event.clone());
+    }
+    let horizon = events.len() as u64 + 1;
+    let mut engine = Engine::new(host, &graph, &timeline, horizon, seed, 5);
+    engine.run_until(horizon);
+    let (outcome, host) = engine.into_outcome();
+    let expected: Vec<String> = events
+        .iter()
+        .enumerate()
+        .map(|(i, event)| format!("@{} {event} -> {}", i + 1, model.apply(event)))
+        .collect();
+    assert_eq!(outcome.event_log, expected, "seed {seed} on {graph:?}");
+    assert_eq!(outcome.final_edges, model.edges.len(), "seed {seed}");
+    let live: BTreeSet<(u32, u32)> = host
+        .topology()
+        .to_graph()
+        .edges()
+        .map(|(u, v)| (u.as_u32(), v.as_u32()))
+        .collect();
+    assert_eq!(live, model.edges, "seed {seed}: the host's final edge set");
+    assert_eq!(host.topology().edge_count(), model.edges.len());
+    outcome
+}
+
+#[test]
+fn edge_events_follow_the_live_topology_on_every_kernel() {
+    let id = NodeId::new;
+    // The re-cut case: (1, 5) is cut, added back and cut again, so it
+    // sits in the backlog twice and the heal restores it once.
+    let recut = vec![
+        ScenarioEvent::Partition {
+            side: vec![id(5), id(6), id(9)],
+        },
+        ScenarioEvent::AddEdge(id(1), id(5)),
+        ScenarioEvent::Partition { side: vec![id(5)] },
+        ScenarioEvent::Heal,
+        ScenarioEvent::AddEdge(id(5), id(1)),
+        ScenarioEvent::Heal,
+    ];
+    let mut cases = vec![(GraphSpec::Grid(4, 4).topology(), recut)];
+    let mut rng = ChaCha8Rng::seed_from_u64(0xED6E);
+    for k in 0..48 {
+        let topology = match k % 4 {
+            0 => GraphSpec::Cycle(rng.random_range(3..10)).topology(),
+            1 => GraphSpec::Grid(3, rng.random_range(2..5)).topology(),
+            2 => GraphSpec::ErdosRenyi(9, 400, k).topology(),
+            // The clique form answers edge queries without an edge list.
+            _ => Topology::Clique(rng.random_range(2..7)),
+        };
+        let n = topology.node_count();
+        let events = (0..rng.random_range(1..40usize))
+            .map(|_| random_edge_event(&mut rng, n))
+            .collect();
+        cases.push((topology, events));
+    }
+    for (seed, (topology, events)) in cases.into_iter().enumerate() {
+        let seed = seed as u64;
+        let generic = check_edge_events(
+            Network::new(Bfw::new(0.5), topology.clone(), seed),
+            &topology,
+            &events,
+            seed,
+        );
+        let mut bit = BitNetwork::new(Bfw::new(0.5), topology.clone(), seed);
+        bit.set_threads(2);
+        let bit = check_edge_events(bit, &topology, &events, seed);
+        assert_eq!(
+            generic, bit,
+            "generic and bit kernels diverged at seed {seed}"
+        );
+    }
+}
+
 /// Beeps every round — any beep from a crashed node is immediately
 /// visible in the flags.
 #[derive(Debug, Clone)]
@@ -92,36 +287,6 @@ impl LeaderElection for Siren {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Random mutation sequences keep the dynamic adjacency symmetric,
-    /// simple and consistent.
-    #[test]
-    fn dynamic_graph_invariants_under_random_churn(
-        n in 4usize..24,
-        ops in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 0..60),
-    ) {
-        let mut dyn_g = DynamicGraph::from_graph(&generators::cycle(n));
-        for (a, b, add) in ops {
-            let u = NodeId::new((a % n as u64) as usize);
-            let v = NodeId::new((b % n as u64) as usize);
-            // Errors (self-loop, duplicate, missing) are expected; the
-            // structure must stay valid either way.
-            let _ = if add {
-                dyn_g.add_edge(u, v)
-            } else {
-                dyn_g.remove_edge(u, v)
-            };
-            prop_assert!(dyn_g.invariants_hold());
-        }
-        let g = dyn_g.to_graph();
-        prop_assert_eq!(g.edge_count(), dyn_g.edge_count());
-        for u in g.nodes() {
-            for &v in g.neighbors(u) {
-                prop_assert!(u != v, "self-loop materialized");
-                prop_assert!(g.has_edge(v, u), "asymmetric adjacency");
-            }
-        }
-    }
 
     /// Crash-masked nodes never beep, across random crash/recover
     /// interleavings of an always-beeping protocol.

@@ -6,7 +6,7 @@
 //! no-rejoin, E17 phantom wave).
 
 use bfw_cli::{execute, parse};
-use bfw_graph::Graph;
+use bfw_graph::{Graph, NodeId};
 use bfw_scenario::{
     resume_run_bfw_scenario, resume_step_bfw_scenario, run_bfw_scenario, shrink_wipeout,
     spec_to_json, step_bfw_scenario, validate_engine_snapshot, validate_scenario,
@@ -22,6 +22,13 @@ const WIPEOUT_E17: &str = include_str!("../examples/scenarios/wipeout_e17.toml")
 /// `bfw scenario step examples/scenarios/wipeout_e17.toml --rounds 600 \
 ///    --out tests/fixtures/wipeout_e17_round600.snapshot.json`
 const SNAPSHOT_FIXTURE: &str = include_str!("fixtures/wipeout_e17_round600.snapshot.json");
+/// A spec whose partition backlog holds one edge twice.
+const PARTITION_BACKLOG: &str = include_str!("fixtures/partition_backlog.toml");
+/// Committed snapshot of `partition_backlog.toml` stepped to round 150.
+/// Regenerate with:
+/// `bfw scenario step tests/fixtures/partition_backlog.toml --rounds 150 \
+///    --out tests/fixtures/partition_backlog.snapshot.json`
+const BACKLOG_FIXTURE: &str = include_str!("fixtures/partition_backlog.snapshot.json");
 
 fn load(toml: &str) -> (ScenarioSpec, Graph) {
     let spec = ScenarioSpec::parse(toml).expect("shipped scenario must parse");
@@ -142,6 +149,35 @@ fn pinned_snapshot_fixture_stays_byte_stable() {
     let outcome = resume_run_bfw_scenario(&decoded, None, None).unwrap();
     assert!(wipes(&outcome), "{}", outcome.to_text());
     assert_eq!(outcome, run_bfw_scenario(&spec, &graph, spec.seed).unwrap());
+}
+
+#[test]
+fn pinned_partition_backlog_stays_byte_stable() {
+    let (spec, graph) = load(PARTITION_BACKLOG);
+    let snap = step_bfw_scenario(&spec, &graph, spec.seed, 150, None, None).unwrap();
+    assert_eq!(
+        snap.to_json_value().render_pretty(),
+        BACKLOG_FIXTURE,
+        "the partition backlog or its encoding changed; regenerate \
+         tests/fixtures/partition_backlog.snapshot.json only for a deliberate change \
+         (see the constant's doc comment)"
+    );
+    // Both cuts in cut order, (1, 5) in each.
+    let (one, five) = (NodeId::new(1), NodeId::new(5));
+    let backlog = &snap.cursor.partition_backlog;
+    assert_eq!(backlog.len(), 11);
+    assert_eq!(backlog.iter().filter(|&&e| e == (one, five)).count(), 2);
+
+    // The heal restores each missing edge once, and the resumed run,
+    // on every stack, is the straight run.
+    let straight = run_bfw_scenario(&spec, &graph, spec.seed).unwrap();
+    assert_eq!(straight.event_log[3], "@200 heal -> restored 10 edge(s)");
+    assert_eq!(straight.final_edges, graph.edge_count());
+    let decoded = EngineSnapshot::from_json(BACKLOG_FIXTURE).unwrap();
+    for (kernel, threads) in STACKS {
+        let resumed = resume_run_bfw_scenario(&decoded, kernel, threads).unwrap();
+        assert_eq!(resumed, straight, "kernel {kernel:?} threads {threads:?}");
+    }
 }
 
 /// The snapshot fixture with the value at `pointer` replaced.
