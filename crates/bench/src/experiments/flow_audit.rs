@@ -7,11 +7,47 @@
 //! violation is an implementation bug, not noise).
 
 use crate::{ExpConfig, ExperimentResult};
-use bfw_core::{flow, Bfw, FlowAuditor, InvariantChecker};
+use bfw_core::{flow, Bfw, FlowAuditor, InvariantChecker, InvariantReport};
+use bfw_graph::{Graph, NodeId};
 use bfw_sim::{Network, Topology};
 use bfw_stats::Table;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// Runs BFW at `p` from `seed` on `graph` for `rounds` rounds and audits
+/// every round against Section 3: the flow theory along 6 random walks
+/// of 12 steps drawn from `walk_seed`, and the invariants (Claim 6,
+/// Lemma 9, monotonicity, plus Lemma 11 on graphs of at most 64 nodes).
+/// E12 runs it over the workload suite, `bfw invariants` on one graph.
+///
+/// # Panics
+///
+/// Panics on an empty graph, which has no node to start a walk from.
+pub fn audit(
+    graph: Graph,
+    p: f64,
+    seed: u64,
+    walk_seed: u64,
+    rounds: u64,
+) -> (FlowAuditor, InvariantReport) {
+    let n = graph.node_count();
+    let mut rng = ChaCha8Rng::seed_from_u64(walk_seed);
+    let mut auditor = FlowAuditor::new(n);
+    for _ in 0..6 {
+        let start = NodeId::new(rng.random_range(0..n));
+        if let Some(path) = flow::random_walk_path(&graph, start, 12, &mut rng) {
+            auditor.register_path(path);
+        }
+    }
+    let mut checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
+    let mut net = Network::new(Bfw::new(p), graph.into(), seed);
+    net.run_until(rounds, |v| {
+        auditor.on_round(v);
+        checker.on_round(v);
+        false
+    });
+    (auditor, checker.report().clone())
+}
 
 /// Runs the experiment.
 pub fn run(cfg: &ExpConfig) -> ExperimentResult {
@@ -34,32 +70,16 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
             Topology::Graph(g) => g,
             t => t.to_graph(),
         };
-        let n = graph.node_count();
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xF10);
-        let mut auditor = FlowAuditor::new(n);
-        for _ in 0..6 {
-            let start = bfw_graph::NodeId::new(rng.random_range(0..n));
-            if let Some(path) = flow::random_walk_path(&graph, start, 12, &mut rng) {
-                auditor.register_path(path);
-            }
-        }
-        let mut checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
-        let mut net = Network::new(Bfw::new(0.5), graph.into(), cfg.seed);
-        net.run_until(rounds, |v| {
-            auditor.on_round(v);
-            checker.on_round(v);
-            false
-        });
-        total_violations +=
-            auditor.violations().len() as u64 + checker.report().violations().len() as u64;
+        let (auditor, report) = audit(graph, 0.5, cfg.seed, cfg.seed ^ 0xF10, rounds);
+        total_violations += auditor.violations().len() as u64 + report.violations().len() as u64;
         table.push_row(vec![
             spec.to_string(),
             "6".to_owned(),
             rounds.to_string(),
             auditor.checks_performed().to_string(),
             auditor.violations().len().to_string(),
-            checker.report().rounds_checked().to_string(),
-            checker.report().violations().len().to_string(),
+            report.rounds_checked().to_string(),
+            report.violations().len().to_string(),
         ]);
     }
 

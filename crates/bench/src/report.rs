@@ -24,6 +24,7 @@
 //! artifacts.
 
 use bfw_stats::{diff, Doc, Envelope, JsonValue, SchemaError};
+use std::fmt;
 use std::path::PathBuf;
 
 /// Assembles a `bfw/bench-report` document.
@@ -77,6 +78,16 @@ pub struct BenchSummary {
     pub experiment: String,
     /// Number of result rows.
     pub rows: usize,
+}
+
+impl fmt::Display for BenchSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "bfw/bench-report, {} ({} rows)",
+            self.experiment, self.rows
+        )
+    }
 }
 
 /// Validates the shared `bfw/bench-report` structure: envelope,
@@ -186,6 +197,16 @@ pub struct HistorySummary {
     pub points: usize,
     /// Total divergent pointers across all consecutive deltas.
     pub changes: usize,
+}
+
+impl fmt::Display for HistorySummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "bfw/bench-history, {} ({} points, {} changed paths)",
+            self.experiment, self.points, self.changes
+        )
+    }
 }
 
 /// Validates a `bfw/bench-history` document: the envelope, the

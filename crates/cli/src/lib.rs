@@ -1,11 +1,15 @@
-//! Implementation of the `bfw` command-line tool.
+//! Implementation of the `bfw` command-line tool. [`run`] hands each
+//! verb to its own module, which reads its flags through one argument
+//! reader and calls the libraries directly.
 //!
-//! Subcommands:
+//! Verbs:
 //!
 //! * `bfw run --graph <spec>` — run one leader election and report the
 //!   outcome;
 //! * `bfw trace --graph <spec>` — print the ASCII beep-wave trace of an
 //!   execution (see [`bfw_core::viz`]);
+//! * `bfw invariants --graph <spec>` — audit one execution against
+//!   Section 3 (flow theory and invariants, round by round);
 //! * `bfw graph <spec>` — print topology facts (n, m, diameter, degree
 //!   stats);
 //! * `bfw graph export|import|validate` — move graphs through the
@@ -13,215 +17,87 @@
 //! * `bfw experiment <name> ...` — run one of the paper-reproduction
 //!   experiments, optionally writing one CSV per table;
 //! * `bfw scenario run <file>` — run a TOML fault-injection scenario
-//!   (crashes, churn, partitions, noise bursts; see [`bfw_scenario`]);
-//! * `bfw report validate|diff` — check or structurally compare any
-//!   `bfw/*` report document (bench reports, scenario reports, graphs).
+//!   (crashes, churn, partitions, noise bursts; see [`bfw_scenario`]),
+//!   or resume a paused one with `--resume-from`;
+//! * `bfw scenario validate|step|export|shrink <file>` — check a
+//!   scenario without running it, advance it into a
+//!   `bfw/engine-snapshot`, export its compiled timeline as a
+//!   `bfw/scenario-spec`, or minimize a wipeout timeline;
+//! * `bfw report validate|diff|history` — check any `bfw/*` document,
+//!   compare two structurally, or fold bench reports into a
+//!   `bfw/bench-history`.
 //!
 //! Graph specs use the compact [`GraphSpec`] syntax, e.g. `path:64`,
 //! `grid:8x8`, `er:100:120:7`, `ba:1000:3:7`, `rr:1000:4:7`.
+//!
+//! [`GraphSpec`]: bfw_bench::GraphSpec
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bfw_bench::{experiments, ExpConfig, GraphSpec};
-use bfw_core::{theory, viz, Bfw, InitialConfig};
-use bfw_graph::{algo, Graph, NodeId};
-use bfw_sim::{run_election, ElectionConfig, Network};
-use bfw_stats::did_you_mean;
-use std::fmt::Write as _;
-use std::path::Path;
+mod args;
+mod experiment;
+mod graph;
+mod invariants;
+mod report;
+mod run;
+mod scenario;
+mod trace;
 
-/// A parsed command, ready to execute.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// `bfw run`
-    Run {
-        /// Workload.
-        spec: GraphSpec,
-        /// Beep probability; `None` means "use 1/(D+1)" (Theorem 3).
-        p: Option<f64>,
-        /// RNG seed.
-        seed: u64,
-        /// Round budget.
-        max_rounds: u64,
-        /// Post-convergence stability rounds.
-        stability: u64,
-    },
-    /// `bfw trace`
-    Trace {
-        /// Workload (paths/cycles render best).
-        spec: GraphSpec,
-        /// Beep probability.
-        p: f64,
-        /// RNG seed.
-        seed: u64,
-        /// Rounds to render.
-        rounds: u64,
-        /// Start with leaders only at the path ends (§5 duel).
-        duel: bool,
-    },
-    /// `bfw graph`
-    Graph {
-        /// Workload to describe.
-        spec: GraphSpec,
-    },
-    /// `bfw graph export`
-    GraphExport {
-        /// Workload to export.
-        spec: GraphSpec,
-        /// Write the document here instead of stdout.
-        out: Option<String>,
-    },
-    /// `bfw graph import`
-    GraphImport {
-        /// `bfw/graph` JSON file to read.
-        file: String,
-        /// Re-export the canonical document here.
-        out: Option<String>,
-    },
-    /// `bfw graph validate`
-    GraphValidate {
-        /// `bfw/graph` JSON file to check (`None` = stdin).
-        file: Option<String>,
-    },
-    /// `bfw report validate`
-    ReportValidate {
-        /// Report files to check (dispatched by their `format` field).
-        files: Vec<String>,
-    },
-    /// `bfw report diff`
-    ReportDiff {
-        /// Left document.
-        left: String,
-        /// Right document.
-        right: String,
-    },
-    /// `bfw report history`
-    ReportHistory {
-        /// `bfw/bench-report` files to fold, oldest first.
-        files: Vec<String>,
-        /// Write the `bfw/bench-history` document here instead of
-        /// stdout.
-        out: Option<String>,
-    },
-    /// `bfw invariants`
-    Invariants {
-        /// Workload to audit.
-        spec: GraphSpec,
-        /// Beep probability.
-        p: f64,
-        /// RNG seed.
-        seed: u64,
-        /// Rounds to audit.
-        rounds: u64,
-    },
-    /// `bfw experiment`
-    Experiment {
-        /// Experiment names (empty = all).
-        names: Vec<String>,
-        /// Reduced sizes.
-        quick: bool,
-        /// Enable the optional perception-noise sweeps (E17).
-        noise: bool,
-        /// Trials per point.
-        trials: Option<usize>,
-        /// Base seed.
-        seed: Option<u64>,
-        /// Write one CSV per table into this directory.
-        out: Option<String>,
-    },
-    /// `bfw scenario run`
-    Scenario {
-        /// Path of the TOML scenario file.
-        file: String,
-        /// Seed override (`None` = the spec's seed).
-        seed: Option<u64>,
-        /// Horizon override (`None` = the spec's rounds).
-        rounds: Option<u64>,
-        /// Destination for the complexity/flight-recorder JSON report
-        /// (`--trace FILE`; overrides the spec's `[trace] file`).
-        /// Tracing is enabled when this, `--trace-last`, or the spec's
-        /// `[trace]` section is present.
-        trace: Option<String>,
-        /// Flight-recorder capacity (`--trace-last N`; overrides the
-        /// spec's `[trace] last`, default 256).
-        trace_last: Option<usize>,
-        /// Execution-kernel override (`--kernel auto|generic|bit`;
-        /// overrides the spec's `kernel` key).
-        kernel: Option<bfw_scenario::KernelKind>,
-        /// Worker-thread override for the bit kernel's word-sharded
-        /// step (`--threads N`; overrides the spec's `threads` key;
-        /// `None` = the spec's value, else available parallelism
-        /// capped). Never changes outcomes.
-        threads: Option<usize>,
-    },
-    /// `bfw scenario run --resume-from` — continue a paused run from a
-    /// `bfw/engine-snapshot` document to its horizon.
-    ScenarioResume {
-        /// Path of the snapshot document.
-        snapshot: String,
-        /// Horizon override (`None` = the snapshot's embedded horizon;
-        /// must not be before the snapshot round).
-        rounds: Option<u64>,
-        /// Execution-kernel override (snapshots are kernel-invariant,
-        /// so any kernel resumes any snapshot).
-        kernel: Option<bfw_scenario::KernelKind>,
-        /// Worker-thread override for the bit kernel.
-        threads: Option<usize>,
-    },
-    /// `bfw scenario validate` — static analysis, no execution.
-    ScenarioValidate {
-        /// Path of the TOML scenario file.
-        file: String,
-    },
-    /// `bfw scenario step` — advance N rounds and emit a
-    /// `bfw/engine-snapshot` document.
-    ScenarioStep {
-        /// Path of the TOML scenario file (start fresh); exclusive with
-        /// `resume_from`.
-        file: Option<String>,
-        /// Path of a snapshot document to continue from.
-        resume_from: Option<String>,
-        /// Rounds to advance (clamped to the horizon).
-        rounds: u64,
-        /// Write the snapshot here instead of stdout.
-        out: Option<String>,
-        /// Seed override (file form only; the snapshot pins its seed).
-        seed: Option<u64>,
-        /// Execution-kernel override (never embedded in the snapshot).
-        kernel: Option<bfw_scenario::KernelKind>,
-        /// Worker-thread override (never embedded in the snapshot).
-        threads: Option<usize>,
-    },
-    /// `bfw scenario export` — compiled timeline as a
-    /// `bfw/scenario-spec` document.
-    ScenarioExport {
-        /// Path of the TOML scenario file.
-        file: String,
-        /// Seed override (`None` = the spec's seed).
-        seed: Option<u64>,
-        /// Write the document here instead of stdout.
-        out: Option<String>,
-    },
-    /// `bfw scenario shrink` — minimize a wipeout timeline.
-    ScenarioShrink {
-        /// Path of the TOML scenario file.
-        file: String,
-        /// Seed override (`None` = the spec's seed).
-        seed: Option<u64>,
-        /// One drop pass, no retiming — a few replays instead of a few
-        /// dozen.
-        quick: bool,
-        /// Write the minimized `bfw/scenario-spec` document here.
-        out: Option<String>,
-    },
-    /// `bfw help`
-    Help,
+use bfw_bench::experiments;
+
+/// Runs one command line (without the program name) and returns the
+/// text to print.
+///
+/// # Errors
+///
+/// Returns a one-line message for unknown verbs, flags or malformed
+/// values (reported before any file is read or graph is built), and
+/// for failures of the verb itself.
+pub fn run(args: &[String]) -> Result<String, String> {
+    let Some((verb, rest)) = args.split_first() else {
+        return Ok(usage());
+    };
+    match verb.as_str() {
+        "help" | "--help" | "-h" => Ok(usage()),
+        "run" => run::run(rest),
+        "trace" => trace::run(rest),
+        "graph" => graph::run(rest),
+        "invariants" => invariants::run(rest),
+        "experiment" => experiment::run(rest),
+        "scenario" => scenario::run(rest),
+        "report" => report::run(rest),
+        other => Err(format!("unknown command '{other}'; try 'bfw help'")),
+    }
+}
+
+/// Reads a file, naming it on failure.
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// Writes a file, naming it on failure.
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Checks a beep probability.
+fn check_p(p: f64) -> Result<(), String> {
+    if p > 0.0 && p < 1.0 {
+        Ok(())
+    } else {
+        Err(format!("p must be in (0, 1), got {p}"))
+    }
 }
 
 /// Usage text.
-pub fn usage() -> String {
+fn usage() -> String {
     let names: Vec<&str> = experiments::all().iter().map(|(n, _)| *n).collect();
+    let kinds: Vec<&str> = report::KINDS
+        .iter()
+        .map(|(format, _)| format.trim_start_matches("bfw/"))
+        .collect();
+    let kinds: Vec<String> = kinds.chunks(4).map(|line| line.join(", ")).collect();
     format!(
         "bfw — Minimalist Leader Election Under Weak Communication (PODC 2025) reproduction
 
@@ -289,1395 +165,168 @@ graph specs: path:N cycle:N clique:N star:N grid:RxC torus:RxC hypercube:DIM
              the same syntax; graphs past 2^26 nodes, 2^27 edges or 2^32
              generator steps are refused before they are built)
 interchange: every artifact is one versioned JSON envelope, format bfw/KIND
-             (graph, scenario-report, bench-report, bench-history); `bfw graph
-             export` emits canonical bfw/graph documents with generator
-             provenance, `bfw report validate` checks any of them, `bfw report
-             diff` prints a structured bfw/report-diff with JSON-pointer paths,
-             `bfw report history` folds successive bench reports of one
-             experiment into a bfw/bench-history trajectory
+             ({});
+             `bfw graph export` emits canonical bfw/graph documents with
+             generator provenance, `bfw report validate` checks any of them,
+             `bfw report diff` prints a structured bfw/report-diff with
+             JSON-pointer paths, `bfw report history` folds successive bench
+             reports of one experiment into a bfw/bench-history trajectory
 scenarios:   TOML spec; `protocol = \"bfw+recovery\"` runs the self-healing stack,
              `runtime = \"async\"` runs activation-based scheduling (scheduler:
              uniform | weighted | replay; timeline positions in activations)
 experiments: {}",
+        kinds.join(",\n              "),
         names.join(", ")
     )
-}
-
-/// Parses a command line (without the program name).
-///
-/// # Errors
-///
-/// Returns a human-readable message for unknown commands, flags or
-/// malformed values.
-pub fn parse(args: &[String]) -> Result<Command, String> {
-    let Some((cmd, rest)) = args.split_first() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "run" => parse_run(rest),
-        "trace" => parse_trace(rest),
-        "graph" => parse_graph(rest),
-        "invariants" => parse_invariants(rest),
-        "experiment" => parse_experiment(rest),
-        "scenario" => parse_scenario(rest),
-        "report" => parse_report(rest),
-        other => Err(format!("unknown command '{other}'; try 'bfw help'")),
-    }
-}
-
-fn take_value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn take_spec(it: &mut std::slice::Iter<'_, String>) -> Result<GraphSpec, String> {
-    let text = take_value("--graph", it)?;
-    text.parse()
-        .map_err(|e: bfw_bench::WorkloadError| e.to_string())
-}
-
-fn parse_run(args: &[String]) -> Result<Command, String> {
-    let mut spec = None;
-    let mut p = Some(0.5);
-    let mut seed = 0;
-    let mut max_rounds = 10_000_000;
-    let mut stability = 1_000;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--graph" => spec = Some(take_spec(&mut it)?),
-            "--p" => {
-                p = Some(
-                    take_value("--p", &mut it)?
-                        .parse()
-                        .map_err(|_| "--p needs a number in (0, 1)".to_owned())?,
-                )
-            }
-            "--known-d" => p = None,
-            "--seed" => seed = parse_int(take_value("--seed", &mut it)?, "--seed")?,
-            "--max-rounds" => {
-                max_rounds = parse_int(take_value("--max-rounds", &mut it)?, "--max-rounds")?
-            }
-            "--stability" => {
-                stability = parse_int(take_value("--stability", &mut it)?, "--stability")?
-            }
-            other => return Err(format!("run: unknown flag {other}")),
-        }
-    }
-    let spec = spec.ok_or("run: --graph SPEC is required")?;
-    Ok(Command::Run {
-        spec,
-        p,
-        seed,
-        max_rounds,
-        stability,
-    })
-}
-
-fn parse_trace(args: &[String]) -> Result<Command, String> {
-    let mut spec = None;
-    let mut p = 0.5;
-    let mut seed = 0;
-    let mut rounds = 40;
-    let mut duel = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--graph" => spec = Some(take_spec(&mut it)?),
-            "--p" => {
-                p = take_value("--p", &mut it)?
-                    .parse()
-                    .map_err(|_| "--p needs a number in (0, 1)".to_owned())?
-            }
-            "--seed" => seed = parse_int(take_value("--seed", &mut it)?, "--seed")?,
-            "--rounds" => rounds = parse_int(take_value("--rounds", &mut it)?, "--rounds")?,
-            "--duel" => duel = true,
-            other => return Err(format!("trace: unknown flag {other}")),
-        }
-    }
-    let spec = spec.ok_or("trace: --graph SPEC is required")?;
-    Ok(Command::Trace {
-        spec,
-        p,
-        seed,
-        rounds,
-        duel,
-    })
-}
-
-fn parse_invariants(args: &[String]) -> Result<Command, String> {
-    let mut spec = None;
-    let mut p = 0.5;
-    let mut seed = 0;
-    let mut rounds = 1_000;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--graph" => spec = Some(take_spec(&mut it)?),
-            "--p" => {
-                p = take_value("--p", &mut it)?
-                    .parse()
-                    .map_err(|_| "--p needs a number in (0, 1)".to_owned())?
-            }
-            "--seed" => seed = parse_int(take_value("--seed", &mut it)?, "--seed")?,
-            "--rounds" => rounds = parse_int(take_value("--rounds", &mut it)?, "--rounds")?,
-            other => return Err(format!("invariants: unknown flag {other}")),
-        }
-    }
-    let spec = spec.ok_or("invariants: --graph SPEC is required")?;
-    Ok(Command::Invariants {
-        spec,
-        p,
-        seed,
-        rounds,
-    })
-}
-
-fn parse_experiment(args: &[String]) -> Result<Command, String> {
-    let mut names = Vec::new();
-    let mut quick = false;
-    let mut noise = false;
-    let mut trials = None;
-    let mut seed = None;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--noise" => noise = true,
-            "--out" => out = Some(take_value("--out", &mut it)?.to_owned()),
-            "--trials" => {
-                trials = Some(parse_int(take_value("--trials", &mut it)?, "--trials")? as usize)
-            }
-            "--seed" => seed = Some(parse_int(take_value("--seed", &mut it)?, "--seed")?),
-            flag if flag.starts_with('-') => {
-                return Err(format!("experiment: unknown flag {flag}"))
-            }
-            name => names.push(name.to_owned()),
-        }
-    }
-    Ok(Command::Experiment {
-        names,
-        quick,
-        noise,
-        trials,
-        seed,
-        out,
-    })
-}
-
-/// The `bfw scenario` verbs.
-const SCENARIO_VERBS: &[&str] = &["run", "validate", "step", "export", "shrink"];
-
-fn parse_scenario(args: &[String]) -> Result<Command, String> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Err(
-            "scenario: expected a subcommand — run FILE | validate FILE | step | export | shrink"
-                .to_owned(),
-        );
-    };
-    match sub.as_str() {
-        "run" => parse_scenario_run(rest),
-        "validate" => match rest {
-            [file] => Ok(Command::ScenarioValidate { file: file.clone() }),
-            _ => Err("scenario validate takes exactly one FILE argument".to_owned()),
-        },
-        "step" => parse_scenario_step(rest),
-        "export" => parse_scenario_export(rest),
-        "shrink" => parse_scenario_shrink(rest),
-        other => Err(format!(
-            "scenario: unknown subcommand '{other}'{}; valid: run, validate, step, export, shrink",
-            did_you_mean(other, SCENARIO_VERBS)
-        )),
-    }
-}
-
-fn parse_kernel_value(
-    it: &mut std::slice::Iter<'_, String>,
-) -> Result<bfw_scenario::KernelKind, String> {
-    take_value("--kernel", it)?
-        .parse()
-        .map_err(|e| format!("--kernel: {e}"))
-}
-
-fn parse_threads_value(it: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
-    let t = parse_int(take_value("--threads", it)?, "--threads")?;
-    if t == 0 {
-        return Err("--threads must be at least 1".to_owned());
-    }
-    Ok(t as usize)
-}
-
-fn parse_scenario_run(rest: &[String]) -> Result<Command, String> {
-    let mut file = None;
-    let mut resume_from = None;
-    let mut seed = None;
-    let mut rounds = None;
-    let mut trace = None;
-    let mut trace_last = None;
-    let mut kernel = None;
-    let mut threads = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = Some(parse_int(take_value("--seed", &mut it)?, "--seed")?),
-            "--threads" => threads = Some(parse_threads_value(&mut it)?),
-            "--rounds" => rounds = Some(parse_int(take_value("--rounds", &mut it)?, "--rounds")?),
-            "--trace" => trace = Some(take_value("--trace", &mut it)?.to_owned()),
-            "--trace-last" => {
-                let last = parse_int(take_value("--trace-last", &mut it)?, "--trace-last")?;
-                if last == 0 {
-                    return Err("--trace-last must be at least 1".to_owned());
-                }
-                trace_last = Some(last as usize);
-            }
-            "--kernel" => kernel = Some(parse_kernel_value(&mut it)?),
-            "--resume-from" => {
-                resume_from = Some(take_value("--resume-from", &mut it)?.to_owned());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("scenario run: unknown flag {flag}"))
-            }
-            path if file.is_none() => file = Some(path.to_owned()),
-            extra => return Err(format!("scenario run: unexpected argument '{extra}'")),
-        }
-    }
-    if let Some(snapshot) = resume_from {
-        if file.is_some() {
-            return Err(
-                "scenario run: FILE and --resume-from are mutually exclusive (the snapshot \
-                 embeds the spec)"
-                    .to_owned(),
-            );
-        }
-        if seed.is_some() {
-            return Err(
-                "scenario run: --seed cannot be combined with --resume-from (the snapshot \
-                 pins its seed)"
-                    .to_owned(),
-            );
-        }
-        if trace.is_some() || trace_last.is_some() {
-            return Err(
-                "scenario run: --trace/--trace-last cannot be combined with --resume-from"
-                    .to_owned(),
-            );
-        }
-        return Ok(Command::ScenarioResume {
-            snapshot,
-            rounds,
-            kernel,
-            threads,
-        });
-    }
-    let file = file.ok_or("scenario run: FILE is required")?;
-    Ok(Command::Scenario {
-        file,
-        seed,
-        rounds,
-        trace,
-        trace_last,
-        kernel,
-        threads,
-    })
-}
-
-fn parse_scenario_step(rest: &[String]) -> Result<Command, String> {
-    let mut file = None;
-    let mut resume_from = None;
-    let mut rounds = None;
-    let mut out = None;
-    let mut seed = None;
-    let mut kernel = None;
-    let mut threads = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--rounds" => rounds = Some(parse_int(take_value("--rounds", &mut it)?, "--rounds")?),
-            "--out" => out = Some(take_value("--out", &mut it)?.to_owned()),
-            "--seed" => seed = Some(parse_int(take_value("--seed", &mut it)?, "--seed")?),
-            "--kernel" => kernel = Some(parse_kernel_value(&mut it)?),
-            "--threads" => threads = Some(parse_threads_value(&mut it)?),
-            "--resume-from" => {
-                resume_from = Some(take_value("--resume-from", &mut it)?.to_owned());
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("scenario step: unknown flag {flag}"))
-            }
-            path if file.is_none() => file = Some(path.to_owned()),
-            extra => return Err(format!("scenario step: unexpected argument '{extra}'")),
-        }
-    }
-    if file.is_some() == resume_from.is_some() {
-        return Err(
-            "scenario step: exactly one of FILE or --resume-from SNAP is required".to_owned(),
-        );
-    }
-    if seed.is_some() && resume_from.is_some() {
-        return Err(
-            "scenario step: --seed cannot be combined with --resume-from (the snapshot pins \
-             its seed)"
-                .to_owned(),
-        );
-    }
-    let rounds = rounds.ok_or("scenario step: --rounds N is required")?;
-    Ok(Command::ScenarioStep {
-        file,
-        resume_from,
-        rounds,
-        out,
-        seed,
-        kernel,
-        threads,
-    })
-}
-
-fn parse_scenario_export(rest: &[String]) -> Result<Command, String> {
-    let mut file = None;
-    let mut seed = None;
-    let mut out = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = Some(parse_int(take_value("--seed", &mut it)?, "--seed")?),
-            "--out" => out = Some(take_value("--out", &mut it)?.to_owned()),
-            flag if flag.starts_with('-') => {
-                return Err(format!("scenario export: unknown flag {flag}"))
-            }
-            path if file.is_none() => file = Some(path.to_owned()),
-            extra => return Err(format!("scenario export: unexpected argument '{extra}'")),
-        }
-    }
-    let file = file.ok_or("scenario export: FILE is required")?;
-    Ok(Command::ScenarioExport { file, seed, out })
-}
-
-fn parse_scenario_shrink(rest: &[String]) -> Result<Command, String> {
-    let mut file = None;
-    let mut seed = None;
-    let mut quick = false;
-    let mut out = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => seed = Some(parse_int(take_value("--seed", &mut it)?, "--seed")?),
-            "--quick" => quick = true,
-            "--out" => out = Some(take_value("--out", &mut it)?.to_owned()),
-            flag if flag.starts_with('-') => {
-                return Err(format!("scenario shrink: unknown flag {flag}"))
-            }
-            path if file.is_none() => file = Some(path.to_owned()),
-            extra => return Err(format!("scenario shrink: unexpected argument '{extra}'")),
-        }
-    }
-    let file = file.ok_or("scenario shrink: FILE is required")?;
-    Ok(Command::ScenarioShrink {
-        file,
-        seed,
-        quick,
-        out,
-    })
-}
-
-/// The `bfw graph` verbs (beyond the legacy one-SPEC describe form).
-const GRAPH_VERBS: &[&str] = &["export", "import", "validate"];
-
-fn parse_graph(args: &[String]) -> Result<Command, String> {
-    let Some((first, rest)) = args.split_first() else {
-        return Err("graph needs a SPEC or a subcommand (export | import | validate)".to_owned());
-    };
-    match first.as_str() {
-        "export" => {
-            let (positional, out) = parse_out_flag("graph export", rest)?;
-            let [spec] = positional.as_slice() else {
-                return Err("graph export takes exactly one SPEC argument".to_owned());
-            };
-            Ok(Command::GraphExport {
-                spec: spec.parse().map_err(|e| format!("{e}"))?,
-                out,
-            })
-        }
-        "import" => {
-            let (positional, out) = parse_out_flag("graph import", rest)?;
-            let [file] = positional.as_slice() else {
-                return Err("graph import takes exactly one FILE argument".to_owned());
-            };
-            Ok(Command::GraphImport {
-                file: (*file).clone(),
-                out,
-            })
-        }
-        "validate" => match rest {
-            [] => Ok(Command::GraphValidate { file: None }),
-            [file] if file.as_str() == "-" => Ok(Command::GraphValidate { file: None }),
-            [file] => Ok(Command::GraphValidate {
-                file: Some(file.clone()),
-            }),
-            _ => Err("graph validate takes at most one FILE argument (default: stdin)".to_owned()),
-        },
-        spec if rest.is_empty() => Ok(Command::Graph {
-            spec: spec.parse().map_err(|e| {
-                // A misspelled verb lands here as a bogus graph spec:
-                // hint at the verbs alongside the spec error.
-                format!("{e}{}", did_you_mean(spec, GRAPH_VERBS))
-            })?,
-        }),
-        other => Err(format!(
-            "unknown graph subcommand '{other}'{}; valid: export, import, validate (or one SPEC)",
-            did_you_mean(other, GRAPH_VERBS)
-        )),
-    }
-}
-
-/// Splits `--out FILE` from the positional arguments of a graph verb.
-fn parse_out_flag(ctx: &str, args: &[String]) -> Result<(Vec<String>, Option<String>), String> {
-    let mut positional = Vec::new();
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => out = Some(take_value("--out", &mut it)?.to_owned()),
-            flag if flag.starts_with("--") => return Err(format!("{ctx}: unknown flag {flag}")),
-            _ => positional.push(arg.clone()),
-        }
-    }
-    Ok((positional, out))
-}
-
-/// The `bfw report` verbs.
-const REPORT_VERBS: &[&str] = &["validate", "diff", "history"];
-
-fn parse_report(args: &[String]) -> Result<Command, String> {
-    let Some((verb, rest)) = args.split_first() else {
-        return Err("report needs a subcommand (validate | diff | history)".to_owned());
-    };
-    match verb.as_str() {
-        "validate" => {
-            if rest.is_empty() {
-                return Err("report validate needs at least one FILE".to_owned());
-            }
-            Ok(Command::ReportValidate {
-                files: rest.to_vec(),
-            })
-        }
-        "diff" => {
-            let [left, right] = rest else {
-                return Err("report diff takes exactly two FILE arguments".to_owned());
-            };
-            Ok(Command::ReportDiff {
-                left: left.clone(),
-                right: right.clone(),
-            })
-        }
-        "history" => {
-            let (files, out) = parse_out_flag("report history", rest)?;
-            if files.is_empty() {
-                return Err(
-                    "report history needs at least one bfw/bench-report FILE (oldest first)"
-                        .to_owned(),
-                );
-            }
-            Ok(Command::ReportHistory { files, out })
-        }
-        other => Err(format!(
-            "unknown report subcommand '{other}'{}; valid: validate, diff, history",
-            did_you_mean(other, REPORT_VERBS)
-        )),
-    }
-}
-
-fn parse_int(s: &str, flag: &str) -> Result<u64, String> {
-    s.parse()
-        .map_err(|_| format!("{flag} needs an integer, got '{s}'"))
-}
-
-/// Executes a parsed command, returning the text to print.
-///
-/// # Errors
-///
-/// Returns a message when the underlying election or experiment fails
-/// (e.g. budget exhausted, unknown experiment name).
-pub fn execute(cmd: Command) -> Result<String, String> {
-    match cmd {
-        Command::Help => Ok(usage()),
-        Command::Graph { spec } => describe_graph(&spec),
-        Command::GraphExport { spec, out } => graph_export(&spec, out.as_deref()),
-        Command::GraphImport { file, out } => graph_import(&file, out.as_deref()),
-        Command::GraphValidate { file } => graph_validate(file.as_deref()),
-        Command::ReportValidate { files } => report_validate(&files),
-        Command::ReportDiff { left, right } => report_diff(&left, &right),
-        Command::ReportHistory { files, out } => report_history(&files, out.as_deref()),
-        Command::Run {
-            spec,
-            p,
-            seed,
-            max_rounds,
-            stability,
-        } => run_one(&spec, p, seed, max_rounds, stability),
-        Command::Trace {
-            spec,
-            p,
-            seed,
-            rounds,
-            duel,
-        } => trace_one(&spec, p, seed, rounds, duel),
-        Command::Invariants {
-            spec,
-            p,
-            seed,
-            rounds,
-        } => audit_one(&spec, p, seed, rounds),
-        Command::Scenario {
-            file,
-            seed,
-            rounds,
-            trace,
-            trace_last,
-            kernel,
-            threads,
-        } => run_scenario(&file, seed, rounds, trace, trace_last, kernel, threads),
-        Command::ScenarioResume {
-            snapshot,
-            rounds,
-            kernel,
-            threads,
-        } => scenario_resume_run(&snapshot, rounds, kernel, threads),
-        Command::ScenarioValidate { file } => scenario_validate(&file),
-        Command::ScenarioStep {
-            file,
-            resume_from,
-            rounds,
-            out,
-            seed,
-            kernel,
-            threads,
-        } => scenario_step(
-            file.as_deref(),
-            resume_from.as_deref(),
-            rounds,
-            out.as_deref(),
-            seed,
-            kernel,
-            threads,
-        ),
-        Command::ScenarioExport { file, seed, out } => scenario_export(&file, seed, out.as_deref()),
-        Command::ScenarioShrink {
-            file,
-            seed,
-            quick,
-            out,
-        } => scenario_shrink(&file, seed, quick, out.as_deref()),
-        Command::Experiment {
-            names,
-            quick,
-            noise,
-            trials,
-            seed,
-            out: out_dir,
-        } => {
-            let mut cfg = if quick {
-                ExpConfig::quick()
-            } else {
-                ExpConfig::full()
-            };
-            cfg.noise = noise;
-            if let Some(t) = trials {
-                cfg.trials = t;
-            }
-            if let Some(s) = seed {
-                cfg.seed = s;
-            }
-            let registry = experiments::all();
-            let selected: Vec<_> = if names.is_empty() {
-                registry
-            } else {
-                names
-                    .iter()
-                    .map(|n| {
-                        registry
-                            .iter()
-                            .find(|(name, _)| name == n)
-                            .copied()
-                            .ok_or_else(|| {
-                                let known: Vec<&str> =
-                                    registry.iter().map(|&(name, _)| name).collect();
-                                format!("unknown experiment '{n}'{}", did_you_mean(n, &known))
-                            })
-                    })
-                    .collect::<Result<_, _>>()?
-            };
-            let mut out = String::new();
-            for (_, runner) in selected {
-                let result = runner(&cfg);
-                let _ = writeln!(out, "{}", result.to_markdown());
-                if let Some(dir) = &out_dir {
-                    for path in result
-                        .write_csvs(Path::new(dir))
-                        .map_err(|e| format!("cannot write CSVs to {dir}: {e}"))?
-                    {
-                        let _ = writeln!(out, "wrote {}", path.display());
-                    }
-                }
-            }
-            Ok(out)
-        }
-    }
-}
-
-fn run_scenario(
-    file: &str,
-    seed: Option<u64>,
-    rounds: Option<u64>,
-    trace_file: Option<String>,
-    trace_last: Option<usize>,
-    kernel: Option<bfw_scenario::KernelKind>,
-    threads: Option<usize>,
-) -> Result<String, String> {
-    let (mut spec, graph) = load_scenario(file)?;
-    if let Some(rounds) = rounds {
-        spec.rounds = rounds;
-    }
-    if let Some(kernel) = kernel {
-        spec.kernel = kernel;
-    }
-    if let Some(threads) = threads {
-        spec.threads = Some(threads);
-    }
-    let seed = seed.unwrap_or(spec.seed);
-    // Tracing is on when any of the CLI flags or the spec's [trace]
-    // section asks for it; CLI values override the spec's.
-    let tracing = trace_file.is_some() || trace_last.is_some() || spec.trace.is_some();
-    let capacity = trace_last
-        .or_else(|| spec.trace.as_ref().map(|t| t.last))
-        .unwrap_or(256);
-    // A relative `[trace] file` lands next to the spec; the --trace
-    // flag is a path typed relative to the shell's directory.
-    let destination = trace_file.or_else(|| {
-        let name = spec.trace.as_ref()?.file.as_ref()?;
-        let spec_dir = std::path::Path::new(file)
-            .parent()
-            .unwrap_or(std::path::Path::new(""));
-        Some(spec_dir.join(name).display().to_string())
-    });
-    let (outcome, scenario_trace) =
-        bfw_scenario::run_bfw_scenario_traced(&spec, &graph, seed, tracing.then_some(capacity))
-            .map_err(|e| e.to_string())?;
-    // One structure, two views (see bfw_scenario::RunReport): the
-    // pinned stdout block and the versioned bfw/scenario-report JSON
-    // document cannot drift apart. Trace reporting is strictly
-    // appended *after* the pinned result block, so a traced run's
-    // output starts with the untraced output, byte for byte.
-    let report = bfw_scenario::RunReport::new(
-        &spec,
-        spec.graph.clone(),
-        graph.node_count(),
-        seed,
-        outcome,
-        scenario_trace,
-    );
-    let mut out = report.to_text();
-    if report.trace.is_some() {
-        if let Some(path) = destination {
-            let json = report.to_json_value().render_pretty();
-            std::fs::write(&path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let _ = writeln!(out, "wrote trace report to {path}");
-        }
-    }
-    Ok(out)
-}
-
-/// Reads and parses a scenario spec, reporting errors under the file's
-/// name.
-fn load_scenario_spec(file: &str) -> Result<bfw_scenario::ScenarioSpec, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    bfw_scenario::ScenarioSpec::parse(&text).map_err(|e| format!("{file}: {e}"))
-}
-
-/// [`load_scenario_spec`], plus the graph the spec names.
-fn load_scenario(file: &str) -> Result<(bfw_scenario::ScenarioSpec, Graph), String> {
-    let spec = load_scenario_spec(file)?;
-    let graph = spec.build_graph().map_err(|e| format!("{file}: {e}"))?;
-    Ok((spec, graph))
-}
-
-/// Reads and decodes a `bfw/engine-snapshot` document.
-fn load_snapshot(path: &str) -> Result<bfw_scenario::EngineSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    bfw_scenario::EngineSnapshot::from_json(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// `bfw scenario validate`: static analysis of a spec against its
-/// graph — no rounds are executed. Hard misconfigurations fail the
-/// command; legal-but-suspect conditions print as warning lines.
-fn scenario_validate(file: &str) -> Result<String, String> {
-    let (spec, graph) = load_scenario(file)?;
-    let warnings =
-        bfw_scenario::validate_scenario(&spec, &graph).map_err(|e| format!("{file}: {e}"))?;
-    let mut out = format!(
-        "{file}: ok — \"{}\", {} nodes, {} rounds, {} timeline entries",
-        spec.name,
-        graph.node_count(),
-        spec.rounds,
-        spec.timeline.entries().len()
-    );
-    for w in &warnings {
-        let _ = write!(out, "\n  warning: {w}");
-    }
-    Ok(out)
-}
-
-/// One summary line for a written snapshot.
-fn snapshot_summary_line(path: &str, snap: &bfw_scenario::EngineSnapshot) -> String {
-    format!(
-        "wrote {path} — bfw/engine-snapshot, \"{}\" at round {}/{} ({} nodes, {} crashed)",
-        snap.spec.name,
-        snap.round,
-        snap.spec.rounds,
-        snap.graph.node_count(),
-        snap.checkpoint.crashed.iter().filter(|&&c| c).count()
-    )
-}
-
-/// `bfw scenario step`: advance a fresh spec (or a prior snapshot) N
-/// rounds and emit the paused run as a `bfw/engine-snapshot` document.
-/// Kernel/thread flags choose the execution engine only — the emitted
-/// bytes are identical for every choice.
-fn scenario_step(
-    file: Option<&str>,
-    resume_from: Option<&str>,
-    rounds: u64,
-    out: Option<&str>,
-    seed: Option<u64>,
-    kernel: Option<bfw_scenario::KernelKind>,
-    threads: Option<usize>,
-) -> Result<String, String> {
-    let snap = match (file, resume_from) {
-        (Some(file), None) => {
-            let (spec, graph) = load_scenario(file)?;
-            let seed = seed.unwrap_or(spec.seed);
-            bfw_scenario::step_bfw_scenario(&spec, &graph, seed, rounds, kernel, threads)
-                .map_err(|e| e.to_string())?
-        }
-        (None, Some(path)) => {
-            let prior = load_snapshot(path)?;
-            bfw_scenario::resume_step_bfw_scenario(&prior, rounds, kernel, threads)
-                .map_err(|e| e.to_string())?
-        }
-        _ => unreachable!("the parser requires exactly one source"),
-    };
-    let rendered = snap.to_json_value().render_pretty();
-    match out {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            Ok(snapshot_summary_line(path, &snap))
-        }
-        None => Ok(rendered.trim_end_matches('\n').to_owned()),
-    }
-}
-
-/// `bfw scenario run --resume-from`: drive a snapshot to its horizon
-/// and print the same pinned report block a straight `scenario run` of
-/// the embedded spec would print — byte for byte.
-fn scenario_resume_run(
-    snapshot: &str,
-    rounds: Option<u64>,
-    kernel: Option<bfw_scenario::KernelKind>,
-    threads: Option<usize>,
-) -> Result<String, String> {
-    let mut snap = load_snapshot(snapshot)?;
-    if let Some(r) = rounds {
-        if r < snap.round {
-            return Err(format!(
-                "scenario run: --rounds {r} is before the snapshot round {} (the run cannot \
-                 rewind)",
-                snap.round
-            ));
-        }
-        snap.spec.rounds = r;
-    }
-    // The overrides pick the engine, and the report header shows them
-    // exactly as `scenario run` shows its flags; a finished run embeds
-    // no spec, so they can go straight into the snapshot's.
-    if let Some(k) = kernel {
-        snap.spec.kernel = k;
-    }
-    if threads.is_some() {
-        snap.spec.threads = threads;
-    }
-    // The report names the spec's workload; the graph itself comes from
-    // the snapshot, so the initial one is never generated.
-    let outcome =
-        bfw_scenario::resume_run_bfw_scenario(&snap, None, None).map_err(|e| e.to_string())?;
-    let (spec, nodes) = (&snap.spec, snap.graph.node_count());
-    let report =
-        bfw_scenario::RunReport::new(spec, spec.graph.clone(), nodes, snap.seed, outcome, None);
-    Ok(report.to_text())
-}
-
-/// `bfw scenario export`: the compiled all-`at` timeline as a
-/// canonical `bfw/scenario-spec` document.
-fn scenario_export(file: &str, seed: Option<u64>, out: Option<&str>) -> Result<String, String> {
-    let spec = load_scenario_spec(file)?;
-    let seed = seed.unwrap_or(spec.seed);
-    let rendered = bfw_scenario::spec_to_json(&spec, seed).render_pretty();
-    match out {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let summary = bfw_scenario::validate_scenario_spec(&rendered)
-                .map_err(|e| format!("{path}: {e}"))?;
-            Ok(format!(
-                "wrote {path} — bfw/scenario-spec, \"{}\" ({} rounds, {} events)",
-                summary.name, summary.rounds, summary.events
-            ))
-        }
-        None => Ok(rendered.trim_end_matches('\n').to_owned()),
-    }
-}
-
-/// `bfw scenario shrink`: minimize a wipeout timeline while the
-/// permanently-leaderless outcome still reproduces at the pinned seed.
-fn scenario_shrink(
-    file: &str,
-    seed: Option<u64>,
-    quick: bool,
-    out: Option<&str>,
-) -> Result<String, String> {
-    let (spec, graph) = load_scenario(file)?;
-    let seed = seed.unwrap_or(spec.seed);
-    let report =
-        bfw_scenario::shrink_wipeout(&spec, &graph, seed, quick).map_err(|e| e.to_string())?;
-    let mut text = report.to_text();
-    if let Some(path) = out {
-        let rendered = bfw_scenario::spec_to_json(&report.spec, seed).render_pretty();
-        std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = write!(
-            text,
-            "wrote {path} — bfw/scenario-spec, \"{}\" ({} events, horizon {})",
-            report.spec.name,
-            report.events.len(),
-            report.horizon
-        );
-    }
-    Ok(text.trim_end_matches('\n').to_owned())
-}
-
-/// `bfw graph export`: builds the workload and emits the canonical
-/// `bfw/graph` document with generator provenance. Stdout output has no
-/// trailing newline (the binary's `println!` adds exactly one), and
-/// `--out` writes the same bytes plus that newline — so a piped export
-/// and an exported file are byte-identical, which the CI round-trip
-/// smoke checks with `cmp`.
-fn graph_export(spec: &GraphSpec, out: Option<&str>) -> Result<String, String> {
-    let doc = bfw_graph::io::GraphDoc {
-        graph: spec.try_build().map_err(|e| e.to_string())?,
-        provenance: Some(spec.provenance()),
-        delta: None,
-    };
-    let text = bfw_graph::io::export_json(&doc);
-    match out {
-        Some(path) => {
-            std::fs::write(path, format!("{text}\n"))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            Ok(format!(
-                "wrote {path} ({} nodes, {} edges)",
-                doc.graph.node_count(),
-                doc.graph.edge_count()
-            ))
-        }
-        None => Ok(text),
-    }
-}
-
-/// `bfw graph import`: parses a `bfw/graph` document, reports what it
-/// holds, and — with `--out` — re-exports the canonical form (a
-/// normalizing round-trip: import ∘ export is the identity on
-/// canonical documents).
-fn graph_import(file: &str, out: Option<&str>) -> Result<String, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let doc = bfw_graph::io::import_json(&text).map_err(|e| format!("{file}: {e}"))?;
-    let mut report = format!(
-        "imported {file}: {} nodes, {} edges",
-        doc.graph.node_count(),
-        doc.graph.edge_count()
-    );
-    if let Some(p) = &doc.provenance {
-        let _ = write!(report, ", family {}", p.family);
-    }
-    if let Some(delta) = &doc.delta {
-        let _ = write!(report, ", overlay of {} edit(s)", delta.len());
-    }
-    if let Some(path) = out {
-        let canonical = bfw_graph::io::export_json(&doc);
-        std::fs::write(path, format!("{canonical}\n"))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = write!(report, "\nwrote {path}");
-    }
-    Ok(report)
-}
-
-/// `bfw graph validate`: checks a `bfw/graph` document from a file or
-/// stdin and reports its summary, or fails with the schema error's
-/// JSON-pointer path.
-fn graph_validate(file: Option<&str>) -> Result<String, String> {
-    let (text, source) = match file {
-        Some(path) => (
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?,
-            path.to_owned(),
-        ),
-        None => {
-            let mut text = String::new();
-            std::io::Read::read_to_string(&mut std::io::stdin(), &mut text)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            (text, "<stdin>".to_owned())
-        }
-    };
-    let summary = bfw_graph::io::validate_json(&text).map_err(|e| format!("{source}: {e}"))?;
-    Ok(format!(
-        "{source}: ok — bfw/graph, {} nodes, {} edges{}",
-        summary.nodes,
-        summary.edges,
-        summary
-            .family
-            .map(|f| format!(", family {f}"))
-            .unwrap_or_default()
-    ))
-}
-
-/// `bfw report validate`: dispatches each file on its envelope
-/// `format` field to the matching schema validator and prints one
-/// summary line per file. The first invalid file fails the command.
-fn report_validate(files: &[String]) -> Result<String, String> {
-    let mut out = String::new();
-    for file in files {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        let value =
-            bfw_stats::JsonValue::parse(&text).map_err(|e| format!("{file}: not JSON: {e}"))?;
-        let format = value
-            .get("format")
-            .and_then(bfw_stats::JsonValue::as_str)
-            .ok_or_else(|| format!("{file}: missing \"format\" envelope field"))?;
-        let line = match format {
-            "bfw/graph" => {
-                let s = bfw_graph::io::validate_json(&text).map_err(|e| format!("{file}: {e}"))?;
-                format!(
-                    "{file}: ok — bfw/graph, {} nodes, {} edges",
-                    s.nodes, s.edges
-                )
-            }
-            "bfw/bench-report" => {
-                let s = bfw_bench::report::validate_bench_report(&text)
-                    .map_err(|e| format!("{file}: {e}"))?;
-                format!(
-                    "{file}: ok — bfw/bench-report, {} ({} rows)",
-                    s.experiment, s.rows
-                )
-            }
-            "bfw/scenario-report" => {
-                let s =
-                    bfw_scenario::validate_run_report(&text).map_err(|e| format!("{file}: {e}"))?;
-                format!(
-                    "{file}: ok — bfw/scenario-report, \"{}\" ({} rounds{})",
-                    s.scenario,
-                    s.rounds_run,
-                    if s.traced { ", traced" } else { "" }
-                )
-            }
-            "bfw/bench-history" => {
-                let s = bfw_bench::report::validate_bench_history(&text)
-                    .map_err(|e| format!("{file}: {e}"))?;
-                format!(
-                    "{file}: ok — bfw/bench-history, {} ({} points, {} changed paths)",
-                    s.experiment, s.points, s.changes
-                )
-            }
-            "bfw/engine-snapshot" => {
-                let s = bfw_scenario::validate_engine_snapshot(&text)
-                    .map_err(|e| format!("{file}: {e}"))?;
-                format!(
-                    "{file}: ok — bfw/engine-snapshot, \"{}\" at round {}/{} ({} nodes, {} crashed)",
-                    s.name, s.round, s.rounds, s.nodes, s.crashed
-                )
-            }
-            "bfw/scenario-spec" => {
-                let s = bfw_scenario::validate_scenario_spec(&text)
-                    .map_err(|e| format!("{file}: {e}"))?;
-                format!(
-                    "{file}: ok — bfw/scenario-spec, \"{}\" ({} rounds, {} events)",
-                    s.name, s.rounds, s.events
-                )
-            }
-            other => {
-                let known = &[
-                    "bfw/graph",
-                    "bfw/bench-report",
-                    "bfw/scenario-report",
-                    "bfw/bench-history",
-                    "bfw/engine-snapshot",
-                    "bfw/scenario-spec",
-                ];
-                return Err(format!(
-                    "{file}: unknown format \"{other}\"{}; valid: {}",
-                    did_you_mean(other, known),
-                    known.join(", ")
-                ));
-            }
-        };
-        let _ = writeln!(out, "{line}");
-    }
-    out.truncate(out.trim_end_matches('\n').len());
-    Ok(out)
-}
-
-/// `bfw report diff`: structural comparison of two JSON documents,
-/// printed as a `bfw/report-diff` document — one entry per differing
-/// JSON-pointer path, with the left/right values (`null` = absent).
-fn report_diff(left: &str, right: &str) -> Result<String, String> {
-    let read = |path: &str| -> Result<bfw_stats::JsonValue, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        bfw_stats::JsonValue::parse(&text).map_err(|e| format!("{path}: not JSON: {e}"))
-    };
-    let entries = bfw_stats::diff(&read(left)?, &read(right)?);
-    let rendered = bfw_stats::diff_to_json(&entries).render_pretty();
-    Ok(rendered.trim_end_matches('\n').to_owned())
-}
-
-/// `bfw report history`: folds a chronological sequence of
-/// `bfw/bench-report` documents (same experiment) into one
-/// `bfw/bench-history` document — the input reports verbatim as
-/// `points`, plus a precomputed diff per consecutive pair as `deltas`.
-fn report_history(files: &[String], out: Option<&str>) -> Result<String, String> {
-    let mut reports = Vec::with_capacity(files.len());
-    for file in files {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        let value =
-            bfw_stats::JsonValue::parse(&text).map_err(|e| format!("{file}: not JSON: {e}"))?;
-        reports.push(value);
-    }
-    let history = bfw_bench::report::bench_history(&reports).map_err(|e| e.to_string())?;
-    let rendered = history.render_pretty();
-    match out {
-        Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            let summary = bfw_bench::report::validate_bench_history(&rendered)
-                .map_err(|e| format!("{path}: {e}"))?;
-            Ok(format!(
-                "wrote {path} — bfw/bench-history, {} ({} points, {} changed paths)",
-                summary.experiment, summary.points, summary.changes
-            ))
-        }
-        None => Ok(rendered.trim_end_matches('\n').to_owned()),
-    }
-}
-
-fn describe_graph(spec: &GraphSpec) -> Result<String, String> {
-    let diameter = spec.try_diameter().map_err(|e| e.to_string())?;
-    let g = spec.try_build().map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let _ = writeln!(out, "spec:      {spec}");
-    let _ = writeln!(out, "nodes:     {}", g.node_count());
-    let _ = writeln!(out, "edges:     {}", g.edge_count());
-    let _ = writeln!(out, "connected: {}", algo::is_connected(&g));
-    match diameter {
-        Some(d) => {
-            let _ = writeln!(out, "diameter:  {d}");
-            let _ = writeln!(
-                out,
-                "thm2 ref:  D²·ln n = {:.1} rounds",
-                theory::BfwChainTheory::theorem2_reference(d, g.node_count())
-            );
-        }
-        None => {
-            let _ = writeln!(out, "diameter:  n/a (disconnected)");
-        }
-    }
-    if let Some(ds) = algo::degree_stats(&g) {
-        let _ = writeln!(
-            out,
-            "degrees:   min {} / mean {:.2} / max {}",
-            ds.min, ds.mean, ds.max
-        );
-    }
-    Ok(out)
-}
-
-fn run_one(
-    spec: &GraphSpec,
-    p: Option<f64>,
-    seed: u64,
-    max_rounds: u64,
-    stability: u64,
-) -> Result<String, String> {
-    let topology = spec.try_topology().map_err(|e| e.to_string())?;
-    let p = match p {
-        Some(p) => p,
-        None => {
-            let d = spec
-                .try_diameter()
-                .map_err(|e| format!("{e}; --known-d needs it, pass --p P instead"))?
-                .expect("workload graphs are connected");
-            1.0 / (f64::from(d) + 1.0)
-        }
-    };
-    if !(p > 0.0 && p < 1.0) {
-        return Err(format!("p must be in (0, 1), got {p}"));
-    }
-    let outcome = run_election(
-        Bfw::new(p),
-        topology,
-        seed,
-        ElectionConfig::new(max_rounds).with_stability_check(stability),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let _ = writeln!(out, "graph:            {spec}");
-    let _ = writeln!(out, "p:                {p}");
-    let _ = writeln!(out, "seed:             {seed}");
-    let _ = writeln!(out, "leader:           node {}", outcome.leader);
-    let _ = writeln!(out, "converged round:  {}", outcome.converged_round);
-    let _ = writeln!(out, "total beeps:      {}", outcome.total_beeps);
-    let _ = writeln!(
-        out,
-        "stability:        {}",
-        if stability == 0 {
-            "not checked".to_owned()
-        } else if outcome.stable {
-            format!("leader unchanged for {stability} extra rounds")
-        } else {
-            "VIOLATED".to_owned()
-        }
-    );
-    Ok(out)
-}
-
-fn audit_one(spec: &GraphSpec, p: f64, seed: u64, rounds: u64) -> Result<String, String> {
-    use bfw_core::{flow, FlowAuditor, InvariantChecker};
-    use rand::SeedableRng as _;
-
-    if !(p > 0.0 && p < 1.0) {
-        return Err(format!("p must be in (0, 1), got {p}"));
-    }
-    let graph = spec.try_build().map_err(|e| e.to_string())?;
-    let n = graph.node_count();
-    if n == 0 {
-        return Err("cannot audit an empty graph".to_owned());
-    }
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xA0D1);
-    let mut auditor = FlowAuditor::new(n);
-    for _ in 0..6 {
-        let start = NodeId::new(rand::Rng::random_range(&mut rng, 0..n));
-        if let Some(path) = flow::random_walk_path(&graph, start, 12, &mut rng) {
-            auditor.register_path(path);
-        }
-    }
-    let mut checker = InvariantChecker::new(&graph).with_lemma11(n <= 64);
-    let mut net = Network::new(Bfw::new(p), graph.into(), seed);
-    net.run_until(rounds, |v| {
-        auditor.on_round(v);
-        checker.on_round(v);
-        false
-    });
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "audited {spec} for {rounds} rounds (p = {p}, seed = {seed}):"
-    );
-    let _ = writeln!(
-        out,
-        "  flow theory (Ohm's law / Lemma 7 / Lemma 11): {} checks, {} violation(s)",
-        auditor.checks_performed(),
-        auditor.violations().len()
-    );
-    let _ = writeln!(
-        out,
-        "  invariants (Claim 6 / Lemma 9 / monotonicity): {} rounds, {} violation(s)",
-        checker.report().rounds_checked(),
-        checker.report().violations().len()
-    );
-    for v in auditor
-        .violations()
-        .iter()
-        .chain(checker.report().violations())
-    {
-        let _ = writeln!(out, "  !! {v}");
-    }
-    if auditor.violations().is_empty() && checker.report().is_clean() {
-        let _ = writeln!(out, "  all clean — Section 3 holds on this execution.");
-    }
-    Ok(out)
-}
-
-fn trace_one(
-    spec: &GraphSpec,
-    p: f64,
-    seed: u64,
-    rounds: u64,
-    duel: bool,
-) -> Result<String, String> {
-    if !(p > 0.0 && p < 1.0) {
-        return Err(format!("p must be in (0, 1), got {p}"));
-    }
-    let topology = spec.try_topology().map_err(|e| e.to_string())?;
-    let n = topology.node_count();
-    if n == 0 {
-        return Err("cannot trace an empty graph".to_owned());
-    }
-    let mut protocol = Bfw::new(p);
-    if duel {
-        protocol = protocol.with_initial_config(InitialConfig::Nodes(vec![
-            NodeId::new(0),
-            NodeId::new(n - 1),
-        ]));
-    }
-    let mut net = Network::new(protocol, topology, seed);
-    let mut trace = Vec::new();
-    net.run_until(rounds, |v| {
-        trace.push(v.states.to_vec());
-        false
-    });
-    let mut out = String::new();
-    let _ = writeln!(out, "{spec}, p = {p}, seed = {seed} (legend below)\n");
-    out.push_str(&viz::render_trace(&trace));
-    let _ = writeln!(out, "\n{}", viz::legend());
-    let _ = writeln!(
-        out,
-        "\nleaders remaining after round {}: {}",
-        net.round(),
-        net.leader_count()
-    );
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> Vec<String> {
-        s.split_whitespace().map(str::to_owned).collect()
+    /// Runs one command line given as separate arguments.
+    fn cli(args: &[&str]) -> Result<String, String> {
+        run(&args.iter().map(|&a| a.to_owned()).collect::<Vec<_>>())
+    }
+
+    /// Writes a scenario spec into a fresh directory under the system
+    /// temp dir and returns its path.
+    fn spec_file(dir: &str, name: &str, toml: &str) -> String {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, toml).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    /// Drops the execution-stack header lines, which name the kernel
+    /// and thread count a run used.
+    fn strip_stack(s: &str) -> String {
+        s.lines()
+            .filter(|l| !l.starts_with("kernel:") && !l.starts_with("threads:"))
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     #[test]
     fn parse_help_variants() {
-        assert_eq!(parse(&argv("")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
-        assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+        for args in [&[][..], &["help"], &["--help"], &["-h"]] {
+            assert_eq!(cli(args).unwrap(), usage(), "{args:?}");
+        }
     }
 
     #[test]
     fn parse_run_defaults_and_flags() {
-        let cmd = parse(&argv("run --graph cycle:8")).unwrap();
-        match cmd {
-            Command::Run { spec, p, seed, .. } => {
-                assert_eq!(spec, GraphSpec::Cycle(8));
-                assert_eq!(p, Some(0.5));
-                assert_eq!(seed, 0);
-            }
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse(&argv(
-            "run --graph path:9 --known-d --seed 7 --max-rounds 100",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Run {
-                p,
-                seed,
-                max_rounds,
-                ..
-            } => {
-                assert_eq!(p, None);
-                assert_eq!(seed, 7);
-                assert_eq!(max_rounds, 100);
-            }
-            other => panic!("{other:?}"),
-        }
+        let out = cli(&["run", "--graph", "cycle:8"]).unwrap();
+        assert!(out.contains("graph:            cycle:8\n"), "{out}");
+        assert!(out.contains("p:                0.5\n"), "{out}");
+        assert!(out.contains("seed:             0\n"), "{out}");
+        assert!(out.contains("unchanged for 1000 extra rounds"), "{out}");
+        let out = cli(&["run", "--graph", "path:9", "--known-d", "--seed", "7"]).unwrap();
+        assert!(out.contains("p:                0.1111"), "{out}");
+        assert!(out.contains("seed:             7\n"), "{out}");
+        let err = cli(&["run", "--graph", "path:9", "--max-rounds", "1"]).unwrap_err();
+        assert_eq!(err, "no convergence within 1 rounds (9 leaders remaining)");
+        // `--p` and `--known-d` override each other: the last one wins.
+        let out = cli(&["run", "--graph", "path:9", "--p", "0.3", "--known-d"]).unwrap();
+        assert!(out.contains("p:                0.1111"), "{out}");
+        let out = cli(&["run", "--graph", "path:9", "--known-d", "--p", "0.3"]).unwrap();
+        assert!(out.contains("p:                0.3\n"), "{out}");
     }
 
     #[test]
     fn parse_errors_are_informative() {
-        assert!(parse(&argv("run")).unwrap_err().contains("--graph"));
-        assert!(parse(&argv("run --graph nope:1"))
+        assert!(cli(&["run"]).unwrap_err().contains("--graph"));
+        assert!(cli(&["run", "--graph", "nope:1"])
             .unwrap_err()
             .contains("unknown graph kind"));
-        assert!(parse(&argv("frobnicate"))
+        assert!(cli(&["frobnicate"])
             .unwrap_err()
             .contains("unknown command"));
-        assert!(parse(&argv("run --p"))
-            .unwrap_err()
-            .contains("needs a value"));
-        assert!(parse(&argv("graph a b"))
+        assert!(cli(&["run", "--p"]).unwrap_err().contains("needs a value"));
+        assert_eq!(
+            cli(&["run", "--graph", "cycle:8", "--seed", "x"]).unwrap_err(),
+            "--seed needs an integer, got 'x'"
+        );
+        assert_eq!(
+            cli(&["run", "--graph", "cycle:8", "cycle:9"]).unwrap_err(),
+            "run: unknown flag cycle:9"
+        );
+        assert!(cli(&["graph", "a", "b"])
             .unwrap_err()
             .contains("unknown graph subcommand"));
-        assert!(parse(&argv("graph export a b"))
+        assert!(cli(&["graph", "export", "a", "b"])
             .unwrap_err()
             .contains("exactly one"));
-        assert!(parse(&argv("experiment --bogus"))
+        assert!(cli(&["experiment", "--bogus"])
             .unwrap_err()
             .contains("unknown flag"));
+        // Zero trials would leave every summary empty.
+        assert_eq!(
+            cli(&["experiment", "thm2-n", "--quick", "--trials", "0"]).unwrap_err(),
+            "--trials must be at least 1"
+        );
     }
 
     #[test]
     fn execute_run_on_small_cycle() {
-        let out = execute(Command::Run {
-            spec: GraphSpec::Cycle(8),
-            p: Some(0.5),
-            seed: 1,
-            max_rounds: 100_000,
-            stability: 100,
-        })
+        let out = cli(&[
+            "run",
+            "--graph",
+            "cycle:8",
+            "--p",
+            "0.5",
+            "--seed",
+            "1",
+            "--max-rounds",
+            "100000",
+            "--stability",
+            "100",
+        ])
         .unwrap();
         assert!(out.contains("leader:"), "{out}");
         assert!(out.contains("converged round:"), "{out}");
-        assert!(out.contains("unchanged"), "{out}");
+        assert!(out.contains("unchanged for 100 extra rounds"), "{out}");
     }
 
     #[test]
     fn execute_run_known_d() {
-        let out = execute(Command::Run {
-            spec: GraphSpec::Path(9),
-            p: None,
-            seed: 1,
-            max_rounds: 1_000_000,
-            stability: 0,
-        })
+        let out = cli(&[
+            "run",
+            "--graph",
+            "path:9",
+            "--known-d",
+            "--seed",
+            "1",
+            "--stability",
+            "0",
+        ])
         .unwrap();
         assert!(out.contains("p:                0.1111"), "{out}");
+        assert!(out.contains("stability:        not checked"), "{out}");
     }
 
     #[test]
     fn execute_trace_duel() {
-        let out = execute(Command::Trace {
-            spec: GraphSpec::Path(9),
-            p: 0.5,
-            seed: 3,
-            rounds: 10,
-            duel: true,
-        })
+        let out = cli(&[
+            "trace", "--graph", "path:9", "--p", "0.5", "--seed", "3", "--rounds", "10", "--duel",
+        ])
         .unwrap();
         assert!(out.contains("L.......L"), "{out}"); // 9 nodes: ends + 7 waiting
         assert!(out.contains("W•"), "{out}");
+        assert!(out.contains("leaders remaining after round 10"), "{out}");
     }
 
     #[test]
     fn execute_graph_describes_topology() {
-        let out = execute(Command::Graph {
-            spec: GraphSpec::Grid(3, 4),
-        })
-        .unwrap();
+        let out = cli(&["graph", "grid:3x4"]).unwrap();
         assert!(out.contains("nodes:     12"), "{out}");
         assert!(out.contains("diameter:  5"), "{out}");
     }
 
     #[test]
     fn execute_unknown_experiment_fails() {
-        let err = execute(Command::Experiment {
-            names: vec!["nope".into()],
-            quick: true,
-            noise: false,
-            trials: Some(1),
-            seed: None,
-            out: None,
-        })
-        .unwrap_err();
+        let err = cli(&["experiment", "nope", "--quick", "--trials", "1"]).unwrap_err();
         assert!(err.contains("unknown experiment"));
     }
 
@@ -1691,105 +340,87 @@ mod tests {
 
     #[test]
     fn parse_and_execute_invariants() {
-        let cmd = parse(&argv("invariants --graph cycle:10 --rounds 200 --seed 4")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Invariants {
-                spec: GraphSpec::Cycle(10),
-                p: 0.5,
-                seed: 4,
-                rounds: 200
-            }
+        let out = cli(&[
+            "invariants",
+            "--graph",
+            "cycle:10",
+            "--rounds",
+            "200",
+            "--seed",
+            "4",
+        ])
+        .unwrap();
+        assert!(
+            out.starts_with("audited cycle:10 for 200 rounds (p = 0.5, seed = 4):\n"),
+            "{out}"
         );
-        let out = execute(cmd).unwrap();
         assert!(out.contains("all clean"), "{out}");
         assert!(out.contains("0 violation(s)"), "{out}");
     }
 
     #[test]
     fn invariants_requires_graph() {
-        assert!(parse(&argv("invariants")).unwrap_err().contains("--graph"));
+        assert!(cli(&["invariants"]).unwrap_err().contains("--graph"));
     }
 
     #[test]
     fn parse_scenario_run() {
-        assert_eq!(
-            parse(&argv("scenario run churn.toml --seed 9 --rounds 500")).unwrap(),
-            Command::Scenario {
-                file: "churn.toml".into(),
-                seed: Some(9),
-                rounds: Some(500),
-                trace: None,
-                trace_last: None,
-                kernel: None,
-                threads: None,
-            }
+        // Flags are read before the (missing) file is.
+        let err = cli(&[
+            "scenario",
+            "run",
+            "/nonexistent/churn.toml",
+            "--seed",
+            "9",
+            "--rounds",
+            "500",
+        ])
+        .unwrap_err();
+        assert!(
+            err.starts_with("cannot read /nonexistent/churn.toml"),
+            "{err}"
         );
-        assert!(parse(&argv("scenario")).unwrap_err().contains("run FILE"));
-        assert!(parse(&argv("scenario list"))
+        assert!(cli(&["scenario"]).unwrap_err().contains("run FILE"));
+        assert!(cli(&["scenario", "list"])
             .unwrap_err()
             .contains("unknown subcommand"));
-        assert!(parse(&argv("scenario run"))
+        assert!(cli(&["scenario", "run"])
             .unwrap_err()
             .contains("FILE is required"));
-        assert!(parse(&argv("scenario run a.toml b.toml"))
+        assert!(cli(&["scenario", "run", "a.toml", "b.toml"])
             .unwrap_err()
             .contains("unexpected argument"));
-        assert!(parse(&argv("scenario run a.toml --bogus"))
+        assert!(cli(&["scenario", "run", "a.toml", "--bogus"])
             .unwrap_err()
             .contains("unknown flag"));
     }
 
     #[test]
     fn parse_scenario_kernel_flag() {
-        for (name, kind) in [
-            ("auto", bfw_scenario::KernelKind::Auto),
-            ("generic", bfw_scenario::KernelKind::Generic),
-            ("bit", bfw_scenario::KernelKind::Bit),
-        ] {
-            assert_eq!(
-                parse(&argv(&format!("scenario run a.toml --kernel {name}"))).unwrap(),
-                Command::Scenario {
-                    file: "a.toml".into(),
-                    seed: None,
-                    rounds: None,
-                    trace: None,
-                    trace_last: None,
-                    kernel: Some(kind),
-                    threads: None,
-                }
-            );
+        for name in ["auto", "generic", "bit"] {
+            let err = cli(&["scenario", "run", "/nonexistent/a.toml", "--kernel", name]);
+            assert!(err.unwrap_err().starts_with("cannot read"), "{name}");
         }
         // The spec parser's name helper: the same hint as `kernel = "bitt"`.
-        assert!(parse(&argv("scenario run a.toml --kernel bitt"))
+        assert!(cli(&["scenario", "run", "a.toml", "--kernel", "bitt"])
             .unwrap_err()
             .contains("--kernel: unknown kernel 'bitt' (did you mean 'bit'?)"));
-        assert!(parse(&argv("scenario run a.toml --kernel"))
+        assert!(cli(&["scenario", "run", "a.toml", "--kernel"])
             .unwrap_err()
             .contains("needs a value"));
     }
 
     #[test]
     fn parse_scenario_threads_flag() {
-        assert_eq!(
-            parse(&argv("scenario run a.toml --threads 4")).unwrap(),
-            Command::Scenario {
-                file: "a.toml".into(),
-                seed: None,
-                rounds: None,
-                trace: None,
-                trace_last: None,
-                kernel: None,
-                threads: Some(4),
-            }
-        );
-        assert!(parse(&argv("scenario run a.toml --threads 0"))
+        let err = cli(&["scenario", "run", "/nonexistent/a.toml", "--threads", "4"]);
+        assert!(err.unwrap_err().starts_with("cannot read"));
+        assert!(cli(&["scenario", "run", "a.toml", "--threads", "0"])
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse(&argv("scenario run a.toml --threads"))
+        assert!(cli(&["scenario", "run", "a.toml", "--threads"])
             .unwrap_err()
             .contains("needs a value"));
-        assert!(parse(&argv("scenario run a.toml --threads four"))
+        assert!(cli(&["scenario", "run", "a.toml", "--threads", "four"])
             .unwrap_err()
             .contains("integer"));
     }
@@ -1798,30 +429,17 @@ mod tests {
     fn execute_scenario_kernels_agree_byte_for_byte() {
         // The acceptance-criteria property at CLI level: apart from the
         // kernel header line, the two kernels' outputs are identical.
-        let dir = std::env::temp_dir().join("bfw_cli_kernel_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kernels.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_kernel_test",
+            "kernels.toml",
             "[scenario]\nname = \"kernels\"\ngraph = \"cycle:64\"\nrounds = 4000\n\
              stability = 20\n\n[[event]]\nat = 1500\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 1600\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let run = |kernel| {
-            execute(Command::Scenario {
-                file: path.to_string_lossy().into_owned(),
-                seed: Some(42),
-                rounds: None,
-                trace: None,
-                trace_last: None,
-                kernel: Some(kernel),
-                threads: None,
-            })
-            .unwrap()
-        };
-        let generic = run(bfw_scenario::KernelKind::Generic);
-        let bit = run(bfw_scenario::KernelKind::Bit);
+        );
+        let run =
+            |kernel| cli(&["scenario", "run", &path, "--seed", "42", "--kernel", kernel]).unwrap();
+        let generic = run("generic");
+        let bit = run("bit");
         assert!(generic.contains("kernel:            generic"), "{generic}");
         assert!(bit.contains("kernel:            bit"), "{bit}");
         let strip = |s: &str| {
@@ -1832,7 +450,7 @@ mod tests {
         };
         assert_eq!(strip(&generic), strip(&bit));
         // Auto resolves to generic at this size and says so.
-        let auto = run(bfw_scenario::KernelKind::Auto);
+        let auto = run("auto");
         assert!(auto.contains("kernel:            generic"), "{auto}");
         assert_eq!(strip(&auto), strip(&bit));
     }
@@ -1841,31 +459,16 @@ mod tests {
     fn execute_scenario_thread_counts_agree_byte_for_byte() {
         // The tentpole property at CLI level: apart from the threads
         // header line, `--threads N` never changes a byte of output.
-        let dir = std::env::temp_dir().join("bfw_cli_threads_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("threads.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_threads_test",
+            "threads.toml",
             "[scenario]\nname = \"threads\"\ngraph = \"cycle:96\"\nrounds = 4000\n\
              stability = 20\nkernel = \"bit\"\n\n\
              [[event]]\nat = 1000\nkind = \"noise-burst\"\nfn = 0.01\nfp = 0.01\nrounds = 200\n\n\
              [[event]]\nat = 1500\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 1600\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let run = |threads: Option<usize>| {
-            execute(Command::Scenario {
-                file: path.to_string_lossy().into_owned(),
-                seed: Some(42),
-                rounds: None,
-                trace: None,
-                trace_last: None,
-                kernel: None,
-                threads,
-            })
-            .unwrap()
-        };
-        let serial = run(None);
+        );
+        let serial = cli(&["scenario", "run", &path, "--seed", "42"]).unwrap();
         assert!(!serial.contains("threads:"), "{serial}");
         let strip = |s: &str| {
             s.lines()
@@ -1873,8 +476,8 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        for t in [1usize, 2, 7] {
-            let sharded = run(Some(t));
+        for t in ["1", "2", "7"] {
+            let sharded = cli(&["scenario", "run", &path, "--seed", "42", "--threads", t]).unwrap();
             assert!(
                 sharded.contains(&format!("threads:           {t}")),
                 "{sharded}"
@@ -1885,36 +488,25 @@ mod tests {
 
     #[test]
     fn execute_scenario_end_to_end() {
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mini.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "mini.toml",
             "[scenario]\nname = \"mini\"\ngraph = \"cycle:8\"\nrounds = 6000\nstability = 20\n\n\
              [[event]]\nat = 2500\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 2600\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let run = |seed| {
-            execute(Command::Scenario {
-                file: path.to_string_lossy().into_owned(),
-                seed: Some(seed),
-                rounds: None,
-                trace: None,
-                trace_last: None,
-                kernel: None,
-                threads: None,
-            })
-            .unwrap()
-        };
-        let out = run(42);
+        );
+        let run = || cli(&["scenario", "run", &path, "--seed", "42"]).unwrap();
+        let out = run();
         assert!(out.contains("scenario:          mini"), "{out}");
         assert!(out.contains("protocol:          bfw"), "{out}");
         assert!(out.contains("rounds run:        6000"), "{out}");
         assert!(out.contains("crash-leader"), "{out}");
         assert!(out.contains("mean re-election latency:"), "{out}");
         // Byte-identical on repeat (the acceptance-criteria property).
-        assert_eq!(out, run(42));
+        assert_eq!(out, run());
+        // --rounds truncates the horizon.
+        let out = cli(&["scenario", "run", &path, "--seed", "42", "--rounds", "500"]).unwrap();
+        assert!(out.contains("rounds run:        500"), "{out}");
     }
 
     #[test]
@@ -1933,9 +525,7 @@ mod tests {
         ] {
             let spec = "[scenario]\ngraph = \"cycle:8\"\nrounds = 500\n[trace]\n";
             std::fs::write(&path, format!("{spec}file = \"{file}\"\n")).unwrap();
-            let out = parse(&argv(&format!("scenario run {}", path.display())))
-                .and_then(execute)
-                .unwrap();
+            let out = cli(&["scenario", "run", &path.to_string_lossy()]).unwrap();
             let wrote = format!("wrote trace report to {}\n", report.display());
             assert!(out.ends_with(&wrote), "{out}");
             let text = std::fs::read_to_string(&report).expect("the report is written");
@@ -1953,26 +543,14 @@ mod tests {
         // The self-healing stack through the whole CLI pipeline: crash
         // the only leader, never recover it — plain BFW would end
         // leaderless (see the engine tests); bfw+recovery must re-elect.
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("self_heal.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "self_heal.toml",
             "[scenario]\nname = \"self-heal\"\ngraph = \"cycle:8\"\nrounds = 30000\n\
              stability = 20\nprotocol = \"bfw+recovery\"\n\n\
              [[event]]\nat = 9000\nkind = \"crash-leader\"\n",
-        )
-        .unwrap();
-        let out = execute(Command::Scenario {
-            file: path.to_string_lossy().into_owned(),
-            seed: Some(5),
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap();
+        );
+        let out = cli(&["scenario", "run", &path, "--seed", "5"]).unwrap();
         assert!(out.contains("protocol:          bfw+recovery"), "{out}");
         assert!(out.contains("pending disruption: none"), "{out}");
         assert!(!out.contains("final leaders:     []"), "{out}");
@@ -1980,128 +558,121 @@ mod tests {
 
     #[test]
     fn execute_scenario_reports_file_and_spec_errors() {
-        let err = execute(Command::Scenario {
-            file: "/nonexistent/nope.toml".into(),
-            seed: None,
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap_err();
+        let err = cli(&["scenario", "run", "/nonexistent/nope.toml"]).unwrap_err();
         assert!(err.contains("cannot read"), "{err}");
 
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("broken.toml");
-        std::fs::write(&path, "[scenario]\nname = \"no graph\"\n").unwrap();
-        let err = execute(Command::Scenario {
-            file: path.to_string_lossy().into_owned(),
-            seed: None,
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap_err();
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "broken.toml",
+            "[scenario]\nname = \"no graph\"\n",
+        );
+        let err = cli(&["scenario", "run", &path]).unwrap_err();
         assert!(err.contains("graph"), "{err}");
     }
 
     #[test]
     fn parse_scenario_lifecycle_verbs() {
-        assert_eq!(
-            parse(&argv("scenario validate a.toml")).unwrap(),
-            Command::ScenarioValidate {
-                file: "a.toml".into()
-            }
-        );
-        assert!(parse(&argv("scenario validate"))
+        // Each accepted line reaches its (missing) file.
+        for args in [
+            &["scenario", "validate", "/nonexistent/a.toml"][..],
+            &[
+                "scenario",
+                "step",
+                "/nonexistent/a.toml",
+                "--rounds",
+                "500",
+                "--out",
+                "s.json",
+            ],
+            &[
+                "scenario",
+                "step",
+                "--resume-from",
+                "/nonexistent/s.json",
+                "--rounds",
+                "500",
+            ],
+            &[
+                "scenario",
+                "run",
+                "--resume-from",
+                "/nonexistent/s.json",
+                "--rounds",
+                "900",
+                "--kernel",
+                "bit",
+            ],
+            &[
+                "scenario",
+                "export",
+                "/nonexistent/a.toml",
+                "--seed",
+                "9",
+                "--out",
+                "spec.json",
+            ],
+            &["scenario", "shrink", "/nonexistent/a.toml", "--quick"],
+        ] {
+            let err = cli(args).unwrap_err();
+            assert!(
+                err.starts_with("cannot read /nonexistent/"),
+                "{args:?}: {err}"
+            );
+        }
+        assert!(cli(&["scenario", "validate"])
             .unwrap_err()
             .contains("exactly one FILE"));
-        assert_eq!(
-            parse(&argv("scenario step a.toml --rounds 500 --out s.json")).unwrap(),
-            Command::ScenarioStep {
-                file: Some("a.toml".into()),
-                resume_from: None,
-                rounds: 500,
-                out: Some("s.json".into()),
-                seed: None,
-                kernel: None,
-                threads: None,
-            }
-        );
-        assert_eq!(
-            parse(&argv("scenario step --resume-from s.json --rounds 500")).unwrap(),
-            Command::ScenarioStep {
-                file: None,
-                resume_from: Some("s.json".into()),
-                rounds: 500,
-                out: None,
-                seed: None,
-                kernel: None,
-                threads: None,
-            }
-        );
-        assert!(parse(&argv("scenario step a.toml"))
+        assert!(cli(&["scenario", "step", "a.toml"])
             .unwrap_err()
             .contains("--rounds N is required"));
-        assert!(parse(&argv("scenario step --rounds 5"))
+        assert!(cli(&["scenario", "step", "--rounds", "5"])
             .unwrap_err()
             .contains("exactly one of FILE or --resume-from"));
-        assert!(parse(&argv(
-            "scenario step a.toml --resume-from s.json --rounds 5"
-        ))
+        assert!(cli(&[
+            "scenario",
+            "step",
+            "a.toml",
+            "--resume-from",
+            "s.json",
+            "--rounds",
+            "5"
+        ])
         .unwrap_err()
         .contains("exactly one of FILE or --resume-from"));
-        assert!(parse(&argv(
-            "scenario step --resume-from s.json --rounds 5 --seed 3"
-        ))
+        assert!(cli(&[
+            "scenario",
+            "step",
+            "--resume-from",
+            "s.json",
+            "--rounds",
+            "5",
+            "--seed",
+            "3"
+        ])
         .unwrap_err()
         .contains("pins its seed"));
-        assert_eq!(
-            parse(&argv(
-                "scenario run --resume-from s.json --rounds 900 --kernel bit"
-            ))
-            .unwrap(),
-            Command::ScenarioResume {
-                snapshot: "s.json".into(),
-                rounds: Some(900),
-                kernel: Some(bfw_scenario::KernelKind::Bit),
-                threads: None,
-            }
-        );
-        assert!(parse(&argv("scenario run a.toml --resume-from s.json"))
-            .unwrap_err()
-            .contains("mutually exclusive"));
-        assert!(parse(&argv("scenario run --resume-from s.json --seed 4"))
-            .unwrap_err()
-            .contains("pins its seed"));
         assert!(
-            parse(&argv("scenario run --resume-from s.json --trace t.json"))
+            cli(&["scenario", "run", "a.toml", "--resume-from", "s.json"])
                 .unwrap_err()
-                .contains("--trace")
+                .contains("mutually exclusive")
         );
-        assert_eq!(
-            parse(&argv("scenario export a.toml --seed 9 --out spec.json")).unwrap(),
-            Command::ScenarioExport {
-                file: "a.toml".into(),
-                seed: Some(9),
-                out: Some("spec.json".into()),
-            }
+        assert!(
+            cli(&["scenario", "run", "--resume-from", "s.json", "--seed", "4"])
+                .unwrap_err()
+                .contains("pins its seed")
         );
-        assert_eq!(
-            parse(&argv("scenario shrink a.toml --quick")).unwrap(),
-            Command::ScenarioShrink {
-                file: "a.toml".into(),
-                seed: None,
-                quick: true,
-                out: None,
-            }
-        );
+        assert!(cli(&[
+            "scenario",
+            "run",
+            "--resume-from",
+            "s.json",
+            "--trace",
+            "t.json"
+        ])
+        .unwrap_err()
+        .contains("--trace"));
         // A misspelled verb gets a did-you-mean hint.
-        let err = parse(&argv("scenario vaildate a.toml")).unwrap_err();
+        let err = cli(&["scenario", "vaildate", "a.toml"]).unwrap_err();
         assert!(err.contains("did you mean 'validate'"), "{err}");
     }
 
@@ -2111,41 +682,20 @@ mod tests {
     /// and silently ignore the flag).
     #[test]
     fn threads_flag_engages_bit_kernel_below_auto_threshold() {
-        let dir = std::env::temp_dir().join("bfw_cli_auto_threads_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("auto.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_auto_threads_test",
+            "auto.toml",
             "[scenario]\nname = \"auto\"\ngraph = \"cycle:64\"\nrounds = 3000\nstability = 20\n\n\
              [[event]]\nat = 1000\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 1100\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let run = |threads: Option<usize>| {
-            execute(Command::Scenario {
-                file: path.to_string_lossy().into_owned(),
-                seed: Some(42),
-                rounds: None,
-                trace: None,
-                trace_last: None,
-                kernel: None,
-                threads,
-            })
-            .unwrap()
-        };
-        let serial = run(None);
+        );
+        let serial = cli(&["scenario", "run", &path, "--seed", "42"]).unwrap();
         assert!(serial.contains("kernel:            generic"), "{serial}");
-        let sharded = run(Some(4));
+        let sharded = cli(&["scenario", "run", &path, "--seed", "42", "--threads", "4"]).unwrap();
         assert!(sharded.contains("kernel:            bit"), "{sharded}");
         assert!(sharded.contains("threads:           4"), "{sharded}");
         // And the thread count still never changes the outcome.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("kernel:") && !l.starts_with("threads:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&serial), strip(&sharded));
+        assert_eq!(strip_stack(&serial), strip_stack(&sharded));
     }
 
     #[test]
@@ -2153,271 +703,191 @@ mod tests {
         // The acceptance-criteria property end to end: step 500, resume
         // 500, and the final report is byte-identical to one straight
         // 1000-round run — across kernels and thread counts.
-        let dir = std::env::temp_dir().join("bfw_cli_lifecycle_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("steps.toml");
-        std::fs::write(
-            &path,
+        let file = spec_file(
+            "bfw_cli_lifecycle_test",
+            "steps.toml",
             "[scenario]\nname = \"steps\"\ngraph = \"cycle:32\"\nrounds = 1000\nstability = 20\n\
              seed = 42\n\n\
              [[event]]\nat = 300\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 400\nkind = \"recover-all\"\n\n\
              [[event]]\nrate = 0.002\nkind = \"crash-random\"\n\n\
              [[event]]\nrate = 0.004\nkind = \"recover-random\"\n",
-        )
-        .unwrap();
-        let file = path.to_string_lossy().into_owned();
-        let straight = execute(Command::Scenario {
-            file: file.clone(),
-            seed: None,
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap();
-
+        );
+        let straight = cli(&["scenario", "run", &file]).unwrap();
+        let dir = std::env::temp_dir().join("bfw_cli_lifecycle_test");
         let snap_a = dir.join("a.json").to_string_lossy().into_owned();
         let snap_b = dir.join("b.json").to_string_lossy().into_owned();
-        for (kernel, threads) in [
-            (None, None),
-            (Some(bfw_scenario::KernelKind::Generic), None),
-            (Some(bfw_scenario::KernelKind::Bit), Some(1)),
-            (Some(bfw_scenario::KernelKind::Bit), Some(4)),
+        for stack in [
+            &[][..],
+            &["--kernel", "generic"],
+            &["--kernel", "bit", "--threads", "1"],
+            &["--kernel", "bit", "--threads", "4"],
         ] {
-            let wrote = execute(Command::ScenarioStep {
-                file: Some(file.clone()),
-                resume_from: None,
-                rounds: 500,
-                out: Some(snap_a.clone()),
-                seed: None,
-                kernel,
-                threads,
-            })
-            .unwrap();
+            let step = |source: &[&str], rounds: &str, out: &str| {
+                let mut args = vec!["scenario", "step"];
+                args.extend_from_slice(source);
+                args.extend_from_slice(&["--rounds", rounds, "--out", out]);
+                args.extend_from_slice(stack);
+                cli(&args).unwrap()
+            };
+            let wrote = step(&[&file], "500", &snap_a);
             assert!(wrote.contains("at round 500/1000"), "{wrote}");
-            let resumed = execute(Command::ScenarioResume {
-                snapshot: snap_a.clone(),
-                rounds: None,
-                kernel,
-                threads: None,
-            })
-            .unwrap();
+            // The kernel picks the resumed run's engine; the threads
+            // only shard the stepping.
+            let mut resume = vec!["scenario", "run", "--resume-from", &snap_a];
+            resume.extend_from_slice(&stack[..stack.len().min(2)]);
+            let resumed = cli(&resume).unwrap();
             // Stepping in two halves writes the same snapshot as one
             // step of the full distance...
-            execute(Command::ScenarioStep {
-                file: None,
-                resume_from: Some(snap_a.clone()),
-                rounds: 500,
-                out: Some(snap_b.clone()),
-                seed: None,
-                kernel,
-                threads,
-            })
-            .unwrap();
+            step(&["--resume-from", &snap_a], "500", &snap_b);
             let two_step = std::fs::read_to_string(&snap_b).unwrap();
-            let one_step = {
-                execute(Command::ScenarioStep {
-                    file: Some(file.clone()),
-                    resume_from: None,
-                    rounds: 1000,
-                    out: Some(snap_b.clone()),
-                    seed: None,
-                    kernel: None,
-                    threads: None,
-                })
-                .unwrap();
-                std::fs::read_to_string(&snap_b).unwrap()
-            };
-            assert_eq!(two_step, one_step, "kernel {kernel:?} threads {threads:?}");
+            cli(&[
+                "scenario", "step", &file, "--rounds", "1000", "--out", &snap_b,
+            ])
+            .unwrap();
+            let one_step = std::fs::read_to_string(&snap_b).unwrap();
+            assert_eq!(two_step, one_step, "{stack:?}");
             // ... and resuming reproduces the straight run's report,
             // byte for byte (modulo the execution-stack header lines,
             // which reflect the chosen kernel).
-            let strip = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.starts_with("kernel:") && !l.starts_with("threads:"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(
-                strip(&straight),
-                strip(&resumed),
-                "kernel {kernel:?} threads {threads:?}"
-            );
+            assert_eq!(strip_stack(&straight), strip_stack(&resumed), "{stack:?}");
         }
 
         // The emitted snapshot validates through `bfw report validate`.
-        execute(Command::ScenarioStep {
-            file: Some(file.clone()),
-            resume_from: None,
-            rounds: 500,
-            out: Some(snap_a.clone()),
-            seed: None,
-            kernel: None,
-            threads: None,
-        })
+        cli(&[
+            "scenario", "step", &file, "--rounds", "500", "--out", &snap_a,
+        ])
         .unwrap();
-        let out = execute(Command::ReportValidate {
-            files: vec![snap_a.clone()],
-        })
-        .unwrap();
+        let out = cli(&["report", "validate", &snap_a]).unwrap();
         assert!(out.contains("ok — bfw/engine-snapshot"), "{out}");
         assert!(out.contains("\"steps\" at round 500/1000"), "{out}");
 
         // --rounds before the snapshot round is refused.
-        let err = execute(Command::ScenarioResume {
-            snapshot: snap_a,
-            rounds: Some(100),
-            kernel: None,
-            threads: None,
-        })
+        let err = cli(&[
+            "scenario",
+            "run",
+            "--resume-from",
+            &snap_a,
+            "--rounds",
+            "100",
+        ])
         .unwrap_err();
         assert!(err.contains("before the snapshot round"), "{err}");
     }
 
     #[test]
     fn execute_scenario_validate_reports_errors_and_warnings() {
-        let dir = std::env::temp_dir().join("bfw_cli_validate_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("good.toml");
-        std::fs::write(
-            &good,
+        let good = spec_file(
+            "bfw_cli_validate_test",
+            "good.toml",
             "[scenario]\nname = \"good\"\ngraph = \"cycle:12\"\nrounds = 1000\nstability = 20\n\n\
              [[event]]\nat = 100\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 5000\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let out = execute(Command::ScenarioValidate {
-            file: good.to_string_lossy().into_owned(),
-        })
-        .unwrap();
+        );
+        let out = cli(&["scenario", "validate", &good]).unwrap();
         assert!(out.contains("ok — \"good\", 12 nodes"), "{out}");
         assert!(out.contains("warning:"), "{out}");
         assert!(out.contains("never applies"), "{out}");
 
-        let broken = dir.join("broken.toml");
-        std::fs::write(
-            &broken,
+        let broken = spec_file(
+            "bfw_cli_validate_test",
+            "broken.toml",
             "[scenario]\nname = \"broken\"\ngraph = \"cycle:12\"\nrounds = 1000\n\n\
              [[event]]\nat = 100\nkind = \"crash\"\nnode = 99\n",
-        )
-        .unwrap();
-        let err = execute(Command::ScenarioValidate {
-            file: broken.to_string_lossy().into_owned(),
-        })
-        .unwrap_err();
+        );
+        let err = cli(&["scenario", "validate", &broken]).unwrap_err();
         assert!(err.contains("node 99 out of range"), "{err}");
     }
 
     #[test]
     fn execute_scenario_export_and_report_validate() {
-        let dir = std::env::temp_dir().join("bfw_cli_export_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("exp.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_export_test",
+            "exp.toml",
             "[scenario]\nname = \"exp\"\ngraph = \"cycle:8\"\nrounds = 500\nstability = 20\n\n\
              [[event]]\nevery = 100\nkind = \"crash-random\"\n",
-        )
+        );
+        let out_path = std::env::temp_dir()
+            .join("bfw_cli_export_test")
+            .join("exp.json")
+            .to_string_lossy()
+            .into_owned();
+        let out = cli(&[
+            "scenario", "export", &path, "--seed", "7", "--out", &out_path,
+        ])
         .unwrap();
-        let out_path = dir.join("exp.json").to_string_lossy().into_owned();
-        let out = execute(Command::ScenarioExport {
-            file: path.to_string_lossy().into_owned(),
-            seed: Some(7),
-            out: Some(out_path.clone()),
-        })
-        .unwrap();
-        assert!(out.contains("ok") || out.contains("wrote"), "{out}");
-        let validated = execute(Command::ReportValidate {
-            files: vec![out_path],
-        })
-        .unwrap();
-        assert!(validated.contains("ok — bfw/scenario-spec"), "{validated}");
         // The periodic schedule compiled to five concrete firings.
-        assert!(validated.contains("5 events"), "{validated}");
+        assert_eq!(
+            out,
+            format!("wrote {out_path} — bfw/scenario-spec, \"exp\" (500 rounds, 5 events)")
+        );
+        let validated = cli(&["report", "validate", &out_path]).unwrap();
+        assert_eq!(
+            validated,
+            format!("{out_path}: ok — bfw/scenario-spec, \"exp\" (500 rounds, 5 events)")
+        );
     }
 
     #[test]
     fn execute_scenario_shrink_minimizes_a_wipeout() {
-        let dir = std::env::temp_dir().join("bfw_cli_shrink_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wipe.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_shrink_test",
+            "wipe.toml",
             "[scenario]\nname = \"wipe\"\ngraph = \"cycle:12\"\nrounds = 4000\nstability = 20\n\
              seed = 7\n\n\
              [[event]]\nat = 150\nkind = \"crash-random\"\n\n\
              [[event]]\nat = 250\nkind = \"recover-all\"\n\n\
              [[event]]\nat = 800\nkind = \"inject-phantom\"\nwaves = 1\n",
-        )
-        .unwrap();
-        let out_path = dir.join("min.json").to_string_lossy().into_owned();
-        let out = execute(Command::ScenarioShrink {
-            file: path.to_string_lossy().into_owned(),
-            seed: None,
-            quick: true,
-            out: Some(out_path.clone()),
-        })
-        .unwrap();
+        );
+        let out_path = std::env::temp_dir()
+            .join("bfw_cli_shrink_test")
+            .join("min.json")
+            .to_string_lossy()
+            .into_owned();
+        let out = cli(&["scenario", "shrink", &path, "--quick", "--out", &out_path]).unwrap();
         assert!(
             out.contains("wipeout reproduced with 1 of 3 events"),
             "{out}"
         );
         assert!(out.contains("inject("), "{out}");
-        let validated = execute(Command::ReportValidate {
-            files: vec![out_path],
-        })
-        .unwrap();
+        let validated = cli(&["report", "validate", &out_path]).unwrap();
         assert!(validated.contains("ok — bfw/scenario-spec"), "{validated}");
 
         // A scenario that elects and stays stable has nothing to shrink.
-        let stable = dir.join("stable.toml");
-        std::fs::write(
-            &stable,
+        let stable = spec_file(
+            "bfw_cli_shrink_test",
+            "stable.toml",
             "[scenario]\nname = \"stable\"\ngraph = \"cycle:8\"\nrounds = 5000\nseed = 1\n",
-        )
-        .unwrap();
-        let err = execute(Command::ScenarioShrink {
-            file: stable.to_string_lossy().into_owned(),
-            seed: None,
-            quick: true,
-            out: None,
-        })
-        .unwrap_err();
+        );
+        let err = cli(&["scenario", "shrink", &stable, "--quick"]).unwrap_err();
         assert!(err.contains("does not wipe out"), "{err}");
     }
 
     #[test]
     fn parse_experiment_noise_flag() {
-        match parse(&argv("experiment recovery --quick --noise")).unwrap() {
-            Command::Experiment {
-                names,
-                quick,
-                noise,
-                ..
-            } => {
-                assert_eq!(names, vec!["recovery".to_owned()]);
-                assert!(quick);
-                assert!(noise);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("experiment recovery")).unwrap() {
-            Command::Experiment { noise, .. } => assert!(!noise),
-            other => panic!("{other:?}"),
-        }
+        // Only the recovery experiment (E17) reads --noise: it adds the
+        // noise-on-heartbeat sweep table.
+        let noisy = cli(&["experiment", "recovery", "--quick", "--noise"]).unwrap();
+        assert!(noisy.contains("noise-on-heartbeat sweep"), "{noisy}");
+        let quiet = cli(&["experiment", "recovery", "--quick"]).unwrap();
+        assert!(!quiet.contains("noise-on-heartbeat sweep"), "{quiet}");
     }
 
     #[test]
     fn experiment_out_writes_one_csv_per_table() {
         let dir =
             std::env::temp_dir().join(format!("bfw_cli_experiment_out_{}", std::process::id()));
-        let args = format!(
-            "experiment chain --quick --trials 2 --out {}",
-            dir.display()
-        );
-        let out = execute(parse(&argv(&args)).unwrap()).unwrap();
+        let dir_text = dir.to_string_lossy();
+        let out = cli(&[
+            "experiment",
+            "chain",
+            "--quick",
+            "--trials",
+            "2",
+            "--out",
+            &dir_text,
+        ])
+        .unwrap();
         let written: Vec<&str> = out.lines().filter(|l| l.starts_with("wrote ")).collect();
         assert!(!written.is_empty(), "{out}");
         for line in written {
@@ -2428,7 +898,7 @@ mod tests {
             let csv = std::fs::read_to_string(path).unwrap();
             assert!(csv.lines().count() >= 2, "header and rows: {csv}");
         }
-        assert!(parse(&argv("experiment chain --out"))
+        assert!(cli(&["experiment", "chain", "--out"])
             .unwrap_err()
             .contains("--out"));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2436,29 +906,15 @@ mod tests {
 
     #[test]
     fn execute_async_scenario_prints_runtime_line() {
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("async_mini.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "async_mini.toml",
             "[scenario]\nname = \"async mini\"\ngraph = \"cycle:8\"\nrounds = 20000\n\
              stability = 200\nruntime = \"async\"\nscheduler = \"replay\"\n\n\
              [[event]]\nat = 400\nkind = \"crash-random\"\n\n\
              [[event]]\nat = 2000\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let run = || {
-            execute(Command::Scenario {
-                file: path.to_string_lossy().into_owned(),
-                seed: Some(9),
-                rounds: None,
-                trace: None,
-                trace_last: None,
-                kernel: None,
-                threads: None,
-            })
-            .unwrap()
-        };
+        );
+        let run = || cli(&["scenario", "run", &path, "--seed", "9"]).unwrap();
         let out = run();
         assert!(
             out.contains(
@@ -2471,22 +927,12 @@ mod tests {
         // Byte-identical on repeat (the acceptance-criteria property).
         assert_eq!(out, run());
         // The synchronous line stays minimal.
-        let sync = dir.join("sync_mini.toml");
-        std::fs::write(
-            &sync,
+        let sync = spec_file(
+            "bfw_cli_scenario_test",
+            "sync_mini.toml",
             "[scenario]\nname = \"sync mini\"\ngraph = \"cycle:8\"\nrounds = 500\n",
-        )
-        .unwrap();
-        let out = execute(Command::Scenario {
-            file: sync.to_string_lossy().into_owned(),
-            seed: None,
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap();
+        );
+        let out = cli(&["scenario", "run", &sync]).unwrap();
         assert!(out.contains("runtime:           sync\n"), "{out}");
     }
 
@@ -2503,85 +949,68 @@ mod tests {
         assert!(u.contains("'recovery' experiment reads it"), "{u}");
         assert!(u.contains("complexity"), "{u}");
         assert!(u.contains("BENCH_complexity.json"), "{u}");
+        // The interchange line lists every kind `report validate` takes.
+        assert!(
+            u.contains(
+                "(graph, bench-report, scenario-report, bench-history,\n              \
+                 engine-snapshot, scenario-spec, report-diff);"
+            ),
+            "{u}"
+        );
     }
 
     #[test]
     fn parse_scenario_trace_flags() {
-        assert_eq!(
-            parse(&argv(
-                "scenario run churn.toml --trace out.json --trace-last 64"
-            ))
-            .unwrap(),
-            Command::Scenario {
-                file: "churn.toml".into(),
-                seed: None,
-                rounds: None,
-                trace: Some("out.json".into()),
-                trace_last: Some(64),
-                kernel: None,
-                threads: None,
-            }
+        let err = cli(&[
+            "scenario",
+            "run",
+            "/nonexistent/churn.toml",
+            "--trace",
+            "out.json",
+            "--trace-last",
+            "64",
+        ])
+        .unwrap_err();
+        assert!(
+            err.starts_with("cannot read /nonexistent/churn.toml"),
+            "{err}"
         );
-        assert!(parse(&argv("scenario run a.toml --trace"))
+        assert!(cli(&["scenario", "run", "a.toml", "--trace"])
             .unwrap_err()
             .contains("needs a value"));
-        assert!(parse(&argv("scenario run a.toml --trace-last 0"))
+        assert!(cli(&["scenario", "run", "a.toml", "--trace-last", "0"])
             .unwrap_err()
             .contains("at least 1"));
     }
 
     #[test]
     fn unknown_experiment_names_get_hints() {
-        let err = execute(Command::Experiment {
-            names: vec!["tabel1".into()],
-            quick: true,
-            noise: false,
-            trials: Some(1),
-            seed: None,
-            out: None,
-        })
-        .unwrap_err();
+        let err = cli(&["experiment", "tabel1", "--quick", "--trials", "1"]).unwrap_err();
         assert_eq!(err, "unknown experiment 'tabel1' (did you mean 'table1'?)");
         // Nothing close: no hint.
-        let err = execute(Command::Experiment {
-            names: vec!["zzzzzzzzzz".into()],
-            quick: true,
-            noise: false,
-            trials: Some(1),
-            seed: None,
-            out: None,
-        })
-        .unwrap_err();
+        let err = cli(&["experiment", "zzzzzzzzzz", "--quick", "--trials", "1"]).unwrap_err();
         assert!(!err.contains("did you mean"), "{err}");
     }
 
     #[test]
     fn traced_scenario_appends_to_pinned_output_and_writes_json() {
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("traced.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "traced.toml",
             "[scenario]\nname = \"traced\"\ngraph = \"cycle:8\"\nrounds = 6000\nstability = 20\n\n\
              [[event]]\nat = 2500\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 2600\nkind = \"recover-all\"\n",
-        )
+        );
+        let json_path = std::env::temp_dir()
+            .join("bfw_cli_scenario_test")
+            .join("traced.json")
+            .to_string_lossy()
+            .into_owned();
+        let untraced = cli(&["scenario", "run", &path, "--seed", "42"]).unwrap();
+        let traced = cli(&[
+            "scenario", "run", &path, "--seed", "42", "--trace", &json_path,
+        ])
         .unwrap();
-        let json_path = dir.join("traced.json");
-        let run = |trace: Option<String>| {
-            execute(Command::Scenario {
-                file: path.to_string_lossy().into_owned(),
-                seed: Some(42),
-                rounds: None,
-                trace,
-                trace_last: None,
-                kernel: None,
-                threads: None,
-            })
-            .unwrap()
-        };
-        let untraced = run(None);
-        let traced = run(Some(json_path.to_string_lossy().into_owned()));
         // The pinned result block is untouched: the traced output
         // starts with the untraced output, byte for byte.
         assert!(traced.starts_with(&untraced), "{traced}");
@@ -2610,95 +1039,89 @@ mod tests {
             .and_then(|t| t.get("flight_recorder"))
             .and_then(|r| r.get("events"))
             .is_some());
+        // --trace-last sizes the flight recorder.
+        cli(&[
+            "scenario",
+            "run",
+            &path,
+            "--seed",
+            "42",
+            "--trace",
+            &json_path,
+            "--trace-last",
+            "3",
+        ])
+        .unwrap();
+        let value =
+            bfw_stats::JsonValue::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+        let events = value
+            .get("trace")
+            .and_then(|t| t.get("flight_recorder"))
+            .and_then(|r| r.get("events"))
+            .and_then(bfw_stats::JsonValue::as_array)
+            .unwrap();
+        assert_eq!(events.len(), 3);
     }
 
     #[test]
     fn parse_graph_and_report_verbs() {
+        let dir = std::env::temp_dir().join(format!("bfw_cli_verbs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.json").to_string_lossy().into_owned();
         assert_eq!(
-            parse(&argv("graph export cycle:8 --out g.json")).unwrap(),
-            Command::GraphExport {
-                spec: GraphSpec::Cycle(8),
-                out: Some("g.json".into()),
-            }
+            cli(&["graph", "export", "cycle:8", "--out", &g]).unwrap(),
+            format!("wrote {g} (8 nodes, 8 edges)")
         );
-        assert_eq!(
-            parse(&argv("graph import g.json")).unwrap(),
-            Command::GraphImport {
-                file: "g.json".into(),
-                out: None,
-            }
-        );
-        assert_eq!(
-            parse(&argv("graph validate g.json")).unwrap(),
-            Command::GraphValidate {
-                file: Some("g.json".into()),
-            }
-        );
-        // No file (or "-") means stdin — the piped CI round-trip form.
-        assert_eq!(
-            parse(&argv("graph validate")).unwrap(),
-            Command::GraphValidate { file: None }
-        );
-        assert_eq!(
-            parse(&argv("graph validate -")).unwrap(),
-            Command::GraphValidate { file: None }
-        );
-        assert_eq!(
-            parse(&argv("report validate a.json b.json")).unwrap(),
-            Command::ReportValidate {
-                files: vec!["a.json".into(), "b.json".into()],
-            }
-        );
-        assert_eq!(
-            parse(&argv("report diff a.json b.json")).unwrap(),
-            Command::ReportDiff {
-                left: "a.json".into(),
-                right: "b.json".into(),
-            }
-        );
-        assert_eq!(
-            parse(&argv("report history a.json b.json --out h.json")).unwrap(),
-            Command::ReportHistory {
-                files: vec!["a.json".into(), "b.json".into()],
-                out: Some("h.json".into()),
-            }
-        );
-        assert_eq!(
-            parse(&argv("report history a.json")).unwrap(),
-            Command::ReportHistory {
-                files: vec!["a.json".into()],
-                out: None,
-            }
-        );
-        // The legacy one-SPEC describe form still parses.
-        assert_eq!(
-            parse(&argv("graph cycle:8")).unwrap(),
-            Command::Graph {
-                spec: GraphSpec::Cycle(8),
-            }
-        );
+        // Each accepted line reaches its (missing) file.
+        for args in [
+            &["graph", "import", "/nonexistent/g.json"][..],
+            &["graph", "validate", "/nonexistent/g.json"],
+            &["report", "validate", "/nonexistent/a.json", "b.json"],
+            &["report", "diff", "/nonexistent/a.json", "b.json"],
+            &[
+                "report",
+                "history",
+                "/nonexistent/a.json",
+                "b.json",
+                "--out",
+                "h.json",
+            ],
+            &["report", "history", "/nonexistent/a.json"],
+        ] {
+            let err = cli(args).unwrap_err();
+            assert!(
+                err.starts_with("cannot read /nonexistent/a.json")
+                    || err.starts_with("cannot read /nonexistent/g.json"),
+                "{args:?}: {err}"
+            );
+        }
+        // The one-SPEC describe form.
+        assert!(cli(&["graph", "cycle:8"])
+            .unwrap()
+            .starts_with("spec:      cycle:8\n"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn graph_and_report_verbs_get_hints() {
-        let err = parse(&argv("graph exprot cycle:8")).unwrap_err();
+        let err = cli(&["graph", "exprot", "cycle:8"]).unwrap_err();
         assert!(err.contains("did you mean 'export'?"), "{err}");
-        let err = parse(&argv("report vaildate a.json")).unwrap_err();
+        let err = cli(&["report", "vaildate", "a.json"]).unwrap_err();
         assert!(err.contains("did you mean 'validate'?"), "{err}");
-        assert!(parse(&argv("report")).unwrap_err().contains("subcommand"));
-        assert!(parse(&argv("report diff a.json"))
+        assert!(cli(&["report"]).unwrap_err().contains("subcommand"));
+        assert!(cli(&["report", "diff", "a.json"])
             .unwrap_err()
             .contains("exactly two"));
-        assert!(parse(&argv("report validate"))
+        assert!(cli(&["report", "validate"])
             .unwrap_err()
             .contains("at least one"));
-        assert!(parse(&argv("report history"))
+        assert!(cli(&["report", "history"])
             .unwrap_err()
             .contains("at least one"));
-        assert!(parse(&argv("report history a.json --bogus"))
+        assert!(cli(&["report", "history", "a.json", "--bogus"])
             .unwrap_err()
             .contains("unknown flag"));
-        assert!(parse(&argv("graph export cycle:8 --bogus x"))
+        assert!(cli(&["graph", "export", "cycle:8", "--bogus", "x"])
             .unwrap_err()
             .contains("unknown flag"));
     }
@@ -2707,42 +1130,29 @@ mod tests {
     fn graph_export_import_validate_round_trip() {
         let dir = std::env::temp_dir().join("bfw_cli_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let exported = dir.join("ba.json");
-        let reexported = dir.join("ba2.json");
-        let out = execute(Command::GraphExport {
-            spec: "ba:64:2:7".parse().unwrap(),
-            out: Some(exported.to_string_lossy().into_owned()),
-        })
-        .unwrap();
+        let exported = dir.join("ba.json").to_string_lossy().into_owned();
+        let reexported = dir.join("ba2.json").to_string_lossy().into_owned();
+        let out = cli(&["graph", "export", "ba:64:2:7", "--out", &exported]).unwrap();
         assert!(out.contains("64 nodes"), "{out}");
 
-        // Validate reports the provenance family.
-        let out = execute(Command::GraphValidate {
-            file: Some(exported.to_string_lossy().into_owned()),
-        })
-        .unwrap();
-        assert!(out.contains("ok — bfw/graph, 64 nodes"), "{out}");
-        assert!(out.contains("family ba"), "{out}");
+        // Validate reports the provenance family, through either verb.
+        for verb in ["graph", "report"] {
+            let out = cli(&[verb, "validate", &exported]).unwrap();
+            assert!(out.contains("ok — bfw/graph, 64 nodes"), "{out}");
+            assert!(out.ends_with(", family ba"), "{out}");
+        }
 
         // Import → re-export is the identity on canonical documents.
-        let out = execute(Command::GraphImport {
-            file: exported.to_string_lossy().into_owned(),
-            out: Some(reexported.to_string_lossy().into_owned()),
-        })
-        .unwrap();
+        let out = cli(&["graph", "import", &exported, "--out", &reexported]).unwrap();
         assert!(out.contains("imported"), "{out}");
         assert_eq!(
             std::fs::read_to_string(&exported).unwrap(),
             std::fs::read_to_string(&reexported).unwrap()
         );
 
-        // Stdout export + the binary's println newline would equal the
-        // --out file: the export text itself has no trailing newline.
-        let text = execute(Command::GraphExport {
-            spec: "ba:64:2:7".parse().unwrap(),
-            out: None,
-        })
-        .unwrap();
+        // Stdout export + the binary's newline would equal the --out
+        // file: the export text itself has no trailing newline.
+        let text = cli(&["graph", "export", "ba:64:2:7"]).unwrap();
         assert_eq!(
             format!("{text}\n"),
             std::fs::read_to_string(&exported).unwrap()
@@ -2755,47 +1165,39 @@ mod tests {
             r#"{"format": "bfw/graph", "version": 1, "nodes": 2, "edges": [[0, 5]]}"#,
         )
         .unwrap();
-        let err = execute(Command::GraphValidate {
-            file: Some(broken.to_string_lossy().into_owned()),
-        })
-        .unwrap_err();
+        let err = cli(&["graph", "validate", &broken.to_string_lossy()]).unwrap_err();
         assert!(err.contains("/edges/0"), "{err}");
     }
 
     #[test]
     fn report_validate_dispatches_on_format() {
-        let dir = std::env::temp_dir().join("bfw_cli_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // A scenario report, produced through the CLI pipeline.
-        let toml = dir.join("mini.toml");
-        std::fs::write(
-            &toml,
+        let toml = spec_file(
+            "bfw_cli_report_test",
+            "mini.toml",
             "[scenario]\nname = \"mini\"\ngraph = \"cycle:8\"\nrounds = 2000\nstability = 20\n\n\
              [[event]]\nat = 500\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 600\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let scenario_report = dir.join("run.json");
-        execute(Command::Scenario {
-            file: toml.to_string_lossy().into_owned(),
-            seed: Some(42),
-            rounds: None,
-            trace: Some(scenario_report.to_string_lossy().into_owned()),
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
+        );
+        let dir = std::env::temp_dir().join("bfw_cli_report_test");
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+
+        // A scenario report, produced through the CLI pipeline.
+        let scenario_report = path("run.json");
+        cli(&[
+            "scenario",
+            "run",
+            &toml,
+            "--seed",
+            "42",
+            "--trace",
+            &scenario_report,
+        ])
         .unwrap();
 
         // A graph document and a bench report.
-        let graph_doc = dir.join("graph.json");
-        execute(Command::GraphExport {
-            spec: GraphSpec::Cycle(8),
-            out: Some(graph_doc.to_string_lossy().into_owned()),
-        })
-        .unwrap();
-        let bench = dir.join("bench.json");
+        let graph_doc = path("graph.json");
+        cli(&["graph", "export", "cycle:8", "--out", &graph_doc]).unwrap();
+        let bench = path("bench.json");
         let report = bfw_bench::report::bench_report(
             "E99-test",
             true,
@@ -2808,67 +1210,45 @@ mod tests {
         );
         std::fs::write(&bench, report.render_pretty()).unwrap();
 
-        let out = execute(Command::ReportValidate {
-            files: vec![
-                scenario_report.to_string_lossy().into_owned(),
-                graph_doc.to_string_lossy().into_owned(),
-                bench.to_string_lossy().into_owned(),
-            ],
-        })
-        .unwrap();
+        let out = cli(&["report", "validate", &scenario_report, &graph_doc, &bench]).unwrap();
         assert!(out.contains("bfw/scenario-report, \"mini\""), "{out}");
         assert!(out.contains("bfw/graph, 8 nodes"), "{out}");
         assert!(out.contains("bfw/bench-report, E99-test (1 rows)"), "{out}");
 
-        // Unknown formats are rejected with a hint.
-        let alien = dir.join("alien.json");
+        // Unknown formats are rejected with a hint and the full list.
+        let alien = path("alien.json");
         std::fs::write(&alien, r#"{"format": "bfw/grpah", "version": 1}"#).unwrap();
-        let err = execute(Command::ReportValidate {
-            files: vec![alien.to_string_lossy().into_owned()],
-        })
-        .unwrap_err();
+        let err = cli(&["report", "validate", &alien]).unwrap_err();
         assert!(err.contains("unknown format"), "{err}");
         assert!(err.contains("did you mean 'bfw/graph'?"), "{err}");
+        assert!(
+            err.ends_with(
+                "valid: bfw/graph, bfw/bench-report, bfw/scenario-report, bfw/bench-history, \
+                 bfw/engine-snapshot, bfw/scenario-spec, bfw/report-diff"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
     fn report_diff_is_structured_and_empty_on_identity() {
-        let dir = std::env::temp_dir().join("bfw_cli_diff_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let toml = dir.join("mini.toml");
-        std::fs::write(
-            &toml,
+        let toml = spec_file(
+            "bfw_cli_diff_test",
+            "mini.toml",
             "[scenario]\nname = \"mini\"\ngraph = \"cycle:8\"\nrounds = 2000\nstability = 20\n\n\
              [[event]]\nat = 500\nkind = \"crash-leader\"\n\n\
              [[event]]\nat = 600\nkind = \"recover-all\"\n",
-        )
-        .unwrap();
-        let run = |seed: u64, path: &std::path::Path| {
-            execute(Command::Scenario {
-                file: toml.to_string_lossy().into_owned(),
-                seed: Some(seed),
-                rounds: None,
-                trace: Some(path.to_string_lossy().into_owned()),
-                trace_last: None,
-                kernel: None,
-                threads: None,
-            })
-            .unwrap();
-        };
-        let a = dir.join("a.json");
-        let b = dir.join("b.json");
-        let c = dir.join("c.json");
-        run(42, &a);
-        run(43, &b);
-        run(42, &c);
+        );
+        let dir = std::env::temp_dir().join("bfw_cli_diff_test");
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (a, b, c) = (path("a.json"), path("b.json"), path("c.json"));
+        for (seed, file) in [("42", &a), ("43", &b), ("42", &c)] {
+            cli(&["scenario", "run", &toml, "--seed", seed, "--trace", file]).unwrap();
+        }
 
         // Different seeds: a structured, non-empty diff naming the
         // config seed among its JSON-pointer paths.
-        let out = execute(Command::ReportDiff {
-            left: a.to_string_lossy().into_owned(),
-            right: b.to_string_lossy().into_owned(),
-        })
-        .unwrap();
+        let out = cli(&["report", "diff", &a, &b]).unwrap();
         let value = bfw_stats::JsonValue::parse(&out).unwrap();
         assert_eq!(
             value.get("format").and_then(bfw_stats::JsonValue::as_str),
@@ -2882,13 +1262,16 @@ mod tests {
         assert!(entries.iter().any(|e| {
             e.get("pointer").and_then(bfw_stats::JsonValue::as_str) == Some("/config/seed")
         }));
+        // The diff is itself a document `report validate` takes.
+        let diff = path("diff.json");
+        std::fs::write(&diff, &out).unwrap();
+        assert_eq!(
+            cli(&["report", "validate", &diff]).unwrap(),
+            format!("{diff}: ok — bfw/report-diff, {} entries", entries.len())
+        );
 
         // Same seed: byte-identical reports, zero entries.
-        let out = execute(Command::ReportDiff {
-            left: a.to_string_lossy().into_owned(),
-            right: c.to_string_lossy().into_owned(),
-        })
-        .unwrap();
+        let out = cli(&["report", "diff", &a, &c]).unwrap();
         let value = bfw_stats::JsonValue::parse(&out).unwrap();
         assert_eq!(
             value
@@ -2904,6 +1287,7 @@ mod tests {
         use bfw_stats::JsonValue;
         let dir = std::env::temp_dir().join("bfw_cli_history_test");
         std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
         let mk = |seed: u64, rps: f64| {
             bfw_bench::report::bench_report(
                 "E-demo",
@@ -2917,20 +1301,12 @@ mod tests {
             )
             .render_pretty()
         };
-        let a = dir.join("a.json");
-        let b = dir.join("b.json");
+        let (a, b) = (path("a.json"), path("b.json"));
         std::fs::write(&a, mk(1, 100.0)).unwrap();
         std::fs::write(&b, mk(1, 150.0)).unwrap();
 
         // Without --out: the folded document prints to stdout.
-        let out = execute(Command::ReportHistory {
-            files: vec![
-                a.to_string_lossy().into_owned(),
-                b.to_string_lossy().into_owned(),
-            ],
-            out: None,
-        })
-        .unwrap();
+        let out = cli(&["report", "history", &a, &b]).unwrap();
         let value = JsonValue::parse(&out).unwrap();
         assert_eq!(
             value.get("format").and_then(JsonValue::as_str),
@@ -2948,40 +1324,27 @@ mod tests {
             Some(2)
         );
 
-        // With --out: the file lands on disk and `report validate`
-        // dispatches on its envelope.
-        let h = dir.join("history.json");
-        let out = execute(Command::ReportHistory {
-            files: vec![
-                a.to_string_lossy().into_owned(),
-                b.to_string_lossy().into_owned(),
-            ],
-            out: Some(h.to_string_lossy().into_owned()),
-        })
-        .unwrap();
-        assert!(out.contains("2 points"), "{out}");
-        let out = execute(Command::ReportValidate {
-            files: vec![h.to_string_lossy().into_owned()],
-        })
-        .unwrap();
-        assert!(out.contains("bfw/bench-history"), "{out}");
-        assert!(out.contains("E-demo"), "{out}");
+        // With --out: the file lands on disk, its summary matches what
+        // `report validate` prints when it dispatches on the envelope.
+        let h = path("history.json");
+        let wrote = cli(&["report", "history", &a, &b, "--out", &h]).unwrap();
+        assert!(wrote.contains("2 points"), "{wrote}");
+        let validated = cli(&["report", "validate", &h]).unwrap();
+        assert_eq!(
+            wrote,
+            format!("wrote {}", validated.replacen(": ok — ", " — ", 1))
+        );
+        assert!(validated.contains("bfw/bench-history"), "{validated}");
+        assert!(validated.contains("E-demo"), "{validated}");
 
         // Mixed experiments refuse to fold.
-        let c = dir.join("c.json");
+        let c = path("c.json");
         std::fs::write(
             &c,
             bfw_bench::report::bench_report("E-other", true, 1, [], []).render_pretty(),
         )
         .unwrap();
-        let err = execute(Command::ReportHistory {
-            files: vec![
-                a.to_string_lossy().into_owned(),
-                c.to_string_lossy().into_owned(),
-            ],
-            out: None,
-        })
-        .unwrap_err();
+        let err = cli(&["report", "history", &a, &c]).unwrap_err();
         assert!(err.contains("different experiments"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2990,50 +1353,26 @@ mod tests {
     fn scenario_toml_accepts_generator_families() {
         // The scenario `graph` key resolves through GraphSpec, so the
         // provenance-tagged generator families (ba, plaw) work in TOML.
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ba_mini.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "ba_mini.toml",
             "[scenario]\nname = \"ba mini\"\ngraph = \"ba:32:2:7\"\nrounds = 2000\n\
              stability = 20\n",
-        )
-        .unwrap();
-        let out = execute(Command::Scenario {
-            file: path.to_string_lossy().into_owned(),
-            seed: Some(3),
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap();
+        );
+        let out = cli(&["scenario", "run", &path, "--seed", "3"]).unwrap();
         assert!(out.contains("graph:             ba:32:2:7"), "{out}");
         assert!(out.contains("rounds run:        2000"), "{out}");
     }
 
     #[test]
     fn spec_trace_section_enables_tracing_without_flags() {
-        let dir = std::env::temp_dir().join("bfw_cli_scenario_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("spec_traced.toml");
-        std::fs::write(
-            &path,
+        let path = spec_file(
+            "bfw_cli_scenario_test",
+            "spec_traced.toml",
             "[scenario]\nname = \"spec traced\"\ngraph = \"cycle:8\"\nrounds = 500\n\n\
              [trace]\nlast = 16\n",
-        )
-        .unwrap();
-        let out = execute(Command::Scenario {
-            file: path.to_string_lossy().into_owned(),
-            seed: Some(1),
-            rounds: None,
-            trace: None,
-            trace_last: None,
-            kernel: None,
-            threads: None,
-        })
-        .unwrap();
+        );
+        let out = cli(&["scenario", "run", &path, "--seed", "1"]).unwrap();
         assert!(out.contains("complexity: steps=500"), "{out}");
         // No file destination anywhere: nothing written, no wrote line.
         assert!(!out.contains("wrote trace report"), "{out}");

@@ -1,14 +1,23 @@
 //! `bfw` — command-line front-end for the BFW reproduction. See
 //! `bfw help` or the crate docs of [`bfw_cli`].
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match bfw_cli::parse(&args).and_then(bfw_cli::execute) {
+    match bfw_cli::run(&args) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                // A reader that stops early (`| head`) wants no more.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: cannot write stdout: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(message) => {
             eprintln!("error: {message}");

@@ -1,6 +1,19 @@
 use super::bfs::{bfs_distances, UNREACHABLE};
 use crate::{Graph, NodeId};
 
+/// The most all-pairs BFS work, [`diameter_work`] adjacency steps,
+/// that the workspace spends on an exact [`diameter`]: 6–12 s on a
+/// 2-core x86 host. `rr:10000:4:S` (≈5·10⁸) fits; `cycle:10000000`
+/// (≈3·10¹⁴, hours) does not.
+pub const MAX_DIAMETER_WORK: u64 = 1 << 31;
+
+/// The work of [`diameter`] on `nodes` nodes and `edges` edges: one BFS
+/// per node, n · (n + 2m) adjacency steps. Computed in `f64`, so it
+/// saturates instead of overflowing.
+pub fn diameter_work(nodes: f64, edges: f64) -> f64 {
+    nodes * (nodes + 2.0 * edges)
+}
+
 /// Computes the exact diameter `D` by all-pairs BFS (`O(n·m)`).
 ///
 /// Returns `None` for disconnected graphs and for the empty graph;

@@ -16,7 +16,9 @@ mod union_find;
 pub use bfs::{bfs_distances, distance, eccentricity, UNREACHABLE};
 pub use connectivity::{connected_components, is_connected, ComponentLabels};
 pub use degree::{degree_stats, DegreeStats};
-pub use diameter::{diameter, diameter_two_sweep_lower_bound, radius};
+pub use diameter::{
+    diameter, diameter_two_sweep_lower_bound, diameter_work, radius, MAX_DIAMETER_WORK,
+};
 pub use distance::DistanceMatrix;
 pub use rcm::{bandwidth, reverse_cuthill_mckee};
 pub use union_find::UnionFind;

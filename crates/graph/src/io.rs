@@ -338,6 +338,15 @@ pub struct GraphSummary {
     pub family: Option<String>,
 }
 
+impl std::fmt::Display for GraphSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bfw/graph, {} nodes, {} edges", self.nodes, self.edges)?;
+        self.family
+            .as_ref()
+            .map_or(Ok(()), |family| write!(f, ", family {family}"))
+    }
+}
+
 /// Validates a `bfw/graph` document (envelope, structure, and full
 /// graph construction — self-loops, duplicate edges, range checks).
 ///

@@ -80,12 +80,6 @@ const MAX_NODES: u64 = 1 << 26;
 const MAX_EDGES: u64 = 1 << 27;
 const MAX_WORK: u64 = 1 << 32;
 
-/// The most all-pairs BFS work, n · (n + 2m) adjacency steps, that
-/// [`GraphSpec::try_diameter`] spends on an exact diameter: 6–12 s on a
-/// 2-core x86 host. `rr:10000:4:S` (≈5·10⁸) fits; `cycle:10000000`
-/// (≈3·10¹⁴, hours) does not.
-const MAX_DIAMETER_WORK: u64 = 1 << 31;
-
 /// The family names, in the order the usage text lists them.
 const FAMILIES: &str = "path, cycle, clique, star, grid, torus, hypercube, tree, randtree, er, \
                         barbell, ba, plaw, geo, rr, scrambled-cycle";
@@ -427,12 +421,13 @@ impl GraphSpec {
             _ => {}
         }
         let size = self.buildable_size()?;
-        let work = size.nodes * (size.nodes + 2.0 * size.edges);
-        if work > MAX_DIAMETER_WORK as f64 {
+        let work = algo::diameter_work(size.nodes, size.edges);
+        if work > algo::MAX_DIAMETER_WORK as f64 {
             return Err(WorkloadError::new(format!(
                 "{self}: too large for an exact diameter: all-pairs BFS takes ≈{} steps, \
-                 n·(n + 2m) (limit: {MAX_DIAMETER_WORK} steps)",
-                work as u64
+                 n·(n + 2m) (limit: {} steps)",
+                work as u64,
+                algo::MAX_DIAMETER_WORK
             )));
         }
         Ok(algo::diameter(&self.try_build()?))
@@ -798,7 +793,7 @@ mod tests {
         assert!(e.to_string().contains(": too large to build: ≈"), "{e}");
         // The tracked churn rows' largest graph fits.
         let size = GraphSpec::RandomRegular(10_000, 4, 1).size();
-        assert!(size.nodes * (size.nodes + 2.0 * size.edges) <= MAX_DIAMETER_WORK as f64);
+        assert!(algo::diameter_work(size.nodes, size.edges) <= algo::MAX_DIAMETER_WORK as f64);
     }
 
     #[test]

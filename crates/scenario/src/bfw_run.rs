@@ -57,7 +57,9 @@ pub fn recovering_bfw_injector() -> Injector<RecoveryState<BfwState>> {
 /// detour around it through the alive subgraph, whose distances can
 /// exceed the intact diameter. Static and distance-shrinking timelines
 /// keep the exact initial diameter (disconnected inputs fall back to
-/// `n`).
+/// `n`) unless its all-pairs BFS would pass
+/// [`algo::MAX_DIAMETER_WORK`]; such graphs use `n - 1` too, which
+/// bounds every eccentricity.
 fn eccentricity_bound(spec: &ScenarioSpec, graph: &Graph) -> u32 {
     let n = graph.node_count() as u32;
     let stretching = spec.timeline.entries().iter().any(|entry| {
@@ -70,7 +72,8 @@ fn eccentricity_bound(spec: &ScenarioSpec, graph: &Graph) -> u32 {
                 | ScenarioEvent::CrashLeader
         )
     });
-    if stretching {
+    let work = algo::diameter_work(f64::from(n), graph.edge_count() as f64);
+    if stretching || work > algo::MAX_DIAMETER_WORK as f64 {
         n.saturating_sub(1)
     } else {
         algo::diameter(graph).unwrap_or(n)
@@ -81,7 +84,8 @@ fn eccentricity_bound(spec: &ScenarioSpec, graph: &Graph) -> u32 {
 /// from [`RecoveryConfig::for_diameter`] over the scenario's worst-case
 /// eccentricity bound — the initial diameter, or `n - 1` when the
 /// timeline contains distance-stretching events (`remove-edge`,
-/// `partition`), which can push eccentricities past the intact
+/// `partition`, crashes), which can push eccentricities past the
+/// intact diameter, or when the graph is too large for an exact
 /// diameter — and apply the spec's explicit `heartbeat` / `timeout` /
 /// `grace` overrides.
 ///
@@ -455,6 +459,19 @@ kind = "recover-all"
         assert_eq!(cfg.heartbeat_period, 11);
         assert_eq!(cfg.timeout, 99, "explicit override wins");
         assert_eq!(cfg.grace, 33);
+    }
+
+    #[test]
+    fn graphs_past_the_bfs_limit_get_the_n_minus_one_timing() {
+        // cycle:100000 needs ≈3·10¹⁰ BFS steps for its diameter (50000),
+        // past the limit: even a static timeline is timed for n - 1,
+        // and no BFS runs (it would take minutes in a debug build).
+        let spec = ScenarioSpec::parse(
+            "[scenario]\ngraph = \"cycle:100000\"\nprotocol = \"bfw+recovery\"",
+        )
+        .unwrap();
+        let cfg = scenario_recovery_config(&spec, &generators::cycle(100_000)).unwrap();
+        assert_eq!(cfg, RecoveryConfig::for_diameter(99_999));
     }
 
     #[test]

@@ -84,6 +84,16 @@ pub struct SnapshotSummary {
     pub crashed: usize,
 }
 
+impl std::fmt::Display for SnapshotSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "bfw/engine-snapshot, \"{}\" at round {}/{} ({} nodes, {} crashed)",
+            self.name, self.round, self.rounds, self.nodes, self.crashed
+        )
+    }
+}
+
 /// Advances a fresh scenario `rounds` rounds (clamped to the spec's
 /// horizon) and captures the resulting [`EngineSnapshot`]. `seed` is
 /// the run's effective seed; `kernel`/`threads` override the spec's
@@ -258,6 +268,18 @@ fn edge_from_doc(doc: &Doc<'_>) -> Result<(NodeId, NodeId), SchemaError> {
 }
 
 impl EngineSnapshot {
+    /// What [`validate_engine_snapshot`] reports about this snapshot's
+    /// document.
+    pub fn summary(&self) -> SnapshotSummary {
+        SnapshotSummary {
+            name: self.spec.name.clone(),
+            round: self.round,
+            rounds: self.spec.rounds,
+            nodes: self.graph.node_count(),
+            crashed: self.checkpoint.crashed.iter().filter(|&&c| c).count(),
+        }
+    }
+
     /// Renders the snapshot as a versioned `bfw/engine-snapshot`
     /// document. Deterministic and kernel-invariant: states in label
     /// order, edges sorted, and only the embedded (file) spec — the
@@ -559,14 +581,7 @@ impl EngineSnapshot {
 ///
 /// A [`SchemaError`] naming the first offending path.
 pub fn validate_engine_snapshot(text: &str) -> Result<SnapshotSummary, SchemaError> {
-    let snap = EngineSnapshot::from_json(text)?;
-    Ok(SnapshotSummary {
-        name: snap.spec.name.clone(),
-        round: snap.round,
-        rounds: snap.spec.rounds,
-        nodes: snap.graph.node_count(),
-        crashed: snap.checkpoint.crashed.iter().filter(|&&c| c).count(),
-    })
+    Ok(EngineSnapshot::from_json(text)?.summary())
 }
 
 #[cfg(test)]

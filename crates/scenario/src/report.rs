@@ -258,6 +258,18 @@ pub struct RunSummary {
     pub traced: bool,
 }
 
+impl std::fmt::Display for RunSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "bfw/scenario-report, \"{}\" ({} rounds{})",
+            self.scenario,
+            self.rounds_run,
+            if self.traced { ", traced" } else { "" }
+        )
+    }
+}
+
 /// Validates a `bfw/scenario-report` document: the envelope, the
 /// config and result blocks, and — when present — the trace block's
 /// ledger, flight recorder and recovery costs.

@@ -81,6 +81,16 @@ pub struct SpecSummary {
     pub events: usize,
 }
 
+impl std::fmt::Display for SpecSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "bfw/scenario-spec, \"{}\" ({} rounds, {} events)",
+            self.name, self.rounds, self.events
+        )
+    }
+}
+
 /// Validates a `bfw/scenario-spec` document (the `bfw report validate`
 /// entry point for this kind): full decode, so every enum value and
 /// event field is checked, not just the envelope.

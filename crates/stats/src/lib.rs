@@ -47,8 +47,8 @@ pub use histogram::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use regression::{linear_fit, loglog_fit, LinearFit};
 pub use schema::{
-    did_you_mean, diff, diff_to_json, DiffEntry, Doc, Envelope, FromJson, SchemaError, ToJson,
-    SCHEMA_VERSION,
+    did_you_mean, diff, diff_to_json, validate_diff, DiffEntry, DiffSummary, Doc, Envelope,
+    FromJson, SchemaError, ToJson, SCHEMA_VERSION,
 };
 pub use summary::Summary;
 pub use table::Table;

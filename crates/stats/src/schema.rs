@@ -415,6 +415,42 @@ pub fn diff_to_json(entries: &[DiffEntry]) -> JsonValue {
     JsonValue::object(fields)
 }
 
+/// What [`validate_diff`] reports about a well-formed document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DiffSummary {
+    /// Number of divergent pointers.
+    pub entries: usize,
+}
+
+impl fmt::Display for DiffSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "bfw/report-diff, {} entries", self.entries)
+    }
+}
+
+/// Validates a `bfw/report-diff` document, the layout
+/// [`diff_to_json`] writes: the envelope and an `entries` array whose
+/// every element holds a string `pointer`, a `left` and a `right`
+/// (`null` = absent on that side).
+///
+/// # Errors
+///
+/// A [`SchemaError`] naming the first offending path.
+pub fn validate_diff(text: &str) -> Result<DiffSummary, SchemaError> {
+    let value = JsonValue::parse(text).map_err(|e| SchemaError::root(e.to_string()))?;
+    let doc = Doc::root(&value);
+    Envelope::expect(&doc, "report-diff")?;
+    let entries = doc.field("entries")?.items()?;
+    for entry in &entries {
+        entry.field("pointer")?.str()?;
+        entry.field("left")?;
+        entry.field("right")?;
+    }
+    Ok(DiffSummary {
+        entries: entries.len(),
+    })
+}
+
 /// Levenshtein distance (iterative two-row DP) — small inputs only.
 fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
@@ -567,6 +603,32 @@ mod tests {
         let doc = Doc::root(&rendered);
         Envelope::expect(&doc, "report-diff").unwrap();
         assert_eq!(doc.field("entries").unwrap().items().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn report_diff_validator_accepts_what_diff_to_json_writes() {
+        let left = JsonValue::parse(r#"{"seed": 42, "rows": [1, 2]}"#).unwrap();
+        let right = JsonValue::parse(r#"{"seed": 43, "rows": [1]}"#).unwrap();
+        let rendered = diff_to_json(&diff(&left, &right)).render_pretty();
+        let summary = validate_diff(&rendered).unwrap();
+        assert_eq!(summary.to_string(), "bfw/report-diff, 2 entries");
+        let empty = diff_to_json(&[]).render_pretty();
+        assert_eq!(validate_diff(&empty).unwrap().entries, 0);
+
+        // A non-string pointer is refused at its own path.
+        let tampered = rendered.replacen("\"/rows/1\"", "7", 1);
+        assert_ne!(tampered, rendered);
+        let err = validate_diff(&tampered).unwrap_err();
+        assert_eq!(err.pointer(), "/entries/0/pointer");
+        assert_eq!(
+            err.to_string(),
+            "schema error at /entries/0/pointer: expected a string"
+        );
+        // Each entry needs both sides, and the envelope must match.
+        let err = validate_diff(&rendered.replacen("\"left\"", "\"lft\"", 1)).unwrap_err();
+        assert_eq!(err.pointer(), "/entries/0");
+        let err = validate_diff(r#"{"format": "bfw/graph", "version": 1}"#).unwrap_err();
+        assert!(err.to_string().contains("bfw/report-diff"), "{err}");
     }
 
     #[test]

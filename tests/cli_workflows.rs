@@ -1,14 +1,10 @@
-//! Drives the `bfw` CLI end to end through its library interface
-//! (parse → execute), covering the user-facing workflows.
-
-use bfw_cli::{execute, parse, Command};
-
-fn argv(s: &str) -> Vec<String> {
-    s.split_whitespace().map(str::to_owned).collect()
-}
+//! Drives the `bfw` CLI end to end through its library entry point
+//! (`bfw_cli::run`, one command line in, the printed text out),
+//! covering the user-facing workflows.
 
 fn run_cli(line: &str) -> Result<String, String> {
-    parse(&argv(line)).and_then(execute)
+    let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+    bfw_cli::run(&argv)
 }
 
 #[test]
@@ -73,8 +69,16 @@ fn error_paths_are_user_friendly() {
 
 #[test]
 fn help_covers_all_subcommands() {
-    let help = execute(Command::Help).expect("help renders");
-    for cmd in ["bfw run", "bfw trace", "bfw graph", "bfw experiment"] {
+    let help = run_cli("help").expect("help renders");
+    for cmd in [
+        "bfw run",
+        "bfw trace",
+        "bfw graph",
+        "bfw invariants",
+        "bfw experiment",
+        "bfw scenario",
+        "bfw report",
+    ] {
         assert!(help.contains(cmd), "missing {cmd}");
     }
 }

@@ -146,9 +146,7 @@ fn tracked_heal_report_validates_and_is_canonical() {
     ]
     .map(str::to_owned)
     .into();
-    bfw_cli::parse(&argv)
-        .and_then(bfw_cli::execute)
-        .unwrap_or_else(|e| panic!("the heal scenario runs: {e}"));
+    bfw_cli::run(&argv).unwrap_or_else(|e| panic!("the heal scenario runs: {e}"));
     let text = std::fs::read_to_string(&out).expect("the run writes its report");
     let _ = std::fs::remove_dir_all(&dir);
     assert!(

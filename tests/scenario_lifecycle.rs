@@ -5,7 +5,6 @@
 //! must minimize the shipped corpus classes (E15 crash-leader
 //! no-rejoin, E17 phantom wave).
 
-use bfw_cli::{execute, parse};
 use bfw_graph::{Graph, NodeId};
 use bfw_scenario::{
     resume_run_bfw_scenario, resume_step_bfw_scenario, run_bfw_scenario, shrink_wipeout,
@@ -205,7 +204,7 @@ fn edited(text: &str, edits: &[(String, JsonValue)]) -> String {
 /// Runs one `bfw` command line through the CLI library.
 fn cli(args: &[&str]) -> Result<String, String> {
     let argv: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
-    parse(&argv).and_then(execute)
+    bfw_cli::run(&argv)
 }
 
 #[test]
@@ -233,10 +232,7 @@ fn snapshots_a_resume_would_panic_on_are_refused_at_their_pointer() {
         // panicking inside the engine.
         let path = dir.join(format!("tampered_{i}.json"));
         std::fs::write(&path, &text).unwrap();
-        let argv: Vec<String> = ["scenario", "run", "--resume-from", path.to_str().unwrap()]
-            .map(str::to_owned)
-            .into();
-        let err = parse(&argv).and_then(execute).unwrap_err();
+        let err = cli(&["scenario", "run", "--resume-from", path.to_str().unwrap()]).unwrap_err();
         assert!(err.contains(&format!("schema error at {at}: ")), "{err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -280,10 +276,7 @@ fn decoded_specs_refuse_what_the_toml_parser_refuses() {
         assert_eq!(err.to_string(), message);
         let path = dir.join(format!("tampered_spec_{i}.json"));
         std::fs::write(&path, &text).unwrap();
-        let argv: Vec<String> = ["scenario", "run", "--resume-from", path.to_str().unwrap()]
-            .map(str::to_owned)
-            .into();
-        let err = parse(&argv).and_then(execute).unwrap_err();
+        let err = cli(&["scenario", "run", "--resume-from", path.to_str().unwrap()]).unwrap_err();
         assert!(err.contains(message), "{err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
