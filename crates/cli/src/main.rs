@@ -5,8 +5,15 @@ use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match bfw_cli::run(&args) {
+    let args: Result<Vec<String>, String> = std::env::args_os()
+        .skip(1)
+        .enumerate()
+        .map(|(i, arg)| {
+            arg.into_string()
+                .map_err(|arg| format!("argument {} is not valid UTF-8: {arg:?}", i + 1))
+        })
+        .collect();
+    match args.and_then(|args| bfw_cli::run(&args)) {
         Ok(output) => {
             let mut stdout = std::io::stdout().lock();
             match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {

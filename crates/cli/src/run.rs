@@ -23,18 +23,19 @@ pub(crate) fn run(args: &[String]) -> Result<String, String> {
     let stability = args.int("--stability")?.unwrap_or(1_000);
 
     let topology = spec.try_topology().map_err(|e| e.to_string())?;
-    let p = if known_d {
+    let protocol = if known_d {
         let d = spec
             .try_diameter()
             .map_err(|e| format!("{e}; --known-d needs it, pass --p P instead"))?
             .expect("workload graphs are connected");
-        1.0 / (f64::from(d) + 1.0)
+        Bfw::with_known_diameter(d)
     } else {
-        p
+        crate::check_p(p)?;
+        Bfw::new(p)
     };
-    crate::check_p(p)?;
+    let p = protocol.p();
     let outcome = run_election(
-        Bfw::new(p),
+        protocol,
         topology,
         seed,
         ElectionConfig::new(max_rounds).with_stability_check(stability),

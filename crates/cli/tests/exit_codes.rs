@@ -1,7 +1,8 @@
 //! The binary's contract with its caller: a malformed command line
 //! ends in exit code 1 and exactly one `error:` line on stderr — never
-//! a panic (exit code 101) — for every verb; a reader that closes
-//! stdout early ends it quietly; and `graph validate` reads stdin.
+//! a panic (exit code 101) — for every verb and for an argument that
+//! is not UTF-8; a reader that closes stdout early ends it quietly;
+//! and `graph validate` reads stdin.
 
 use std::io::{Read as _, Write as _};
 use std::process::{Command, Stdio};
@@ -54,6 +55,29 @@ fn malformed_command_lines_exit_1_with_one_error_line() {
         assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(!stderr.contains("cannot read"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_argument_exits_1_naming_its_position() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt as _;
+    let cases: [(&[&[u8]], &str); 2] = [
+        (&[b"\xff"], "argument 1 "),
+        (&[b"run", b"--graph", b"cycle:\xff"], "argument 3 "),
+    ];
+    for (args, position) in cases {
+        let out = bfw()
+            .args(args.iter().map(|a| OsStr::from_bytes(a)))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(position), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
 }

@@ -1,8 +1,12 @@
 //! The BFW protocol (Section 1.2), its Theorem 3 variant and ablations.
 
+use crate::bit::BitNetwork;
 use crate::state::{delta, BfwState};
 use bfw_graph::NodeId;
-use bfw_sim::{BeepingProtocol, LeaderElection, NodeCtx};
+use bfw_sim::{
+    elect_on, BeepingProtocol, ElectionConfig, ElectionOutcome, LeaderElection, NodeCtx, SimError,
+    Topology,
+};
 use rand::{Rng, RngCore};
 
 /// Which nodes start as leaders (`W•`) — everyone else starts as a
@@ -161,6 +165,18 @@ impl BeepingProtocol for Bfw {
 impl LeaderElection for Bfw {
     fn is_leader(&self, state: &BfwState) -> bool {
         state.is_leader()
+    }
+
+    /// Elects on the bit kernel: [`BitNetwork`] reproduces
+    /// `Network<Bfw>` byte-for-byte at a fixed seed, at about 64 nodes
+    /// per word operation.
+    fn elect(
+        self,
+        topology: Topology,
+        seed: u64,
+        config: ElectionConfig,
+    ) -> Result<ElectionOutcome, SimError> {
+        elect_on(BitNetwork::new(self, topology, seed), config)
     }
 }
 

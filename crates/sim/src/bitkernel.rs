@@ -710,6 +710,17 @@ impl<M: BitModel> BitEngine<M> {
             .sum()
     }
 
+    /// Returns how many alive nodes beep in the current round (`|B_t|`;
+    /// a crashed node is silent) — the generic engine's
+    /// [`beeping_node_count`](crate::Network::beeping_node_count).
+    pub fn beeping_node_count(&self) -> usize {
+        self.beeping
+            .iter()
+            .zip(self.faults.alive_words())
+            .map(|(&b, &a)| (b & a).count_ones() as usize)
+            .sum()
+    }
+
     /// Returns the identifiers of all current (alive) leaders, in
     /// ascending (original-label) order.
     pub fn leaders(&self) -> Vec<NodeId> {

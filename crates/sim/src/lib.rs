@@ -76,6 +76,6 @@ pub use network::{BeepingModel, Network, RoundView};
 pub use pool::{shard_bounds, ShardPool};
 pub use protocol::{BeepingProtocol, LeaderElection, NodeCtx};
 pub use recovering::{SlotAware, SlotSyncedModel};
-pub use runner::{run_election, ElectionConfig, ElectionOutcome};
+pub use runner::{elect_on, run_election, ElectionConfig, ElectionHost, ElectionOutcome};
 pub use snapshot::{EngineCheckpoint, SchedulerCheckpoint};
 pub use tick::{LeaderModel, TickEngine, TickModel};

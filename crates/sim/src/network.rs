@@ -284,11 +284,14 @@ impl<P: BeepingProtocol> TickEngine<BeepingModel<P>> {
     /// Advances until `stop(&view)` returns `true` (checked *before*
     /// each step, including round 0) or until `max_rounds` is reached.
     ///
-    /// This is the one driver that observes rounds: the predicate sees
-    /// every round's view, so per-round bookkeeping (invariant checks,
-    /// beep totals, traces) lives in the caller's closure. A predicate
-    /// that always returns `false` sees every round from the current
-    /// one through `max_rounds`.
+    /// The predicate sees every round's view, so per-round bookkeeping
+    /// that needs the states (invariant checks, traces) lives in the
+    /// caller's closure. A predicate that always returns `false` sees
+    /// every round from the current one through `max_rounds`. Elections
+    /// need only leader and beep counts, so
+    /// [`run_election`](crate::run_election) drives them through
+    /// [`elect_on`](crate::elect_on) instead, on whichever engine the
+    /// protocol elects on.
     ///
     /// Returns the round at which the predicate fired, or `None` if the
     /// budget ran out.

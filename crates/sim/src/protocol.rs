@@ -1,3 +1,4 @@
+use crate::{ElectionConfig, ElectionOutcome, SimError, Topology};
 use bfw_graph::NodeId;
 use rand::RngCore;
 
@@ -58,6 +59,33 @@ pub trait BeepingProtocol {
 pub trait LeaderElection: BeepingProtocol {
     /// Returns `true` if `state` belongs to the leader set `L`.
     fn is_leader(&self, state: &Self::State) -> bool;
+
+    /// Runs one election from round 0 on the engine this protocol
+    /// elects on; [`run_election`](crate::run_election) checks the
+    /// topology, then calls this.
+    ///
+    /// The default hands [`elect_on`](crate::elect_on) the generic
+    /// `Network::new(self, topology, seed)`. Override it only with an
+    /// engine that reproduces that network byte-for-byte at every seed
+    /// (the same leaders and beeps in every round), so the outcome
+    /// cannot depend on the engine: `bfw-core`'s `Bfw` elects on its
+    /// bit kernel this way.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RoundBudgetExhausted`] — see
+    /// [`elect_on`](crate::elect_on).
+    fn elect(
+        self,
+        topology: Topology,
+        seed: u64,
+        config: ElectionConfig,
+    ) -> Result<ElectionOutcome, SimError>
+    where
+        Self: Sized,
+    {
+        crate::elect_on(crate::Network::new(self, topology, seed), config)
+    }
 }
 
 #[cfg(test)]

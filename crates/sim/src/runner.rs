@@ -1,4 +1,4 @@
-use crate::{LeaderElection, Network, SimError, Topology};
+use crate::{BitEngine, BitModel, LeaderElection, Network, SimError, Topology};
 use bfw_graph::NodeId;
 
 /// Configuration for a single leader-election run.
@@ -59,11 +59,80 @@ pub struct ElectionOutcome {
     pub stable: bool,
 }
 
+/// An engine an election can step: the reads and the one move of
+/// [`elect_on`]'s loop. [`Network`] implements it for every
+/// [`LeaderElection`] protocol and [`BitEngine`] for every
+/// [`BitModel`]; both count only alive nodes as leaders and beepers.
+pub trait ElectionHost {
+    /// Returns the number of nodes.
+    fn node_count(&self) -> usize;
+    /// Returns the current round number (0 before any step).
+    fn round(&self) -> u64;
+    /// Advances one synchronous round.
+    fn step(&mut self);
+    /// Returns the number of alive leaders.
+    fn leader_count(&self) -> usize;
+    /// Returns how many alive nodes beep in the current round (`|B_t|`).
+    fn beeping_node_count(&self) -> usize;
+    /// Returns the unique alive leader, or `None` if there are zero or
+    /// several.
+    fn unique_leader(&self) -> Option<NodeId>;
+}
+
+impl<P: LeaderElection> ElectionHost for Network<P> {
+    fn node_count(&self) -> usize {
+        Network::node_count(self)
+    }
+    fn round(&self) -> u64 {
+        Network::round(self)
+    }
+    fn step(&mut self) {
+        Network::step(self)
+    }
+    fn leader_count(&self) -> usize {
+        Network::leader_count(self)
+    }
+    fn beeping_node_count(&self) -> usize {
+        Network::beeping_node_count(self)
+    }
+    fn unique_leader(&self) -> Option<NodeId> {
+        Network::unique_leader(self)
+    }
+}
+
+impl<M: BitModel> ElectionHost for BitEngine<M> {
+    fn node_count(&self) -> usize {
+        BitEngine::node_count(self)
+    }
+    fn round(&self) -> u64 {
+        BitEngine::round(self)
+    }
+    fn step(&mut self) {
+        BitEngine::step(self)
+    }
+    fn leader_count(&self) -> usize {
+        BitEngine::leader_count(self)
+    }
+    fn beeping_node_count(&self) -> usize {
+        BitEngine::beeping_node_count(self)
+    }
+    fn unique_leader(&self) -> Option<NodeId> {
+        BitEngine::unique_leader(self)
+    }
+}
+
 /// Runs one complete leader election and reports the outcome.
 ///
 /// Steps the network until exactly one node is in the leader set, then
 /// (optionally) verifies stability for `config.stability_rounds` more
 /// rounds.
+///
+/// The protocol picks the engine through
+/// [`LeaderElection::elect`]: `bfw-core`'s `Bfw` elects on its bit
+/// kernel (`BitNetwork`), every other protocol on the generic
+/// [`Network`]. Both run the same loop ([`elect_on`]), and the bit
+/// kernel reproduces `Network<Bfw>` byte-for-byte at a fixed seed, so
+/// the outcome — `Err` included — is identical on either engine.
 ///
 /// # Errors
 ///
@@ -87,35 +156,53 @@ pub fn run_election<P: LeaderElection>(
     if !topology.is_connected() {
         return Err(SimError::Disconnected);
     }
-    let n = topology.node_count();
-    let mut net = Network::new(protocol, topology, seed);
+    protocol.elect(topology, seed, config)
+}
+
+/// The election loop behind [`run_election`], on any engine: observes
+/// rounds from the host's current one, adding up Σ |B_t|, stops at the
+/// first round `T` with exactly one leader, then steps
+/// `config.stability_rounds` more rounds while that leader stays the
+/// only one.
+///
+/// It checks nothing about the topology; call [`run_election`] unless
+/// you are implementing [`LeaderElection::elect`].
+///
+/// # Errors
+///
+/// [`SimError::RoundBudgetExhausted`] — more than one leader (or none)
+/// when the host reaches round `config.max_rounds`.
+pub fn elect_on<H: ElectionHost>(
+    mut host: H,
+    config: ElectionConfig,
+) -> Result<ElectionOutcome, SimError> {
     // Σ |B_t| over the observed rounds t = 0..=T.
     let mut total_beeps = 0u64;
-    let converged = net.run_until(config.max_rounds, |v| {
-        total_beeps += v.beeps.iter().filter(|&&b| b).count() as u64;
-        v.leader_count() == 1
-    });
-    let Some(converged_round) = converged else {
-        return Err(SimError::RoundBudgetExhausted {
-            max_rounds: config.max_rounds,
-            leaders_remaining: net.leader_count(),
-        });
-    };
-    let leader = net
-        .unique_leader()
-        .expect("stop predicate guarantees one leader");
-    let mut stable = true;
-    for _ in 0..config.stability_rounds {
-        net.step();
-        if net.unique_leader() != Some(leader) {
-            stable = false;
-            break;
+    let converged_round = loop {
+        total_beeps += host.beeping_node_count() as u64;
+        let leaders = host.leader_count();
+        if leaders == 1 {
+            break host.round();
         }
-    }
+        if host.round() >= config.max_rounds {
+            return Err(SimError::RoundBudgetExhausted {
+                max_rounds: config.max_rounds,
+                leaders_remaining: leaders,
+            });
+        }
+        host.step();
+    };
+    let leader = host
+        .unique_leader()
+        .expect("the loop stops at exactly one leader");
+    let stable = (0..config.stability_rounds).all(|_| {
+        host.step();
+        host.unique_leader() == Some(leader)
+    });
     Ok(ElectionOutcome {
         converged_round,
         leader,
-        node_count: n,
+        node_count: host.node_count(),
         total_beeps,
         stable,
     })

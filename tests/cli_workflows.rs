@@ -23,6 +23,14 @@ fn run_workflow_known_d_on_path() {
 }
 
 #[test]
+fn run_workflow_known_d_on_one_node() {
+    // D = 0 ⇒ Bfw::with_known_diameter's p = 1/2; a lone node leads at once.
+    let out = run_cli("run --graph path:1 --known-d").expect("run succeeds");
+    assert!(out.contains("p:                0.5\n"), "{out}");
+    assert!(out.contains("converged round:  0\n"), "{out}");
+}
+
+#[test]
 fn trace_workflow_renders_waves() {
     let out = run_cli("trace --graph path:12 --rounds 25 --seed 1").expect("trace succeeds");
     // All nodes start as leaders.
