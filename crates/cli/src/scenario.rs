@@ -188,8 +188,9 @@ fn resume(
     if threads.is_some() {
         snap.spec.threads = threads;
     }
-    // The report names the spec's workload; the graph itself comes from
-    // the snapshot, so the initial one is never generated.
+    // The report names the spec's workload. The decode built the
+    // initial graph once, as the base the snapshot's edits apply to;
+    // the resumed run starts from the topology at the snapshot round.
     let outcome =
         bfw_scenario::resume_run_bfw_scenario(&snap, None, None).map_err(|e| e.to_string())?;
     let (spec, nodes) = (&snap.spec, snap.graph.node_count());

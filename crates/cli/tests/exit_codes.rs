@@ -1,8 +1,10 @@
 //! The binary's contract with its caller: a malformed command line
 //! ends in exit code 1 and exactly one `error:` line on stderr — never
 //! a panic (exit code 101) — for every verb and for an argument that
-//! is not UTF-8; a reader that closes stdout early ends it quietly;
-//! and `graph validate` reads stdin.
+//! is not UTF-8; so does a document whose node count would make the
+//! reader allocate past the build limit (never an abort, 134); a
+//! reader that closes stdout early ends it quietly; and `graph
+//! validate` reads stdin.
 
 use std::io::{Read as _, Write as _};
 use std::process::{Command, Stdio};
@@ -124,4 +126,81 @@ fn graph_validate_reads_stdin_without_a_file_or_with_a_dash() {
             "{args:?}"
         );
     }
+}
+
+/// Runs `bfw` with `stdin` piped in, returning its exit code and stderr.
+fn with_stdin(args: &[&str], stdin: &[u8]) -> (Option<i32>, String) {
+    let mut child = bfw()
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(stdin).unwrap();
+    let out = child.wait_with_output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn node_counts_past_the_build_limit_exit_1_at_their_pointer() {
+    // A graph document may name at most 2^26 nodes, the build limit.
+    for nodes in [67_108_865u64, 4_294_967_295] {
+        let doc = format!(
+            "{{\"format\":\"bfw/graph\",\"version\":1,\"nodes\":{nodes},\"edges\":[],\
+             \"provenance\":null,\"overlay\":null}}"
+        );
+        let (code, stderr) = with_stdin(&["graph", "validate"], doc.as_bytes());
+        assert_eq!(code, Some(1), "{nodes}: {stderr}");
+        assert!(
+            stderr.starts_with("error: <stdin>: schema error at /nodes: "),
+            "{nodes}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{nodes}: {stderr}");
+    }
+
+    // A snapshot's node count must be its spec's, and a version-1
+    // snapshot is refused with a hint, by every reader.
+    let dir = std::env::temp_dir().join(format!("bfw_exit_snapshot_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("ring.toml");
+    std::fs::write(&spec, "[scenario]\ngraph = \"cycle:12\"\nrounds = 100\n").unwrap();
+    let snap = dir.join("snap.json");
+    let out = bfw()
+        .args(["scenario", "step", spec.to_str().unwrap(), "--rounds", "50"])
+        .args(["--out", snap.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let text = std::fs::read_to_string(&snap).unwrap();
+    for (from, to, pointer) in [
+        (
+            "\"nodes\": 12,",
+            "\"nodes\": 1099511627776,",
+            "/graph/nodes",
+        ),
+        ("\"version\": 2", "\"version\": 1", "/version"),
+    ] {
+        let tampered = text.replace(from, to);
+        assert_ne!(tampered, text, "{from}");
+        std::fs::write(&snap, &tampered).unwrap();
+        let path = snap.to_str().unwrap();
+        for args in [
+            &["report", "validate", path][..],
+            &["scenario", "run", "--resume-from", path],
+        ] {
+            let out = bfw().args(args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("error: {path}: schema error at {pointer}: ")),
+                "{args:?}: {stderr}"
+            );
+            assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

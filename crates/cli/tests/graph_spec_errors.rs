@@ -96,18 +96,20 @@ fn oversized_specs_exit_1_with_their_estimate() {
 #[test]
 fn exact_diameters_past_the_bfs_limit_exit_1_at_once() {
     // `graph` refuses before building; `run` builds the topology first
-    // (its own errors come first), so it gets a ring that builds fast in
-    // a debug binary but is still far past the BFS limit.
+    // (its own errors come first), so it gets a graph that builds fast
+    // in a debug binary but is still far past the BFS limit. Both are
+    // preferential-attachment graphs, which have no closed-form
+    // diameter.
     for (args, spec, work, hint) in [
         (
-            ["graph", "cycle:10000000"].as_slice(),
-            "cycle:10000000",
+            ["graph", "ba:10000000:1:1"].as_slice(),
+            "ba:10000000:1:1",
             "300000000000000",
             "",
         ),
         (
-            &["run", "--graph", "cycle:100000", "--known-d"],
-            "cycle:100000",
+            &["run", "--graph", "ba:100000:1:1", "--known-d"],
+            "ba:100000:1:1",
             "30000000000",
             "; --known-d needs it, pass --p P instead",
         ),
@@ -129,6 +131,16 @@ fn exact_diameters_past_the_bfs_limit_exit_1_at_once() {
             start.elapsed()
         );
     }
+    // A ring that large answers in closed form instead.
+    let start = std::time::Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_bfw"))
+        .args(["graph", "cycle:100000"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\ndiameter:  50000\n"), "{stdout}");
+    assert!(start.elapsed().as_secs() < 10, "took {:?}", start.elapsed());
 }
 
 #[test]

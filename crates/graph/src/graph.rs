@@ -1,4 +1,4 @@
-use crate::{GraphError, NodeId};
+use crate::{GraphError, NodeId, TopologyDelta};
 
 /// An immutable, simple, undirected graph in CSR (compressed sparse row)
 /// form.
@@ -113,6 +113,48 @@ impl Graph {
             neighbors,
             edge_count: edges.len(),
         }
+    }
+
+    /// The edits that turn `self` into `live`, a graph on the same
+    /// nodes: `removed` lists the edges only `self` has, `added` the
+    /// edges only `live` has, each as `(min, max)` pairs in ascending
+    /// order. One merge of the two graphs' sorted neighbor lists,
+    /// `O(n + m)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ.
+    pub fn edits_to(&self, live: &Graph) -> TopologyDelta {
+        assert_eq!(
+            self.node_count(),
+            live.node_count(),
+            "edits need graphs on the same nodes"
+        );
+        let mut delta = TopologyDelta::new();
+        for u in self.nodes() {
+            let (old, new) = (self.neighbors(u), live.neighbors(u));
+            let mut i = old.partition_point(|&v| v <= u);
+            let mut j = new.partition_point(|&v| v <= u);
+            loop {
+                match (old.get(i), new.get(j)) {
+                    (Some(&a), Some(&b)) if a == b => (i, j) = (i + 1, j + 1),
+                    (Some(&a), Some(&b)) if a < b => {
+                        delta.remove_edge(u, a);
+                        i += 1;
+                    }
+                    (Some(&a), None) => {
+                        delta.remove_edge(u, a);
+                        i += 1;
+                    }
+                    (_, Some(&b)) => {
+                        delta.add_edge(u, b);
+                        j += 1;
+                    }
+                    (None, None) => break,
+                }
+            }
+        }
+        delta
     }
 
     /// Returns the number of nodes, `n` in the paper's notation.
@@ -451,5 +493,28 @@ mod tests {
         let g = square();
         let h = g.clone();
         assert_eq!(g, h);
+    }
+
+    #[test]
+    fn edits_between_graphs_round_trip() {
+        let pair = |u: usize, v: usize| (NodeId::new(u), NodeId::new(v));
+        let applied = |base: &Graph, delta: &TopologyDelta| {
+            let mut overlay = crate::OverlayGraph::from_graph(base.clone());
+            overlay.apply(delta);
+            overlay.to_graph()
+        };
+        let base = square();
+        // Remove (0, 1) and (2, 3), add the diagonals.
+        let live = Graph::from_edges(4, [(0, 3), (1, 2), (0, 2), (3, 1)]).unwrap();
+        let delta = base.edits_to(&live);
+        assert_eq!(delta.removed(), [pair(0, 1), pair(2, 3)]);
+        assert_eq!(delta.added(), [pair(0, 2), pair(1, 3)]);
+        assert_eq!(applied(&base, &delta), live);
+        assert_eq!(applied(&live, &live.edits_to(&base)), base);
+        assert!(base.edits_to(&base).is_empty());
+        // Everything removed, and everything added to an empty graph.
+        let empty = Graph::from_edges(4, []).unwrap();
+        assert_eq!(base.edits_to(&empty).removed().len(), 4);
+        assert_eq!(applied(&empty, &empty.edits_to(&base)), base);
     }
 }

@@ -27,7 +27,14 @@
 //! ([`TopologyDelta`]). Both are `null` when absent. [`export_json`] is
 //! canonical — edges in the CSR's sorted order, one per line — so
 //! `export → import → export` is the byte identity, which the CI
-//! round-trip smoke asserts with `cmp`.
+//! round-trip smoke asserts with `cmp`. `nodes` is capped at
+//! [`MAX_NODES`], the largest graph a spec builds, so a document cannot
+//! make the reader allocate for more.
+//!
+//! Every edge any `bfw/*` document carries — these edges and overlays,
+//! a snapshot's topology edits and partition backlog — goes through one
+//! `[u, v]` pair codec, [`edge_to_json`] (and [`edges_to_json`] for lists)
+//! and [`edge_from_json`].
 //!
 //! ```
 //! use bfw_graph::{generators, io};
@@ -66,8 +73,8 @@
 //! # Ok::<(), bfw_graph::GraphError>(())
 //! ```
 
-use crate::{Graph, GraphError, NodeId, TopologyDelta};
-use bfw_stats::{Doc, Envelope, FromJson, JsonValue, SchemaError, ToJson, SCHEMA_VERSION};
+use crate::{Graph, GraphError, NodeId, TopologyDelta, MAX_NODES};
+use bfw_stats::{Doc, Envelope, FromJson, JsonValue, SchemaError, ToJson};
 use std::fmt::Write as _;
 
 /// Generator provenance carried inside an exported graph: which family
@@ -173,28 +180,72 @@ impl GraphDoc {
     }
 }
 
-fn delta_to_json(delta: &TopologyDelta) -> JsonValue {
-    let pairs = |edges: &[(NodeId, NodeId)]| {
-        JsonValue::array(edges.iter().map(|(u, v)| {
-            JsonValue::array([JsonValue::from(u.index()), JsonValue::from(v.index())])
-        }))
-    };
-    JsonValue::object([
-        ("added", pairs(delta.added())),
-        ("removed", pairs(delta.removed())),
+/// Renders one undirected edge as the `[u, v]` pair every `bfw/*`
+/// document writes, smaller end first.
+pub fn edge_to_json(u: NodeId, v: NodeId) -> JsonValue {
+    JsonValue::array([
+        JsonValue::from(u.min(v).index()),
+        JsonValue::from(u.max(v).index()),
     ])
+}
+
+/// Reads one `[u, v]` pair, in the order written, checking that both
+/// ends are node indices below `nodes`.
+///
+/// # Errors
+///
+/// A [`SchemaError`] at the pair when it is not two items, or at the
+/// end that is not an integer below `nodes`.
+pub fn edge_from_json(doc: &Doc<'_>, nodes: usize) -> Result<(NodeId, NodeId), SchemaError> {
+    let items = doc.items()?;
+    let [u, v] = items.as_slice() else {
+        return Err(doc.error(format!(
+            "expected an edge pair [u, v], got {} items",
+            items.len()
+        )));
+    };
+    let read = |end: &Doc<'_>| -> Result<NodeId, SchemaError> {
+        let x = end.u64()?;
+        if x < nodes as u64 {
+            Ok(NodeId::new(x as usize))
+        } else {
+            Err(end.error(format!("node {x} out of range (graph has {nodes} nodes)")))
+        }
+    };
+    Ok((read(u)?, read(v)?))
+}
+
+/// A list of edges as `[u, v]` pairs (see [`edge_to_json`]).
+pub fn edges_to_json(edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> JsonValue {
+    JsonValue::array(edges.into_iter().map(|(u, v)| edge_to_json(u, v)))
+}
+
+fn delta_to_json(delta: &TopologyDelta) -> JsonValue {
+    JsonValue::object([
+        ("added", edges_to_json(delta.added().iter().copied())),
+        ("removed", edges_to_json(delta.removed().iter().copied())),
+    ])
+}
+
+/// FNV-1a (64-bit) over a graph's edges in their sorted `(u, v)` order,
+/// each end as a little-endian `u32`: a cheap fingerprint of an edge
+/// set, which a `bfw/engine-snapshot` stores to pin the graph its
+/// topology edits apply to.
+pub fn edge_digest(graph: &Graph) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for end in graph.edges().flat_map(|(u, v)| [u, v]) {
+        for byte in end.as_u32().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    hash
 }
 
 impl ToJson for GraphDoc {
     fn to_json_value(&self) -> JsonValue {
         let mut fields: Vec<(String, JsonValue)> = Envelope::entries("graph").into();
         fields.push(("nodes".to_owned(), JsonValue::from(self.graph.node_count())));
-        fields.push((
-            "edges".to_owned(),
-            JsonValue::array(self.graph.edges().map(|(u, v)| {
-                JsonValue::array([JsonValue::from(u.index()), JsonValue::from(v.index())])
-            })),
-        ));
+        fields.push(("edges".to_owned(), edges_to_json(self.graph.edges())));
         fields.push((
             "provenance".to_owned(),
             self.provenance
@@ -209,41 +260,23 @@ impl ToJson for GraphDoc {
     }
 }
 
-/// Reads one `[u, v]` pair, checking both ends fit a node index below
-/// `nodes`.
-fn edge_pair(doc: &Doc<'_>, nodes: usize) -> Result<(u32, u32), SchemaError> {
-    let items = doc.items()?;
-    let [u, v] = items.as_slice() else {
-        return Err(doc.error(format!(
-            "expected an edge pair [u, v], got {} items",
-            items.len()
-        )));
-    };
-    let read = |end: &Doc<'_>| -> Result<u32, SchemaError> {
-        let x = end.u64()?;
-        if x < nodes as u64 {
-            Ok(x as u32)
-        } else {
-            Err(end.error(format!("node {x} out of range (graph has {nodes} nodes)")))
-        }
-    };
-    Ok((read(u)?, read(v)?))
-}
-
 impl FromJson for GraphDoc {
     fn from_json_value(doc: &Doc<'_>) -> Result<Self, SchemaError> {
         Envelope::expect(doc, "graph")?;
         let nodes_doc = doc.field("nodes")?;
         let nodes = nodes_doc.u64()?;
-        if nodes == 0 || nodes > u32::MAX as u64 {
-            return Err(nodes_doc.error("node count must be in 1..=u32::MAX"));
+        if nodes == 0 || nodes > MAX_NODES {
+            return Err(nodes_doc.error(format!(
+                "node count {nodes} out of range (1..={MAX_NODES}, the build limit)"
+            )));
         }
         let nodes = nodes as usize;
 
         let edges_doc = doc.field("edges")?;
         let mut edges = Vec::new();
         for item in edges_doc.items()? {
-            edges.push(edge_pair(&item, nodes)?);
+            let (u, v) = edge_from_json(&item, nodes)?;
+            edges.push((u.as_u32(), v.as_u32()));
         }
         let graph = Graph::from_edges(nodes, edges).map_err(|e| edges_doc.error(e.to_string()))?;
 
@@ -256,12 +289,12 @@ impl FromJson for GraphDoc {
             Some(ov) => {
                 let mut delta = TopologyDelta::new();
                 for item in ov.field("added")?.items()? {
-                    let (u, v) = edge_pair(&item, nodes)?;
-                    delta.add_edge(NodeId::new(u as usize), NodeId::new(v as usize));
+                    let (u, v) = edge_from_json(&item, nodes)?;
+                    delta.add_edge(u, v);
                 }
                 for item in ov.field("removed")?.items()? {
-                    let (u, v) = edge_pair(&item, nodes)?;
-                    delta.remove_edge(NodeId::new(u as usize), NodeId::new(v as usize));
+                    let (u, v) = edge_from_json(&item, nodes)?;
+                    delta.remove_edge(u, v);
                 }
                 Some(delta)
             }
@@ -290,7 +323,8 @@ pub fn export_json(doc: &GraphDoc) -> String {
     let g = &doc.graph;
     let mut out = String::with_capacity(96 + 16 * g.edge_count());
     out.push_str("{\n  \"format\": \"bfw/graph\",\n");
-    let _ = writeln!(out, "  \"version\": {SCHEMA_VERSION},");
+    let version = Envelope::current_version("graph");
+    let _ = writeln!(out, "  \"version\": {version},");
     let _ = writeln!(out, "  \"nodes\": {},", g.node_count());
     if g.edge_count() == 0 {
         out.push_str("  \"edges\": [],\n");
@@ -620,6 +654,16 @@ mod tests {
             ),
             (
                 r#"{"format": "bfw/graph", "version": 1, "nodes": 0, "edges": []}"#,
+                "/nodes",
+            ),
+            // Past the build limit: refused before anything node-sized
+            // is allocated.
+            (
+                r#"{"format": "bfw/graph", "version": 1, "nodes": 67108865, "edges": []}"#,
+                "/nodes",
+            ),
+            (
+                r#"{"format": "bfw/graph", "version": 1, "nodes": 4294967295, "edges": []}"#,
                 "/nodes",
             ),
             (

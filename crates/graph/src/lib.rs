@@ -55,4 +55,4 @@ pub use node::NodeId;
 pub use overlay::{OverlayGraph, OverlayNeighbors, TopologyDelta};
 pub use topology::Topology;
 pub use wordgraph::{words_for, Relabeling, WordGraph};
-pub use workloads::{GraphSpec, WorkloadError};
+pub use workloads::{GraphSpec, WorkloadError, MAX_NODES};

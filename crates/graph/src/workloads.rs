@@ -73,10 +73,12 @@ const ER_CONNECT_TRIES: usize = 1000;
 /// is reported as having no simple pairing.
 const RR_PAIRING_TRIES: usize = 10_000;
 
-/// The largest graph [`GraphSpec::try_build`] builds. The repo's largest
-/// workloads fit: E20's 10⁷-node rows, and `rr:10000000:4:S` at about
-/// 1.7·10⁹ expected generator steps.
-const MAX_NODES: u64 = 1 << 26;
+/// The most nodes a graph may have: [`GraphSpec::try_build`] refuses
+/// larger specs, and a `bfw/graph` document larger graphs.
+pub const MAX_NODES: u64 = 1 << 26;
+/// With [`MAX_NODES`], the largest graph [`GraphSpec::try_build`]
+/// builds. The repo's largest workloads fit: E20's 10⁷-node rows, and
+/// `rr:10000000:4:S` at about 1.7·10⁹ expected generator steps.
 const MAX_EDGES: u64 = 1 << 27;
 const MAX_WORK: u64 = 1 << 32;
 
@@ -186,6 +188,13 @@ impl GraphSpec {
                 generators::scrambled_cycle(n, &mut rng)
             }
         })
+    }
+
+    /// The number of nodes the spec builds, from its closed form: known
+    /// without building the graph. Exact within the build limits, and
+    /// saturating past them.
+    pub fn node_count(&self) -> u64 {
+        self.size().nodes as u64
     }
 
     /// The closed-form [`Size`], refused past the build limits.
@@ -403,11 +412,13 @@ impl GraphSpec {
             .expect("workload graphs are connected")
     }
 
-    /// The exact diameter of the built graph by all-pairs BFS (`None`
-    /// when it is disconnected). Like the build limits, the BFS's work,
+    /// The exact diameter of the built graph (`None` when it is
+    /// disconnected). Cliques, paths, cycles, stars, grids, tori,
+    /// hypercubes and complete trees answer in closed form, and cliques
+    /// even past the build limits, as they are never materialized. Other
+    /// families run an all-pairs BFS; like the build limits, its work,
     /// n · (n + 2m) adjacency steps over the size estimate, is checked
-    /// against a fixed limit before anything is built. Cliques answer in
-    /// closed form.
+    /// against a fixed limit before anything is built.
     ///
     /// # Errors
     ///
@@ -421,6 +432,9 @@ impl GraphSpec {
             _ => {}
         }
         let size = self.buildable_size()?;
+        if let Some(d) = self.closed_form_diameter() {
+            return Ok(Some(d));
+        }
         let work = algo::diameter_work(size.nodes, size.edges);
         if work > algo::MAX_DIAMETER_WORK as f64 {
             return Err(WorkloadError::new(format!(
@@ -431,6 +445,26 @@ impl GraphSpec {
             )));
         }
         Ok(algo::diameter(&self.try_build()?))
+    }
+
+    /// The diameter of a family with a closed form, for a spec within
+    /// the build limits (so every count fits a `u32`).
+    fn closed_form_diameter(&self) -> Option<u32> {
+        let span = |n: usize| n.saturating_sub(1) as u32;
+        let half = |n: usize| (n / 2) as u32;
+        Some(match *self {
+            GraphSpec::Path(n) => span(n),
+            GraphSpec::Cycle(n) | GraphSpec::ScrambledCycle(n, _) => half(n),
+            GraphSpec::Star(n) => span(n).min(2),
+            GraphSpec::Grid(r, c) => span(r) + span(c),
+            GraphSpec::Torus(r, c) => half(r) + half(c),
+            GraphSpec::Hypercube(d) => d,
+            // Arity 1 is a path down from the root; wider trees join two
+            // leaves of different subtrees through the root.
+            GraphSpec::Tree(1, depth) => depth,
+            GraphSpec::Tree(_, depth) => 2 * depth,
+            _ => return None,
+        })
     }
 }
 
@@ -759,6 +793,7 @@ mod tests {
             let spec: GraphSpec = s.parse().unwrap();
             let (size, g) = (spec.size(), spec.build());
             assert_eq!(size.nodes, g.node_count() as f64, "{s}");
+            assert_eq!(spec.node_count(), g.node_count() as u64, "{s}");
             let edges = g.edge_count() as f64;
             assert!(
                 size.edges >= edges / 3.0 && size.edges <= 3.0 * edges,
@@ -780,13 +815,55 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_diameters_match_bfs() {
+        // Every family with a closed form, at small sizes and at the
+        // degenerate edges of each domain (one node, one row, arity 1,
+        // depth 0), against a BFS of the built graph.
+        let mut specs = Vec::new();
+        for n in 1..=9 {
+            specs.extend([GraphSpec::Path(n), GraphSpec::Star(n), GraphSpec::Clique(n)]);
+        }
+        for n in 3..=10 {
+            specs.extend([GraphSpec::Cycle(n), GraphSpec::ScrambledCycle(n, n as u64)]);
+        }
+        for r in 1..=5 {
+            for c in 1..=5 {
+                specs.push(GraphSpec::Grid(r, c));
+                if r >= 3 && c >= 3 {
+                    specs.push(GraphSpec::Torus(r, c));
+                }
+            }
+        }
+        specs.extend((1..=6).map(GraphSpec::Hypercube));
+        for arity in 1..=4 {
+            specs.extend((0..=3).map(|depth| GraphSpec::Tree(arity, depth)));
+        }
+        for spec in specs {
+            let bfs = algo::diameter(&spec.build());
+            assert_eq!(spec.try_diameter(), Ok(bfs), "{spec}");
+            assert!(
+                spec.closed_form_diameter().is_some() || matches!(spec, GraphSpec::Clique(_)),
+                "{spec}"
+            );
+        }
+        // Families without one still run the BFS.
+        assert_eq!(GraphSpec::Barbell(4, 2).closed_form_diameter(), None);
+        assert_eq!(GraphSpec::Barbell(4, 2).try_diameter(), Ok(Some(5)));
+    }
+
+    #[test]
     fn costly_diameters_are_refused_before_the_build() {
         // n · (n + 2m) = 10⁷ · 3·10⁷: hours of BFS, refused at once.
-        let e = GraphSpec::Cycle(10_000_000).try_diameter().unwrap_err();
+        let e = GraphSpec::Ba(10_000_000, 1, 1).try_diameter().unwrap_err();
         assert_eq!(
             e.to_string(),
-            "invalid graph spec: cycle:10000000: too large for an exact diameter: all-pairs BFS takes \
-             ≈300000000000000 steps, n·(n + 2m) (limit: 2147483648 steps)"
+            "invalid graph spec: ba:10000000:1:1: too large for an exact diameter: all-pairs BFS \
+             takes ≈300000000000000 steps, n·(n + 2m) (limit: 2147483648 steps)"
+        );
+        // A ring of the same size answers in closed form.
+        assert_eq!(
+            GraphSpec::Cycle(10_000_000).try_diameter(),
+            Ok(Some(5_000_000))
         );
         // An unbuildable spec keeps the build's refusal.
         let e = GraphSpec::Hypercube(30).try_diameter().unwrap_err();

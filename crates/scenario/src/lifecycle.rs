@@ -12,9 +12,9 @@
 //! count.
 //!
 //! A snapshot is everything the run is: the normalized spec (compiled
-//! all-`at` timeline, pinned seed), the **current** topology (events
-//! may have rewired it), per-node protocol states, the fault layer's
-//! crash mask and noise channels, every per-node ChaCha stream
+//! all-`at` timeline, pinned seed), the topology at the snapshot round
+//! (events may have rewired it), per-node protocol states, the fault
+//! layer's crash mask and noise channels, every per-node ChaCha stream
 //! position, the async scheduler half when there is one, and the
 //! engine's own cursor (timeline index, partition backlog, noise
 //! expiry, scenario-RNG position, event log, election-monitor state).
@@ -22,10 +22,23 @@
 //! ([`EngineSnapshot::to_json_value`] / [`EngineSnapshot::from_json`],
 //! checked by [`validate_engine_snapshot`]).
 //!
+//! The document names its graph instead of copying it. The embedded
+//! spec's `graph` is a seeded [`GraphSpec`], so version 2 of the format
+//! stores the topology as its edits from a fresh build of that spec:
+//! the `removed` and `added` edges as sorted `[min, max]` pairs, plus
+//! the base's edge count and FNV-1a digest
+//! ([`io::edge_digest`](bfw_graph::io::edge_digest)). A decode checks
+//! `nodes` against the spec before it allocates anything node-sized,
+//! builds the base once, checks its edge count and digest, refuses each
+//! edit that does not fit it at its JSON pointer, and applies the rest.
+//! In memory a snapshot keeps the live topology and a shared handle on
+//! that base, so capture never runs a generator, and only encoding
+//! computes the edits, in one `O(n + m)` merge.
+//!
 //! Snapshots are **kernel- and thread-invariant**: the embedded spec
 //! keeps the file's own `kernel`/`threads` keys (execution overrides
 //! apply only to the run, never to the artifact), the bit kernel
-//! translates its checkpoint back to original node labels, and edges
+//! translates its checkpoint back to original node labels, and edits
 //! are emitted sorted — so the generic engine at 1 thread and the bit
 //! kernel at 8 write byte-identical snapshot documents, and either can
 //! resume the other's.
@@ -37,9 +50,10 @@ use crate::{
     ScenarioSpec, SpecError,
 };
 use bfw_core::{Bfw, BfwState, RecoveringNetwork};
-use bfw_graph::{Graph, NodeId};
+use bfw_graph::{io, Graph, GraphSpec, NodeId, OverlayGraph, TopologyDelta};
 use bfw_sim::{EngineCheckpoint, SchedulerCheckpoint};
 use bfw_stats::{Doc, Envelope, JsonValue, SchemaError};
+use std::sync::Arc;
 
 /// A paused scenario run: everything needed to continue it — or to
 /// reproduce its remainder on a different kernel or thread count.
@@ -58,6 +72,12 @@ pub struct EngineSnapshot {
     /// The topology **at the snapshot round** (timeline events may have
     /// rewired the initial graph).
     pub graph: Graph,
+    /// The graph the run started on, the one `spec.graph` builds: the
+    /// document stores `graph` as its edits from this base. Every
+    /// snapshot of one run shares it — the graph handed to
+    /// [`step_bfw_scenario`], or the one [`EngineSnapshot::from_json`]
+    /// built.
+    pub base: Arc<Graph>,
     /// Per-node protocol states, in original node-label order.
     pub states: Vec<BfwState>,
     /// The host engine's checkpoint: crash mask, noise channels,
@@ -190,11 +210,16 @@ impl OnHost for StepTo {
         let engine = leg.drive(leg.restored(host), bfw_injector());
         let host = engine.host();
         let (states, checkpoint) = host.capture();
+        let base = leg.from.map_or_else(
+            || Arc::new(leg.graph.clone()),
+            |snap| Arc::clone(&snap.base),
+        );
         Ok(EngineSnapshot {
             spec: leg.spec.clone(),
             seed: leg.seed,
             round: host.round(),
             graph: host.topology().to_graph(),
+            base,
             states,
             checkpoint,
             cursor: engine.cursor(),
@@ -243,15 +268,6 @@ fn position_from_doc(doc: &Doc<'_>) -> Result<(u64, usize), SchemaError> {
     Ok((counter, cursor as usize))
 }
 
-fn edge_json(u: NodeId, v: NodeId) -> JsonValue {
-    let (a, b) = if u.index() <= v.index() {
-        (u, v)
-    } else {
-        (v, u)
-    };
-    JsonValue::array([JsonValue::from(a.index()), JsonValue::from(b.index())])
-}
-
 fn node_from_doc(doc: &Doc<'_>) -> Result<NodeId, SchemaError> {
     let id = doc.u64()?;
     u32::try_from(id)
@@ -259,12 +275,118 @@ fn node_from_doc(doc: &Doc<'_>) -> Result<NodeId, SchemaError> {
         .map_err(|_| doc.error(format!("node id {id} exceeds u32::MAX")))
 }
 
-fn edge_from_doc(doc: &Doc<'_>) -> Result<(NodeId, NodeId), SchemaError> {
-    let items = doc.items()?;
-    if items.len() != 2 {
-        return Err(doc.error("an edge is a [u, v] pair"));
+/// How a snapshot pins its base graph: the FNV-1a edge digest in hex.
+fn digest_hex(graph: &Graph) -> String {
+    format!("{:016x}", io::edge_digest(graph))
+}
+
+/// Refuses a document that is not a `bfw/engine-snapshot` this build
+/// reads, with a hint for one from an older build.
+fn check_envelope(doc: &Doc<'_>) -> Result<(), SchemaError> {
+    let envelope = Envelope::read(doc)?;
+    let current = Envelope::current_version("engine-snapshot");
+    if envelope.kind == "engine-snapshot" && envelope.version < current {
+        return Err(doc.field("version")?.error(format!(
+            "bfw/engine-snapshot version {} is no longer read (this build reads version \
+             {current}, which stores the topology as edits from the spec's graph); re-create \
+             the snapshot with `bfw scenario step`",
+            envelope.version
+        )));
     }
-    Ok((node_from_doc(&items[0])?, node_from_doc(&items[1])?))
+    Envelope::expect(doc, "engine-snapshot").map(drop)
+}
+
+/// Reads a snapshot's `graph` object: builds the spec's graph once,
+/// checks it against the pinned node count, edge count and digest, and
+/// applies the edits, refusing each one that does not fit it. Returns
+/// the base and the topology at the snapshot round.
+fn topology_from_doc(
+    spec: &ScenarioSpec,
+    graph_key: &Doc<'_>,
+    doc: &Doc<'_>,
+) -> Result<(Arc<Graph>, Graph), SchemaError> {
+    let workload = spec
+        .graph
+        .parse::<GraphSpec>()
+        .map_err(|e| graph_key.error(e.to_string()))?;
+    // The node count is checked before the build: a document cannot
+    // make the decoder allocate more than the spec's graph.
+    let nodes_doc = doc.field("nodes")?;
+    let nodes = nodes_doc.u64()?;
+    if nodes != workload.node_count() {
+        return Err(nodes_doc.error(format!(
+            "{nodes} nodes, but the spec's graph {workload} has {}",
+            workload.node_count()
+        )));
+    }
+    let base = workload
+        .try_build()
+        .map_err(|e| graph_key.error(e.to_string()))?;
+    let edges_doc = doc.field("base_edges")?;
+    let edges = edges_doc.u64()?;
+    if edges != base.edge_count() as u64 {
+        return Err(edges_doc.error(format!(
+            "a base of {edges} edges, but the spec's graph {workload} has {}: the snapshot \
+             was not taken on this graph",
+            base.edge_count()
+        )));
+    }
+    let digest_doc = doc.field("base_digest")?;
+    let digest = digest_hex(&base);
+    if digest_doc.str()? != digest {
+        return Err(digest_doc.error(format!(
+            "base digest {} differs from {digest}, the digest of the spec's graph {workload}: \
+             the snapshot was not taken on this graph",
+            digest_doc.str()?
+        )));
+    }
+
+    let mut delta = TopologyDelta::new();
+    for (key, in_base) in [("removed", true), ("added", false)] {
+        let mut last = None;
+        for item in doc.field(key)?.items()? {
+            let (u, v) = io::edge_from_json(&item, base.node_count())?;
+            if let Some(message) = edit_refusal(&base, last, (u, v), in_base) {
+                return Err(item.error(message));
+            }
+            last = Some((u, v));
+            if in_base {
+                delta.remove_edge(u, v);
+            } else {
+                delta.add_edge(u, v);
+            }
+        }
+    }
+    let mut live = OverlayGraph::from_graph(base.clone());
+    live.apply(&delta);
+    Ok((Arc::new(base), live.to_graph()))
+}
+
+/// Why the edit `[u, v]`, after `last` in a snapshot's `removed`
+/// (`in_base`) or `added` list, cannot apply to `base`, if it cannot.
+fn edit_refusal(
+    base: &Graph,
+    last: Option<(NodeId, NodeId)>,
+    (u, v): (NodeId, NodeId),
+    in_base: bool,
+) -> Option<String> {
+    if u == v {
+        Some(format!("[{u}, {u}] is a self-loop"))
+    } else if u > v {
+        Some(format!("write the edge as [{v}, {u}], smaller end first"))
+    } else if last == Some((u, v)) {
+        Some(format!("[{u}, {v}] is listed twice"))
+    } else if last > Some((u, v)) {
+        Some(format!("[{u}, {v}] is out of order (edits are sorted)"))
+    } else if base.has_edge(u, v) == in_base {
+        None
+    } else if in_base {
+        Some(format!("removes [{u}, {v}], which the spec's graph lacks"))
+    } else {
+        Some(format!(
+            "adds [{u}, {v}], which the spec's graph already has"
+        ))
+    }
 }
 
 impl EngineSnapshot {
@@ -282,8 +404,8 @@ impl EngineSnapshot {
 
     /// Renders the snapshot as a versioned `bfw/engine-snapshot`
     /// document. Deterministic and kernel-invariant: states in label
-    /// order, edges sorted, and only the embedded (file) spec — the
-    /// same paused run always renders byte-identically, whichever
+    /// order, topology edits sorted, and only the embedded (file) spec
+    /// — the same paused run always renders byte-identically, whichever
     /// kernel or thread count produced it.
     pub fn to_json_value(&self) -> JsonValue {
         let mut fields: Vec<(String, JsonValue)> = Envelope::entries("engine-snapshot").into();
@@ -292,16 +414,18 @@ impl EngineSnapshot {
             JsonValue::object(spec_body(&self.spec, self.seed)),
         ));
         fields.push(("round".to_owned(), JsonValue::from(self.round)));
-        let mut edges: Vec<(NodeId, NodeId)> = self.graph.edges().collect();
-        edges.sort_by_key(|&(u, v)| (u.index().min(v.index()), u.index().max(v.index())));
+        let edits = self.base.edits_to(&self.graph);
         fields.push((
             "graph".to_owned(),
             JsonValue::object([
                 ("nodes", JsonValue::from(self.graph.node_count())),
+                ("base_edges", JsonValue::from(self.base.edge_count())),
+                ("base_digest", JsonValue::from(digest_hex(&self.base))),
                 (
-                    "edges",
-                    JsonValue::array(edges.into_iter().map(|(u, v)| edge_json(u, v))),
+                    "removed",
+                    io::edges_to_json(edits.removed().iter().copied()),
                 ),
+                ("added", io::edges_to_json(edits.added().iter().copied())),
             ]),
         ));
         fields.push((
@@ -354,7 +478,7 @@ impl EngineSnapshot {
                 ("next_event", JsonValue::from(cur.next_event)),
                 (
                     "partition_backlog",
-                    JsonValue::array(cur.partition_backlog.iter().map(|&(u, v)| edge_json(u, v))),
+                    io::edges_to_json(cur.partition_backlog.iter().copied()),
                 ),
                 ("noise_off_at", JsonValue::from(cur.noise_off_at)),
                 ("rng", position_json(cur.rng_position)),
@@ -400,33 +524,30 @@ impl EngineSnapshot {
         JsonValue::object(fields)
     }
 
-    /// Parses a `bfw/engine-snapshot` document.
+    /// Parses a `bfw/engine-snapshot` document, building the spec's
+    /// graph once as the base its topology edits apply to.
     ///
     /// # Errors
     ///
-    /// A [`SchemaError`] naming the first offending path, including
-    /// cross-field inconsistencies (state/RNG/crash arrays must all be
-    /// node-sized; the engine's step counter must equal the round) and
-    /// values a resume could not restore (an RNG position outside its
-    /// ChaCha8 block, a noise probability outside `[0, 1)`).
+    /// A [`SchemaError`] naming the first offending path: a version-1
+    /// document (with a hint to re-create it), a topology that does not
+    /// fit the spec's graph (node count, base edge count or digest, an
+    /// edit the base cannot take), cross-field inconsistencies
+    /// (state/RNG/crash arrays must all be node-sized; the engine's
+    /// step counter must equal the round) and values a resume could not
+    /// restore (an RNG position outside its ChaCha8 block, a noise
+    /// probability outside `[0, 1)`).
     pub fn from_json(text: &str) -> Result<EngineSnapshot, SchemaError> {
         let value = JsonValue::parse(text).map_err(|e| SchemaError::root(e.to_string()))?;
         let doc = Doc::root(&value);
-        Envelope::expect(&doc, "engine-snapshot")?;
+        check_envelope(&doc)?;
 
-        let spec = spec_from_doc(&doc.field("spec")?)?;
+        let spec_doc = doc.field("spec")?;
+        let spec = spec_from_doc(&spec_doc)?;
         let round = doc.field("round")?.u64()?;
-
-        let graph_doc = doc.field("graph")?;
-        let nodes = graph_doc.field("nodes")?.u64()? as usize;
-        let edges_doc = graph_doc.field("edges")?;
-        let mut edges = Vec::new();
-        for item in edges_doc.items()? {
-            let (u, v) = edge_from_doc(&item)?;
-            edges.push((u.as_u32(), v.as_u32()));
-        }
-        let graph = Graph::from_edges(nodes, edges)
-            .map_err(|e| edges_doc.error(format!("invalid edge set: {e}")))?;
+        let graph_key = spec_doc.field("config")?.field("graph")?;
+        let (base, graph) = topology_from_doc(&spec, &graph_key, &doc.field("graph")?)?;
+        let nodes = graph.node_count();
 
         let states_doc = doc.field("states")?;
         let mut states = Vec::new();
@@ -508,7 +629,7 @@ impl EngineSnapshot {
         let cur = doc.field("cursor")?;
         let mut partition_backlog = Vec::new();
         for item in cur.field("partition_backlog")?.items()? {
-            partition_backlog.push(edge_from_doc(&item)?);
+            partition_backlog.push(io::edge_from_json(&item, nodes)?);
         }
         let noise_off_at = match cur.opt_field("noise_off_at")? {
             None => None,
@@ -566,6 +687,7 @@ impl EngineSnapshot {
             seed,
             round,
             graph,
+            base,
             states,
             checkpoint,
             cursor,
@@ -574,8 +696,9 @@ impl EngineSnapshot {
 }
 
 /// Validates a `bfw/engine-snapshot` document (the `bfw report
-/// validate` entry point for this kind): a full decode, so every state
-/// index, RNG position and monitor field is checked.
+/// validate` entry point for this kind): a full decode, so the spec's
+/// graph is built and every topology edit, state index, RNG position
+/// and monitor field is checked.
 ///
 /// # Errors
 ///

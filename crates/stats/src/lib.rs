@@ -48,7 +48,7 @@ pub use json::{JsonError, JsonValue};
 pub use regression::{linear_fit, loglog_fit, LinearFit};
 pub use schema::{
     did_you_mean, diff, diff_to_json, validate_diff, DiffEntry, DiffSummary, Doc, Envelope,
-    FromJson, SchemaError, ToJson, SCHEMA_VERSION,
+    FromJson, SchemaError, ToJson,
 };
 pub use summary::Summary;
 pub use table::Table;

@@ -8,9 +8,11 @@
 //! ```
 //!
 //! `<kind>` names the schema (`graph`, `scenario-report`,
-//! `bench-report`, …) and `version` is bumped on incompatible layout
-//! changes, so a consumer can reject a document it does not understand
-//! *before* poking at its fields. This module provides the shared
+//! `bench-report`, …) and `version` is bumped, per kind, on
+//! incompatible layout changes, so a consumer can reject a document it
+//! does not understand *before* poking at its fields. Every kind is at
+//! version 1 except `engine-snapshot`, at 2 (see
+//! [`Envelope::current_version`]). This module provides the shared
 //! machinery the producing crates build on:
 //!
 //! * [`Envelope`] — read/check the `format`/`version` header;
@@ -28,8 +30,12 @@
 use crate::json::JsonValue;
 use std::fmt;
 
-/// Current version of every `bfw/*` schema.
-pub const SCHEMA_VERSION: u64 = 1;
+/// The kinds whose layout has changed since version 1, at their
+/// current version; every other kind is at version 1.
+const VERSIONS: &[(&str, u64)] = &[
+    // 2: the topology as edits from the spec's graph, not an edge list.
+    ("engine-snapshot", 2),
+];
 
 /// A schema violation, located by JSON pointer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -272,12 +278,23 @@ pub struct Envelope {
 }
 
 impl Envelope {
+    /// The version of `bfw/<kind>` this build writes and reads.
+    pub fn current_version(kind: &str) -> u64 {
+        VERSIONS
+            .iter()
+            .find(|&&(k, _)| k == kind)
+            .map_or(1, |&(_, version)| version)
+    }
+
     /// Renders the envelope entries, ready to splice into an object
     /// under construction.
     pub fn entries(kind: &str) -> [(String, JsonValue); 2] {
         [
             ("format".to_owned(), JsonValue::from(format!("bfw/{kind}"))),
-            ("version".to_owned(), JsonValue::from(SCHEMA_VERSION)),
+            (
+                "version".to_owned(),
+                JsonValue::from(Envelope::current_version(kind)),
+            ),
         ]
     }
 
@@ -318,9 +335,10 @@ impl Envelope {
                 envelope.kind
             )));
         }
-        if envelope.version != SCHEMA_VERSION {
+        let current = Envelope::current_version(kind);
+        if envelope.version != current {
             return Err(doc.error(format!(
-                "unsupported bfw/{kind} version {} (this build reads version {SCHEMA_VERSION})",
+                "unsupported bfw/{kind} version {} (this build reads version {current})",
                 envelope.version
             )));
         }
@@ -559,7 +577,7 @@ mod tests {
         let doc = Doc::root(&value);
         let env = Envelope::expect(&doc, "graph").unwrap();
         assert_eq!(env.kind, "graph");
-        assert_eq!(env.version, SCHEMA_VERSION);
+        assert_eq!(env.version, 1);
 
         let err = Envelope::expect(&doc, "bench-report").unwrap_err();
         assert!(err.to_string().contains("bfw/bench-report"), "{err}");
@@ -567,6 +585,21 @@ mod tests {
         let future = JsonValue::parse(r#"{"format": "bfw/graph", "version": 99}"#).unwrap();
         let err = Envelope::expect(&Doc::root(&future), "graph").unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
+
+        // Versions are per kind: snapshots are at 2, and a version-1
+        // snapshot is refused.
+        let snapshot = JsonValue::object(Envelope::entries("engine-snapshot"));
+        assert_eq!(
+            snapshot.render(),
+            r#"{"format":"bfw/engine-snapshot","version":2}"#
+        );
+        Envelope::expect(&Doc::root(&snapshot), "engine-snapshot").unwrap();
+        let old = JsonValue::parse(r#"{"format": "bfw/engine-snapshot", "version": 1}"#).unwrap();
+        let err = Envelope::expect(&Doc::root(&old), "engine-snapshot").unwrap_err();
+        assert!(
+            err.to_string().contains("this build reads version 2"),
+            "{err}"
+        );
 
         for bad in [
             r#"{"version": 1}"#,

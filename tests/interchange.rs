@@ -10,7 +10,7 @@
 //! grammar, so the small ones are rebuilt here.
 
 use bfw_graph::io::{export_json, import_json, GraphDoc, Provenance};
-use bfw_graph::{algo, generators, Graph, GraphSpec};
+use bfw_graph::{algo, generators, io, GraphSpec};
 use bfw_stats::JsonValue;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -82,19 +82,6 @@ fn tracked_bench_rows_name_graphs_that_rebuild() {
     }
 }
 
-/// FNV-1a over a graph's edge list, endpoints as little-endian `u32`s.
-fn edge_digest(g: &Graph) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (u, v) in g.edges() {
-        let bytes = (u.index() as u32).to_le_bytes();
-        for b in bytes.into_iter().chain((v.index() as u32).to_le_bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 #[test]
 fn new_families_rebuild_the_experiments_graphs() {
     // The seeds E16 (0x5CA1E), E18 (0xE18) and E20/E21 (0x71C) build
@@ -120,7 +107,7 @@ fn new_families_rebuild_the_experiments_graphs() {
         ("scrambled-cycle:1000:97", 0xbad5_e36c_0368_a14d),
     ] {
         let g = label.parse::<GraphSpec>().unwrap().build();
-        assert_eq!(edge_digest(&g), digest, "{label}");
+        assert_eq!(io::edge_digest(&g), digest, "{label}");
     }
 }
 

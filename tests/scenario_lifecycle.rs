@@ -1,9 +1,11 @@
 //! Workspace tests for the scenario lifecycle verbs: step/resume
 //! snapshots must be byte-identical across kernels and thread counts,
 //! a stepped-then-resumed run must equal a straight run, the committed
-//! snapshot fixture must stay byte-stable, and the wipeout shrinker
-//! must minimize the shipped corpus classes (E15 crash-leader
-//! no-rejoin, E17 phantom wave).
+//! snapshot fixture must stay byte-stable, a snapshot's topology must
+//! survive its encoding as edits from the spec's graph (and every edit
+//! that does not fit that graph must be refused at its pointer), and
+//! the wipeout shrinker must minimize the shipped corpus classes (E15
+//! crash-leader no-rejoin, E17 phantom wave).
 
 use bfw_graph::{Graph, NodeId};
 use bfw_scenario::{
@@ -12,6 +14,8 @@ use bfw_scenario::{
     validate_scenario_spec, EngineSnapshot, KernelKind, ScenarioSpec,
 };
 use bfw_stats::JsonValue;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 const RING_CHURN: &str = include_str!("../examples/scenarios/ring_churn.toml");
 const ASYNC_STORM: &str = include_str!("../examples/scenarios/async_storm.toml");
@@ -376,22 +380,308 @@ fn recovery_snapshots_are_refused_on_resume() {
 
 #[test]
 fn a_bad_value_deep_in_a_large_array_is_named_exactly() {
-    // 130 000 edges with one string endpoint far down the array: the
-    // pointer, worked out only once decoding fails, names that element.
-    let edges = (0..130_000u64).map(|u| {
-        let v = if u == 123_456 {
+    // A 130 000-edge partition backlog with one string endpoint far down
+    // the array: the pointer, worked out only once decoding fails, names
+    // that element.
+    let edges = (0..130_000u64).map(|i| {
+        let v = if i == 123_456 {
             JsonValue::from("x")
         } else {
-            JsonValue::from(u + 1)
+            JsonValue::from((i + 1) % 12)
         };
-        JsonValue::array([JsonValue::from(u), v])
+        JsonValue::array([JsonValue::from(i % 12), v])
     });
-    let text = tampered("/graph/edges", JsonValue::array(edges));
+    let text = tampered("/cursor/partition_backlog", JsonValue::array(edges));
     let err = EngineSnapshot::from_json(&text).unwrap_err();
     assert_eq!(
         err.to_string(),
-        "schema error at /graph/edges/123456/1: expected a number"
+        "schema error at /cursor/partition_backlog/123456/1: expected a number"
     );
+}
+
+/// A JSON list of `[u, v]` pairs.
+fn pairs(edges: &[(u64, u64)]) -> JsonValue {
+    JsonValue::array(
+        edges
+            .iter()
+            .map(|&(u, v)| JsonValue::array([JsonValue::from(u), JsonValue::from(v)])),
+    )
+}
+
+#[test]
+fn topologies_that_do_not_fit_the_spec_are_refused_at_their_pointer() {
+    // The fixture's run never rewires its ring, `cycle:12`: no edits.
+    assert!(SNAPSHOT_FIXTURE.contains("\"added\": []"));
+    assert!(SNAPSHOT_FIXTURE.contains("\"removed\": []"));
+    let cases: Vec<(&str, JsonValue, &str, &str)> = vec![
+        (
+            "/version",
+            JsonValue::from(1u64),
+            "/version",
+            "re-create the snapshot with `bfw scenario step`",
+        ),
+        (
+            "/graph/nodes",
+            JsonValue::from(13u64),
+            "/graph/nodes",
+            "13 nodes, but the spec's graph cycle:12 has 12",
+        ),
+        // Refused before anything node-sized is allocated.
+        (
+            "/graph/nodes",
+            JsonValue::from(1u64 << 40),
+            "/graph/nodes",
+            "1099511627776 nodes",
+        ),
+        (
+            "/graph/removed",
+            pairs(&[(0, 5)]),
+            "/graph/removed/0",
+            "removes [0, 5], which the spec's graph lacks",
+        ),
+        (
+            "/graph/added",
+            pairs(&[(0, 1)]),
+            "/graph/added/0",
+            "adds [0, 1], which the spec's graph already has",
+        ),
+        (
+            "/graph/added",
+            pairs(&[(0, 5), (0, 5)]),
+            "/graph/added/1",
+            "is listed twice",
+        ),
+        (
+            "/graph/added",
+            pairs(&[(2, 5), (0, 5)]),
+            "/graph/added/1",
+            "is out of order",
+        ),
+        (
+            "/graph/added",
+            pairs(&[(3, 3)]),
+            "/graph/added/0",
+            "self-loop",
+        ),
+        (
+            "/graph/removed",
+            pairs(&[(1, 0)]),
+            "/graph/removed/0",
+            "write the edge as [0, 1]",
+        ),
+        (
+            "/graph/added",
+            pairs(&[(0, 12)]),
+            "/graph/added/0/1",
+            "node 12 out of range",
+        ),
+        (
+            "/graph/base_edges",
+            JsonValue::from(13u64),
+            "/graph/base_edges",
+            "a base of 13 edges, but the spec's graph cycle:12 has 12",
+        ),
+        (
+            "/graph/base_digest",
+            JsonValue::from("0000000000000000"),
+            "/graph/base_digest",
+            "the snapshot was not taken on this graph",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("bfw_snapshot_edits_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (pointer, value, at, message)) in cases.into_iter().enumerate() {
+        let text = tampered(pointer, value);
+        let err = validate_engine_snapshot(&text).unwrap_err();
+        assert_eq!(err.pointer(), at, "{err}");
+        assert!(err.message().contains(message), "{err}");
+        // Every reader refuses the document with that error: no resume
+        // starts, and none panics.
+        let path = dir.join(format!("edits_{i}.json"));
+        std::fs::write(&path, &text).unwrap();
+        let path = path.to_str().unwrap();
+        for args in [
+            &["report", "validate", path][..],
+            &["scenario", "run", "--resume-from", path],
+            &["scenario", "step", "--resume-from", path, "--rounds", "10"],
+        ] {
+            let err = cli(args).unwrap_err();
+            assert!(
+                err.contains(&format!("schema error at {at}: ")),
+                "{args:?}: {err}"
+            );
+            assert!(err.contains(message), "{args:?}: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    // Edits that fit the ring decode, and the topology is the ring with
+    // them applied.
+    let edited = edited(
+        SNAPSHOT_FIXTURE,
+        &[
+            ("/graph/removed".to_owned(), pairs(&[(0, 1), (5, 6)])),
+            ("/graph/added".to_owned(), pairs(&[(0, 6), (2, 9)])),
+        ],
+    );
+    let snap = EngineSnapshot::from_json(&edited).unwrap();
+    let ring = |u: u32| (u, (u + 1) % 12);
+    let expected = Graph::from_edges(
+        12,
+        (1..12)
+            .filter(|&u| u != 5)
+            .map(ring)
+            .chain([(0, 6), (2, 9)]),
+    )
+    .unwrap();
+    assert_eq!(snap.graph, expected);
+    assert_eq!(
+        *snap.base,
+        Graph::from_edges(12, (0..12).map(ring)).unwrap()
+    );
+    assert_eq!(snap.to_json_value().render_pretty(), edited);
+}
+
+/// The plain synchronous BFW stacks a snapshot is taken on: the generic
+/// engine, and the bit kernel at one to three threads.
+const EDIT_STACKS: [(Option<KernelKind>, Option<usize>); 4] = [
+    (Some(KernelKind::Generic), None),
+    (Some(KernelKind::Bit), Some(1)),
+    (Some(KernelKind::Bit), Some(2)),
+    (Some(KernelKind::Bit), Some(3)),
+];
+
+/// A seeded timeline of edge additions and removals, partitions and
+/// heals on `graph` (plus a crash and a recovery), over 300 rounds.
+fn random_topology_spec(rng: &mut ChaCha8Rng, graph: &str, seed: u64) -> (ScenarioSpec, Graph) {
+    let base = graph.parse::<bfw_graph::GraphSpec>().unwrap().build();
+    let (n, edges): (usize, Vec<_>) = (base.node_count(), base.edges().collect());
+    let mut toml = format!(
+        "[scenario]\nname = \"random topology\"\ngraph = \"{graph}\"\nrounds = 300\n\
+         stability = 20\nseed = {seed}\n\n[[event]]\nat = 90\nkind = \"crash-random\"\n\n\
+         [[event]]\nat = 150\nkind = \"recover-all\"\n"
+    );
+    for _ in 0..rng.random_range(4..12usize) {
+        let at = rng.random_range(1..300u64);
+        let event = match rng.random_range(0..4u32) {
+            0 => {
+                let u = rng.random_range(0..n);
+                let v = (u + rng.random_range(1..n)) % n;
+                format!("kind = \"add-edge\"\nu = {u}\nv = {v}")
+            }
+            1 => {
+                let (u, v) = edges[rng.random_range(0..edges.len())];
+                format!("kind = \"remove-edge\"\nu = {u}\nv = {v}")
+            }
+            2 => {
+                let cut: Vec<String> = (0..rng.random_range(1..n / 2))
+                    .map(|_| rng.random_range(0..n).to_string())
+                    .collect();
+                format!("kind = \"partition\"\ncut = [{}]", cut.join(", "))
+            }
+            _ => "kind = \"heal\"".to_owned(),
+        };
+        toml.push_str(&format!("\n[[event]]\nat = {at}\n{event}\n"));
+    }
+    let spec = ScenarioSpec::parse(&toml).unwrap_or_else(|e| panic!("{e}\n{toml}"));
+    (spec, base)
+}
+
+/// Encodes a snapshot, decodes it and checks the decode: the topology
+/// is the captured one, edge for edge, and re-encoding is the identity.
+fn through_json(snap: &EngineSnapshot) -> (String, EngineSnapshot) {
+    let text = snap.to_json_value().render_pretty();
+    let decoded = EngineSnapshot::from_json(&text).unwrap();
+    assert_eq!(decoded.graph, snap.graph, "round {}", snap.round);
+    assert_eq!(decoded.base, snap.base, "round {}", snap.round);
+    assert_eq!(decoded.to_json_value().render_pretty(), text);
+    (text, decoded)
+}
+
+#[test]
+fn random_topology_timelines_survive_the_edit_encoding_on_every_stack() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5A17);
+    // Snapshots whose topology had lost base edges, and had gained some.
+    let (mut with_removed, mut with_added) = (0, 0);
+    for (case, graph) in [
+        "cycle:10",
+        "grid:3x4",
+        "ba:14:2:7",
+        "randtree:12:3",
+        "torus:3x4",
+        "geo:16:400:2",
+    ]
+    .iter()
+    .cycle()
+    .take(24)
+    .enumerate()
+    {
+        let seed = case as u64;
+        let (spec, base) = random_topology_spec(&mut rng, graph, seed);
+        let straight = run_bfw_scenario(&spec, &base, seed).unwrap();
+        let mut rounds: Vec<u64> = (0..3).map(|_| rng.random_range(1..300u64)).collect();
+        rounds.push(300);
+        rounds.sort_unstable();
+        let mut documents: Vec<Vec<String>> = Vec::new();
+        for (kernel, threads) in EDIT_STACKS {
+            let mut texts = Vec::new();
+            // The chain: each leg resumes the previous leg's decoded
+            // document, and must write what one straight step writes.
+            let mut chained: Option<EngineSnapshot> = None;
+            for &round in &rounds {
+                let direct = step_bfw_scenario(&spec, &base, seed, round, kernel, threads).unwrap();
+                let (text, _) = through_json(&direct);
+                let edits = base.edits_to(&direct.graph);
+                with_removed += usize::from(!edits.removed().is_empty());
+                with_added += usize::from(!edits.added().is_empty());
+                let next = match &chained {
+                    None => step_bfw_scenario(&spec, &base, seed, round, kernel, threads),
+                    Some(prev) => {
+                        resume_step_bfw_scenario(prev, round - prev.round, kernel, threads)
+                    }
+                }
+                .unwrap();
+                let (chained_text, decoded) = through_json(&next);
+                assert_eq!(chained_text, text, "{graph} seed {seed} round {round}");
+                chained = Some(decoded);
+                texts.push(text);
+            }
+            let resumed = resume_run_bfw_scenario(&chained.unwrap(), kernel, threads).unwrap();
+            assert_eq!(
+                resumed, straight,
+                "{graph} seed {seed} {kernel:?}@{threads:?}"
+            );
+            documents.push(texts);
+        }
+        assert!(
+            documents.iter().all(|texts| *texts == documents[0]),
+            "{graph} seed {seed}: the stacks wrote different snapshots"
+        );
+    }
+    // Most of the 384 snapshots carry edits (a guard against timelines
+    // that never rewire anything).
+    assert!(
+        with_removed >= 160 && with_added >= 120,
+        "{with_removed} with removed edges, {with_added} with added ones"
+    );
+}
+
+#[test]
+fn a_heal_that_restores_the_base_writes_no_edits() {
+    let (spec, graph) = load(PARTITION_BACKLOG);
+    // Mid-partition, the cut edges are the edits; after the heal at
+    // 200 the grid is whole again, and the edit lists are empty.
+    let cut = step_bfw_scenario(&spec, &graph, spec.seed, 150, None, None).unwrap();
+    let cut = cut.to_json_value();
+    let edits = cut.get("graph").unwrap();
+    assert_eq!(edits.get("removed").unwrap().as_array().unwrap().len(), 10);
+    assert_eq!(edits.get("added").unwrap().as_array().unwrap().len(), 0);
+    let healed = step_bfw_scenario(&spec, &graph, spec.seed, 250, None, None).unwrap();
+    assert_eq!(healed.graph, graph);
+    let healed = healed.to_json_value();
+    let edits = healed.get("graph").unwrap();
+    assert_eq!(edits.get("removed").unwrap(), &JsonValue::array([]));
+    assert_eq!(edits.get("added").unwrap(), &JsonValue::array([]));
+    assert_eq!(edits.get("base_edges").unwrap(), &JsonValue::from(24u64));
 }
 
 #[test]
