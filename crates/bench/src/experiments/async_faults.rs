@@ -3,10 +3,11 @@
 //!
 //! E16 mapped the boundary of the paper's synchrony qualifier on
 //! fault-free runs; E17 measured the wipeout scenario classes (leader
-//! crash, partition-heal duels, noise) under synchronous rounds. With
-//! the `ActivationEngine` the asynchronous runtime finally speaks the
-//! same fault vocabulary — crashes, recovery, perception noise,
-//! delta-applied topology — so this experiment runs the *same* scenario
+//! crash, partition-heal duels, noise) under synchronous rounds. The
+//! asynchronous runtime steps on the same engine as the synchronous
+//! ones, one activation per tick, so it speaks the same fault
+//! vocabulary — crashes, recovery, perception noise, delta-applied
+//! topology — and this experiment runs the *same* scenario
 //! classes on both runtimes and tabulates, per `(graph, scenario,
 //! runtime)`: runs ending leaderless, runs ending with the elected
 //! unique leader, recoveries per trial and the re-election latency
@@ -214,10 +215,10 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
                             graph.clone().into(),
                             seed,
                         );
-                        while net.activations() < horizon && net.leader_count() != 1 {
-                            net.activate_next();
+                        while net.round() < horizon && net.leader_count() != 1 {
+                            net.step();
                         }
-                        (net.leader_count() == 1).then(|| net.activations() as f64 / n as f64)
+                        (net.leader_count() == 1).then(|| net.round() as f64 / n as f64)
                     }
                 },
             );
@@ -259,7 +260,7 @@ pub fn run(cfg: &ExpConfig) -> ExperimentResult {
     ExperimentResult {
         id: "E18-async-faults",
         reproduces: "extension beyond the paper: the E17 wipeout scenario classes under \
-                     asynchronous activation (ActivationEngine) vs synchronous rounds",
+                     asynchronous activation vs synchronous rounds",
         tables: vec![
             ("async fault sweep".to_owned(), table),
             ("steps to first unique leader".to_owned(), election),

@@ -39,12 +39,12 @@ fn one_async_run(spec: &GraphSpec, seed: u64, horizon: u64) -> AsyncOutcome {
     let mut net =
         AsyncStoneAgeNetwork::new(BeepingAsStoneAge::new(Bfw::new(0.5)), spec.topology(), seed);
     let mut reached_single = None;
-    while net.activations() < horizon {
-        net.activate_random();
+    while net.round() < horizon {
+        net.step();
         match net.leader_count() {
             0 => return AsyncOutcome::EarlyWipeout,
             1 => {
-                reached_single = Some(net.activations());
+                reached_single = Some(net.round());
                 break;
             }
             _ => {}
@@ -54,7 +54,7 @@ fn one_async_run(spec: &GraphSpec, seed: u64, horizon: u64) -> AsyncOutcome {
         return AsyncOutcome::Undecided;
     };
     for _ in 0..(n * n) {
-        net.activate_random();
+        net.step();
         if net.leader_count() == 0 {
             return AsyncOutcome::LateWipeout;
         }

@@ -2,6 +2,7 @@
 
 use crate::args::Flags;
 use bfw_core::Bfw;
+use bfw_graph::WorkloadError;
 use bfw_sim::{run_election, ElectionConfig};
 use std::fmt::Write as _;
 
@@ -22,11 +23,17 @@ pub(crate) fn run(args: &[String]) -> Result<String, String> {
     let max_rounds = args.int("--max-rounds")?.unwrap_or(10_000_000);
     let stability = args.int("--stability")?.unwrap_or(1_000);
 
+    let needs_diameter = |e: WorkloadError| format!("{e}; --known-d needs it, pass --p P instead");
+    // A diameter past the all-pairs BFS limit is refused before the
+    // graph it would run on is built; the build's own errors come next.
+    if known_d {
+        spec.check_diameter_work().map_err(needs_diameter)?;
+    }
     let topology = spec.try_topology().map_err(|e| e.to_string())?;
     let protocol = if known_d {
         let d = spec
             .try_diameter()
-            .map_err(|e| format!("{e}; --known-d needs it, pass --p P instead"))?
+            .map_err(needs_diameter)?
             .expect("workload graphs are connected");
         Bfw::with_known_diameter(d)
     } else {

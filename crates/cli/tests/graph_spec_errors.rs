@@ -95,11 +95,9 @@ fn oversized_specs_exit_1_with_their_estimate() {
 
 #[test]
 fn exact_diameters_past_the_bfs_limit_exit_1_at_once() {
-    // `graph` refuses before building; `run` builds the topology first
-    // (its own errors come first), so it gets a graph that builds fast
-    // in a debug binary but is still far past the BFS limit. Both are
-    // preferential-attachment graphs, which have no closed-form
-    // diameter.
+    // Both refuse before building: `run --known-d` asks whether the
+    // diameter is affordable before it builds the topology. A
+    // preferential-attachment graph has no closed-form diameter.
     for (args, spec, work, hint) in [
         (
             ["graph", "ba:10000000:1:1"].as_slice(),
@@ -108,9 +106,9 @@ fn exact_diameters_past_the_bfs_limit_exit_1_at_once() {
             "",
         ),
         (
-            &["run", "--graph", "ba:100000:1:1", "--known-d"],
-            "ba:100000:1:1",
-            "30000000000",
+            &["run", "--graph", "ba:10000000:1:1", "--known-d"],
+            "ba:10000000:1:1",
+            "300000000000000",
             "; --known-d needs it, pass --p P instead",
         ),
     ] {

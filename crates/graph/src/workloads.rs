@@ -431,9 +431,30 @@ impl GraphSpec {
             GraphSpec::Clique(_) => return Ok(Some(1)),
             _ => {}
         }
-        let size = self.buildable_size()?;
+        self.buildable_size()?;
         if let Some(d) = self.closed_form_diameter() {
             return Ok(Some(d));
+        }
+        self.check_diameter_work()?;
+        Ok(algo::diameter(&self.try_build()?))
+    }
+
+    /// Refuses, from the size estimate alone, a spec whose exact
+    /// diameter would need an all-pairs BFS past the work limit: the
+    /// check [`Self::try_diameter`] makes before it builds anything, for
+    /// a caller that builds the graph itself and wants the refusal
+    /// first. Specs past the build limits pass (building them reports
+    /// that), and so do the families with a closed-form diameter.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the spec, the work and the limit.
+    pub fn check_diameter_work(&self) -> Result<(), WorkloadError> {
+        let Ok(size) = self.buildable_size() else {
+            return Ok(());
+        };
+        if matches!(self, GraphSpec::Clique(_)) || self.closed_form_diameter().is_some() {
+            return Ok(());
         }
         let work = algo::diameter_work(size.nodes, size.edges);
         if work > algo::MAX_DIAMETER_WORK as f64 {
@@ -444,7 +465,7 @@ impl GraphSpec {
                 algo::MAX_DIAMETER_WORK
             )));
         }
-        Ok(algo::diameter(&self.try_build()?))
+        Ok(())
     }
 
     /// The diameter of a family with a closed form, for a spec within
@@ -854,9 +875,9 @@ mod tests {
     #[test]
     fn costly_diameters_are_refused_before_the_build() {
         // n · (n + 2m) = 10⁷ · 3·10⁷: hours of BFS, refused at once.
-        let e = GraphSpec::Ba(10_000_000, 1, 1).try_diameter().unwrap_err();
+        let e_bfs = GraphSpec::Ba(10_000_000, 1, 1).try_diameter().unwrap_err();
         assert_eq!(
-            e.to_string(),
+            e_bfs.to_string(),
             "invalid graph spec: ba:10000000:1:1: too large for an exact diameter: all-pairs BFS \
              takes ≈300000000000000 steps, n·(n + 2m) (limit: 2147483648 steps)"
         );
@@ -868,6 +889,20 @@ mod tests {
         // An unbuildable spec keeps the build's refusal.
         let e = GraphSpec::Hypercube(30).try_diameter().unwrap_err();
         assert!(e.to_string().contains(": too large to build: ≈"), "{e}");
+        // The pre-build check alone refuses the same BFS, and leaves
+        // closed forms and unbuildable specs to the diameter and the build.
+        assert_eq!(
+            GraphSpec::Ba(10_000_000, 1, 1).check_diameter_work(),
+            Err(e_bfs)
+        );
+        for spec in [
+            GraphSpec::Cycle(10_000_000),
+            GraphSpec::Clique(100_000_000),
+            GraphSpec::Hypercube(30),
+            GraphSpec::Ba(2_000, 1, 1),
+        ] {
+            assert_eq!(spec.check_diameter_work(), Ok(()), "{spec}");
+        }
         // The tracked churn rows' largest graph fits.
         let size = GraphSpec::RandomRegular(10_000, 4, 1).size();
         assert!(algo::diameter_work(size.nodes, size.edges) <= algo::MAX_DIAMETER_WORK as f64);

@@ -1,6 +1,9 @@
 //! BFW-specific wiring: injectors, the one host builder, and the
 //! driver every scenario runner — straight run, `step`, resume — goes
-//! through.
+//! through. The hosts are the bit kernel's `BitNetwork` and three
+//! `TickEngine` models — the beeping `Network`, the recovery layer's
+//! network and the asynchronous stone-age network — all driven by the
+//! same [`Engine`] through [`DynamicHost`].
 
 use crate::{
     DynamicHost, Engine, EngineSnapshot, InjectKind, Injector, KernelKind, ProtocolKind,
@@ -182,8 +185,8 @@ pub fn resolved_threads(spec: &ScenarioSpec) -> usize {
 /// kept synchronized for mid-run rejoiners), with the timing resolved by
 /// [`scenario_recovery_config`]. The spec's `runtime` key selects the
 /// executor: synchronous rounds (the default), or `runtime = "async"`
-/// — BFW as a stone-age protocol on the [`AsyncStoneAgeNetwork`]
-/// activation engine, with the spec's `scheduler` installed and every
+/// — BFW as a stone-age protocol on the [`AsyncStoneAgeNetwork`], one
+/// activation per tick, with the spec's `scheduler` installed and every
 /// timeline position (and the horizon) read in **activations**. The
 /// caller resolves the spec's `graph` string to a concrete [`Graph`]
 /// (the CLI uses `bfw-bench`'s `GraphSpec` syntax); everything else —
@@ -275,7 +278,8 @@ impl Leg<'_> {
     /// Builds the host the spec selects, execution overrides applied,
     /// and hands it to `finish`: the one place each of the four
     /// scenario hosts is constructed. `runtime = "async"` gets the
-    /// activation engine with the spec's scheduler; `bfw+recovery` gets
+    /// asynchronous stone-age network with the spec's scheduler, a
+    /// `TickEngine` that moves one node per tick; `bfw+recovery` gets
     /// the recovery layer on the generic engine, timed by
     /// [`scenario_recovery_config`]; plain synchronous BFW gets the bit
     /// kernel on [`resolved_threads`] workers when [`resolved_kernel`]

@@ -3,30 +3,32 @@
 //! [`DynamicHost`] is the seam between the scenario engine and the
 //! simulators in `bfw-sim`: anything that can step rounds, apply
 //! topology deltas, mask nodes and report leaders can be perturbed by a
-//! [`Timeline`](crate::Timeline). Since the beeping [`Network`] and the
-//! [`StoneAgeNetwork`] are both model adapters over the shared
-//! [`TickEngine`], a **single blanket impl** covers every synchronous
-//! runtime; the bit-parallel [`BitEngine`] and the asynchronous
-//! [`ActivationEngine`] get theirs from the same delegation, differing
-//! only in what a step is. One scenario drives all models, and every
-//! fault hook — crashes, topology deltas, perception noise — behaves
+//! [`Timeline`](crate::Timeline). The beeping [`Network`], the
+//! [`StoneAgeNetwork`], the recovery layer's network and the
+//! asynchronous [`AsyncStoneAgeNetwork`] are all model adapters over
+//! the shared [`TickEngine`], so a **single blanket impl** covers every
+//! scalar runtime; the bit-parallel [`BitEngine`] gets its impl from
+//! the same delegation. One scenario drives all models, and every fault
+//! hook — crashes, topology deltas, perception noise — behaves
 //! identically across them by construction.
 //!
 //! [`Network`]: bfw_sim::Network
 //! [`StoneAgeNetwork`]: bfw_sim::stone_age::StoneAgeNetwork
+//! [`AsyncStoneAgeNetwork`]: bfw_sim::stone_age::AsyncStoneAgeNetwork
 
 use bfw_graph::{NodeId, Topology, TopologyDelta};
 use bfw_sim::{
-    ActivationEngine, ActivationLeaderModel, BitEngine, BitModel, ComplexityLedger,
-    EngineCheckpoint, FlightRecorder, LeaderModel, TickEngine,
+    BitEngine, BitModel, ComplexityLedger, EngineCheckpoint, FlightRecorder, LeaderModel,
+    TickEngine,
 };
 
 /// A runtime the scenario engine can perturb mid-run.
 ///
 /// "Round" is the host's own notion of time: synchronous hosts step
-/// whole rounds, the asynchronous [`ActivationEngine`] steps single
-/// activations — so a timeline driving an asynchronous host has its
-/// positions interpreted **in activations**.
+/// whole rounds, the asynchronous
+/// [`AsyncStoneAgeNetwork`](bfw_sim::stone_age::AsyncStoneAgeNetwork)
+/// steps single activations — so a timeline driving an asynchronous
+/// host has its positions interpreted **in activations**.
 pub trait DynamicHost {
     /// Per-node protocol state (for [`InjectState`] events).
     ///
@@ -40,7 +42,7 @@ pub trait DynamicHost {
     /// Completed rounds.
     fn round(&self) -> u64;
 
-    /// Advances one synchronous round.
+    /// Advances one round (one activation on an asynchronous host).
     fn step(&mut self);
 
     /// Applies a batch of edge mutations to the communication graph in
@@ -119,16 +121,24 @@ pub trait DynamicHost {
     fn record_trace_event(&mut self, kind: &str, detail: String);
 }
 
-/// The [`DynamicHost`] methods every engine answers alike, each by the
-/// engine's inherent method for the same job. Every engine embeds the
-/// shared fault layer, so each supports perception noise, and each
-/// exposes its current topology, checkpoint and instrumentation seam.
+/// Every [`DynamicHost`] method, answered by the engine's inherent
+/// method for the same job. Both engines embed the shared fault layer,
+/// so each supports perception noise, and each exposes its current
+/// topology, checkpoint and instrumentation seam.
 macro_rules! shared_host_methods {
     ($engine:ident) => {
         type State = M::State;
 
         fn node_count(&self) -> usize {
             $engine::node_count(self)
+        }
+
+        fn round(&self) -> u64 {
+            $engine::round(self)
+        }
+
+        fn step(&mut self) {
+            $engine::step(self);
         }
 
         fn apply_delta(&mut self, delta: &TopologyDelta) {
@@ -200,40 +210,8 @@ macro_rules! shared_host_methods {
 
 impl<M: LeaderModel> DynamicHost for TickEngine<M> {
     shared_host_methods!(TickEngine);
-
-    fn round(&self) -> u64 {
-        TickEngine::round(self)
-    }
-
-    fn step(&mut self) {
-        TickEngine::step(self);
-    }
 }
 
 impl<M: BitModel> DynamicHost for BitEngine<M> {
     shared_host_methods!(BitEngine);
-
-    fn round(&self) -> u64 {
-        BitEngine::round(self)
-    }
-
-    fn step(&mut self) {
-        BitEngine::step(self);
-    }
-}
-
-impl<M: ActivationLeaderModel> DynamicHost for ActivationEngine<M> {
-    shared_host_methods!(ActivationEngine);
-
-    /// Completed **activations** — the asynchronous runtime's unit of
-    /// time. Timelines driving this host fire at activation positions.
-    fn round(&self) -> u64 {
-        self.activations()
-    }
-
-    /// One scheduler-chosen activation (a no-op only when every node is
-    /// crashed).
-    fn step(&mut self) {
-        self.activate_next();
-    }
 }

@@ -55,9 +55,10 @@
 //! defaults); the CLI's `--trace` / `--trace-last` flags override them.
 //!
 //! `runtime = "async"` executes the scenario on the asynchronous
-//! `ActivationEngine` runtime (BFW as a stone-age protocol under
-//! activation-based scheduling) instead of synchronous rounds; every
-//! timeline position and the `rounds` horizon are then read in
+//! stone-age runtime (BFW as a stone-age protocol under
+//! activation-based scheduling: a `TickEngine` whose every tick is one
+//! scheduler pick and one activation) instead of synchronous rounds;
+//! every timeline position and the `rounds` horizon are then read in
 //! **activations**. The optional `scheduler` key picks the activation
 //! scheduler (`uniform` | `weighted` | `replay`) and is only legal
 //! under `runtime = "async"`. The recovery layer needs synchronous
@@ -181,7 +182,7 @@ pub enum RuntimeKind {
     /// runtime; timeline positions are rounds.
     #[default]
     Sync,
-    /// Asynchronous activations: the stone-age `ActivationEngine`
+    /// Asynchronous activations: the stone-age `AsyncStoneAgeNetwork`
     /// runtime (BFW through the `BeepingAsStoneAge` adapter); timeline
     /// positions — `at`, `every`, `start`, noise-burst `rounds`, and
     /// the `[scenario]` horizon — are interpreted in **activations**.

@@ -1,112 +1,33 @@
-//! The activation engine: one fault substrate and one scheduling loop
-//! for asynchronous runtimes — the activation-based sibling of
-//! [`TickEngine`](crate::TickEngine).
+//! Asynchronous activation: which node moves next.
 //!
 //! The paper is careful to claim BFW only for *synchronous* weak
-//! models; the asynchronous stone-age executor exists to probe why
-//! (see [`AsyncStoneAgeNetwork`](crate::stone_age::AsyncStoneAgeNetwork)).
-//! Before this engine existed, that runtime was a bare scheduler with
-//! no fault vocabulary: no crashes, no perception noise, no dynamic
-//! topology. [`ActivationEngine`] closes that gap by embedding the same
-//! [`FaultLayer`] the synchronous engine uses — the crash bitmask, the
-//! per-node ChaCha8 streams and the two noise channels exist once and
-//! behave identically under rounds and under activations — while an
-//! [`ActivationModel`] contributes only what an asynchronous
-//! communication model defines: how one *activation* of one node
-//! perceives and transitions.
+//! models; the asynchronous stone-age runtime exists to probe why (see
+//! [`AsyncStoneAgeNetwork`](crate::stone_age::AsyncStoneAgeNetwork)).
+//! It is not a separate engine: one activation is one tick of the
+//! shared [`TickEngine`](crate::TickEngine) that moves a single node,
+//! so crashes, perception noise, dynamic topology, checkpoints and
+//! complexity accounting behave exactly as under synchronous rounds.
+//! What asynchrony adds is the choice of that node, and it lives here:
+//! the [`Scheduler`] rules and the [`SchedulerState`] the asynchronous
+//! model owns — the scheduler's ChaCha8 stream, the replay permutation
+//! and its sweep cursor.
 //!
 //! Determinism contract: the master stream carves `n` node streams in
-//! index order, then one scheduler stream — exactly the carving order
-//! of the pre-engine asynchronous runtime, so its pinned traces
-//! reproduce bit-for-bit (see the `activation_engine_equivalence`
-//! workspace test). The [uniform](Scheduler::Uniform) scheduler rejects
-//! draws that land on crashed nodes instead of renumbering the alive
-//! set, so the scheduler stream itself never shifts when the crash mask
+//! index order, then one scheduler stream (`FaultLayer::with_scheduler`)
+//! — the carving order the `activation_engine_equivalence` workspace
+//! test pins. The [uniform](Scheduler::Uniform) scheduler rejects draws
+//! that land on crashed nodes instead of renumbering the alive set, so
+//! the scheduler stream itself never shifts when the crash mask
 //! changes.
 
 use crate::fault::FaultLayer;
-use crate::instrument::{ComplexityLedger, FlightRecorder, Instrumentation, RoundSample};
-use crate::snapshot::{EngineCheckpoint, SchedulerCheckpoint};
-use crate::{NodeCtx, Topology};
-use bfw_graph::{NodeId, TopologyDelta};
+use crate::snapshot::SchedulerCheckpoint;
+use crate::Topology;
+use bfw_graph::NodeId;
 use rand::Rng as _;
 use rand_chacha::ChaCha8Rng;
 
-/// An asynchronous communication model, pluggable into
-/// [`ActivationEngine`].
-///
-/// A model owns the protocol and its emission caches (displayed
-/// symbols, …) and defines how one activation of one node works; the
-/// engine owns everything else — topology, crash mask, RNG streams,
-/// noise channels, the scheduler and the activation counter.
-/// Implementation:
-/// [`AsyncStoneAgeModel`](crate::stone_age::AsyncStoneAgeModel).
-pub trait ActivationModel {
-    /// Per-node protocol state.
-    type State: Clone + PartialEq + std::fmt::Debug;
-
-    /// Returns the protocol's initial state for one node.
-    fn initial_state(&self, ctx: NodeCtx) -> Self::State;
-
-    /// Sizes the model's per-node emission caches for `n` nodes.
-    fn init_caches(&mut self, n: usize);
-
-    /// Refreshes node `i`'s emission cache after its state or crash
-    /// flag changed.
-    fn refresh_node(&mut self, i: usize, state: &Self::State, crashed: bool);
-
-    /// Normalizes an externally supplied state before it is installed
-    /// (mirrors [`TickModel::adopt_state`](crate::TickModel)). The
-    /// default is a no-op.
-    fn adopt_state(&self, _state: &mut Self::State) {}
-
-    /// Executes one activation of node `u` in place: observe the
-    /// current emissions over `topology` (honoring the crash mask and
-    /// noise channels in `faults`), transition `u` using its RNG
-    /// stream, and refresh its emission cache. Every other node is
-    /// untouched.
-    fn activate(
-        &mut self,
-        topology: &Topology,
-        u: usize,
-        states: &mut [Self::State],
-        faults: &mut FaultLayer,
-    );
-
-    /// Samples what one activation of `u` would transmit (called by an
-    /// instrumented engine immediately before
-    /// [`activate`](Self::activate); see [`crate::instrument`] for the
-    /// accounting conventions). Must only read the model's existing
-    /// caches — never draw from an RNG stream. The default (`None`)
-    /// opts a model out of complexity accounting; the engine then
-    /// records an all-zero sample.
-    fn activation_sample(
-        &self,
-        _topology: &Topology,
-        _u: usize,
-        _faults: &FaultLayer,
-    ) -> Option<RoundSample> {
-        None
-    }
-
-    /// Reports whether node `u` perceived a non-quiescent signal in the
-    /// activation [`activate`](Self::activate) just executed
-    /// (post-noise): `Some(1)` if it did, `Some(0)` if not, `None` if
-    /// the model does not track it.
-    fn perceived_after(&self, _u: usize) -> Option<u64> {
-        None
-    }
-}
-
-/// An [`ActivationModel`] whose protocol designates a leader subset of
-/// its states — the seam the scenario engine's election metrics need
-/// (the asynchronous analogue of [`LeaderModel`](crate::LeaderModel)).
-pub trait ActivationLeaderModel: ActivationModel {
-    /// Returns `true` if `state` belongs to the protocol's leader set.
-    fn is_leader(&self, state: &Self::State) -> bool;
-}
-
-/// How the engine picks the next node to activate.
+/// How the asynchronous runtime picks the next node to activate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// One uniformly random alive node per step — the randomized fair
@@ -140,139 +61,91 @@ impl std::fmt::Display for Scheduler {
     }
 }
 
-/// Asynchronous executor generic over the communication model.
-///
-/// Use the model-specific alias and constructor —
-/// [`AsyncStoneAgeNetwork`](crate::stone_age::AsyncStoneAgeNetwork) for
-/// the asynchronous stone-age model; everything documented here is
-/// model-independent. The engine shares the [`FaultLayer`] with the
-/// synchronous [`TickEngine`](crate::TickEngine), so crash masking,
-/// perception noise and delta-applied dynamic topology behave
-/// identically across both. Time is measured in **activations** (one
-/// node transition per step); the scenario engine drives this executor
-/// with timeline positions interpreted in activations.
+/// The scheduler half of an asynchronous model: the installed
+/// [`Scheduler`], its ChaCha8 stream, the replay permutation and sweep
+/// cursor, a scripted pick waiting for the next tick, and the node the
+/// last tick moved.
 #[derive(Debug, Clone)]
-pub struct ActivationEngine<M: ActivationModel> {
-    pub(crate) model: M,
-    topology: Topology,
-    states: Vec<M::State>,
-    faults: FaultLayer,
-    scheduler_rng: ChaCha8Rng,
-    scheduler: Scheduler,
+pub(crate) struct SchedulerState {
+    kind: Scheduler,
+    rng: ChaCha8Rng,
     replay_order: Vec<NodeId>,
     replay_cursor: usize,
     weight_scratch: Vec<u64>,
-    activations: u64,
-    instr: Instrumentation,
+    scripted: Option<usize>,
+    last: Option<usize>,
 }
 
-impl<M: ActivationModel> ActivationEngine<M> {
-    /// Builds an engine with zero activations performed and every node
-    /// in the model's initial state, under the default
-    /// [uniform](Scheduler::Uniform) scheduler.
-    pub(crate) fn from_model(mut model: M, topology: Topology, seed: u64) -> Self {
-        let n = topology.node_count();
-        let (faults, scheduler_rng) = FaultLayer::with_scheduler(n, seed);
-        let states: Vec<M::State> = (0..n)
-            .map(|i| {
-                model.initial_state(NodeCtx {
-                    node: NodeId::new(i),
-                    node_count: n,
-                })
-            })
-            .collect();
-        model.init_caches(n);
-        for (i, s) in states.iter().enumerate() {
-            model.refresh_node(i, s, false);
-        }
-        ActivationEngine {
-            model,
-            topology,
-            states,
-            faults,
-            scheduler_rng,
-            scheduler: Scheduler::Uniform,
+impl SchedulerState {
+    /// The [uniform](Scheduler::Uniform) scheduler on `rng`, the stream
+    /// carved after the node streams.
+    pub(crate) fn new(rng: ChaCha8Rng) -> Self {
+        SchedulerState {
+            kind: Scheduler::Uniform,
+            rng,
             replay_order: Vec::new(),
             replay_cursor: 0,
             weight_scratch: Vec::new(),
-            activations: 0,
-            instr: Instrumentation::off(),
+            scripted: None,
+            last: None,
         }
     }
 
-    /// Returns the number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.states.len()
+    /// The installed scheduler.
+    pub(crate) fn kind(&self) -> Scheduler {
+        self.kind
     }
 
-    /// Returns the number of activations performed so far.
-    pub fn activations(&self) -> u64 {
-        self.activations
+    /// The node the last tick activated (`None` for a stalled tick).
+    pub(crate) fn last(&self) -> Option<usize> {
+        self.last
     }
 
-    /// Returns the topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Returns the current state of node `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn state(&self, u: NodeId) -> &M::State {
-        &self.states[u.index()]
-    }
-
-    /// Returns all node states, indexed by node.
-    pub fn states(&self) -> &[M::State] {
-        &self.states
-    }
-
-    /// Returns the installed scheduler.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
-    /// Installs a scheduler for all subsequent
-    /// [`activate_next`](Self::activate_next) steps.
-    ///
+    /// Installs `kind` for the following picks over `n` nodes.
     /// Installing [`Scheduler::Replay`] draws the replay permutation
     /// from the scheduler stream at this point (a Fisher–Yates shuffle)
     /// and resets the sweep cursor, so the adversarial order is a pure
     /// function of the seed and the moment of installation.
-    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        self.scheduler = scheduler;
+    pub(crate) fn install(&mut self, kind: Scheduler, n: usize) {
+        self.kind = kind;
         self.replay_order.clear();
         self.replay_cursor = 0;
-        if scheduler == Scheduler::Replay {
-            let n = self.states.len();
+        if kind == Scheduler::Replay {
             let mut order: Vec<NodeId> = (0..n).map(NodeId::new).collect();
             for i in (1..n).rev() {
-                let j = self.scheduler_rng.random_range(0..i + 1);
+                let j = self.rng.random_range(0..i + 1);
                 order.swap(i, j);
             }
             self.replay_order = order;
         }
     }
 
-    /// Activates one scheduler-chosen alive node and returns it. If
-    /// every node is crashed, no node transitions and no RNG draw
-    /// happens, but the activation counter still advances — time keeps
-    /// passing over a fully crashed network, exactly as rounds keep
-    /// elapsing in the synchronous engine — and `None` is returned.
-    /// Crash-masked nodes are never activated, under any scheduler.
-    pub fn activate_next(&mut self) -> Option<NodeId> {
-        let n = self.states.len();
-        if self.faults.alive_count() == 0 {
-            self.activations += 1;
-            return None;
-        }
-        let u = match self.scheduler {
+    /// Makes node `u` the next pick, bypassing the rule (a scripted
+    /// activation; the caller has checked that `u` is alive).
+    pub(crate) fn script(&mut self, u: usize) {
+        self.scripted = Some(u);
+    }
+
+    /// Picks the node the next activation moves: the scripted one if
+    /// any, else an alive node by the installed rule. Returns `None`,
+    /// without a draw, when every node is crashed. Crash-masked nodes
+    /// are never picked by a rule.
+    pub(crate) fn pick(&mut self, topology: &Topology, faults: &FaultLayer) -> Option<usize> {
+        self.last = match self.scripted.take() {
+            Some(u) => Some(u),
+            None if faults.alive_count() == 0 => None,
+            None => Some(self.pick_alive(topology, faults)),
+        };
+        self.last
+    }
+
+    fn pick_alive(&mut self, topology: &Topology, faults: &FaultLayer) -> usize {
+        let n = faults.flags().len();
+        match self.kind {
             Scheduler::Uniform => loop {
-                let u = self.scheduler_rng.random_range(0..n);
-                if !self.faults.is_crashed(u) {
-                    break NodeId::new(u);
+                let u = self.rng.random_range(0..n);
+                if !faults.is_crashed(u) {
+                    break u;
                 }
             },
             Scheduler::Weighted => {
@@ -283,16 +156,15 @@ impl<M: ActivationModel> ActivationEngine<M> {
                 weights.resize(n, 0);
                 let mut total = 0u64;
                 for (i, w) in weights.iter_mut().enumerate() {
-                    if self.faults.is_crashed(i) {
+                    if faults.is_crashed(i) {
                         continue;
                     }
                     let mut deg = 0u64;
-                    self.topology
-                        .for_each_neighbor(NodeId::new(i), |_| deg += 1);
+                    topology.for_each_neighbor(NodeId::new(i), |_| deg += 1);
                     *w = deg + 1;
                     total += *w;
                 }
-                let mut r = self.scheduler_rng.random_range(0..total);
+                let mut r = self.rng.random_range(0..total);
                 let mut chosen = 0;
                 for (i, &w) in weights.iter().enumerate() {
                     if r < w {
@@ -302,7 +174,7 @@ impl<M: ActivationModel> ActivationEngine<M> {
                     r -= w;
                 }
                 self.weight_scratch = weights;
-                NodeId::new(chosen)
+                chosen
             }
             Scheduler::Replay => {
                 assert!(
@@ -312,333 +184,45 @@ impl<M: ActivationModel> ActivationEngine<M> {
                 loop {
                     let u = self.replay_order[self.replay_cursor];
                     self.replay_cursor = (self.replay_cursor + 1) % self.replay_order.len();
-                    if !self.faults.is_crashed(u.index()) {
-                        break u;
+                    if !faults.is_crashed(u.index()) {
+                        break u.index();
                     }
                 }
             }
-        };
-        self.activate(u);
-        Some(u)
-    }
-
-    /// Activates a specific node (for externally scripted adversarial
-    /// schedules): it observes the *current* emissions of its alive
-    /// neighbors and transitions; everyone else is untouched. A crashed
-    /// node performs no transition and the activation is not counted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn activate(&mut self, u: NodeId) {
-        if self.faults.is_crashed(u.index()) {
-            return;
-        }
-        if self.instr.is_on() {
-            let mut sample = self
-                .model
-                .activation_sample(&self.topology, u.index(), &self.faults)
-                .unwrap_or_default();
-            self.model.activate(
-                &self.topology,
-                u.index(),
-                &mut self.states,
-                &mut self.faults,
-            );
-            if let Some(heard) = self.model.perceived_after(u.index()) {
-                sample.heard = heard;
-            }
-            self.instr
-                .record_step(sample, self.states.len(), std::mem::size_of::<M::State>());
-        } else {
-            self.model.activate(
-                &self.topology,
-                u.index(),
-                &mut self.states,
-                &mut self.faults,
-            );
-        }
-        self.activations += 1;
-    }
-
-    /// Performs `count` scheduler-chosen activations (stalled steps on
-    /// a fully crashed network count toward `count`).
-    pub fn run_activations(&mut self, count: u64) {
-        for _ in 0..count {
-            self.activate_next();
         }
     }
 
-    /// Replaces the communication topology mid-run. States, RNG
-    /// streams, the scheduler and the activation counter are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new topology's node count differs from the
-    /// network's.
-    pub fn set_topology(&mut self, topology: Topology) {
-        assert_eq!(
-            topology.node_count(),
-            self.states.len(),
-            "topology mutation must preserve the node count"
-        );
-        self.topology = topology;
-    }
-
-    /// Applies a batch of edge mutations to the topology in `O(deg)`
-    /// per edge (see
-    /// [`TickEngine::apply_topology_delta`](crate::TickEngine::apply_topology_delta);
-    /// the semantics are identical).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta removes an absent edge or adds a present
-    /// one.
-    pub fn apply_topology_delta(&mut self, delta: &TopologyDelta) {
-        self.topology.apply_delta(delta);
-    }
-
-    /// Crashes node `u`: it is never scheduled, emits nothing, and its
-    /// RNG stream is paused, not consumed. Idempotent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn crash_node(&mut self, u: NodeId) {
-        let i = u.index();
-        self.faults.crash(i);
-        self.model.refresh_node(i, &self.states[i], true);
-    }
-
-    /// Recovers node `u` with a **fresh protocol-initial state** (as a
-    /// newly booted device would). No-op on nodes that are not crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn recover_node(&mut self, u: NodeId) {
-        let i = u.index();
-        if !self.faults.recover(i) {
-            return;
-        }
-        self.states[i] = self.model.initial_state(NodeCtx {
-            node: u,
-            node_count: self.states.len(),
-        });
-        self.model.refresh_node(i, &self.states[i], false);
-    }
-
-    /// Returns `true` if `u` is currently crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn is_crashed(&self, u: NodeId) -> bool {
-        self.faults.is_crashed(u.index())
-    }
-
-    /// Returns the crash flags, indexed by node.
-    pub fn crash_flags(&self) -> &[bool] {
-        self.faults.flags()
-    }
-
-    /// Returns the number of non-crashed nodes.
-    pub fn alive_count(&self) -> usize {
-        self.faults.alive_count()
-    }
-
-    /// Sets both perception-noise probabilities at once (see
-    /// [`TickEngine::set_noise`](crate::TickEngine::set_noise); the
-    /// channels live in the same shared [`FaultLayer`] and behave
-    /// identically). `(0, 0)` restores the exact model — zero-probability
-    /// channels draw nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is not in `[0, 1)`.
-    pub fn set_noise(&mut self, false_negative: f64, false_positive: f64) {
-        self.faults.set_noise(false_negative, false_positive);
-    }
-
-    /// Returns the false-negative (lost-signal) probability.
-    pub fn hearing_failure_prob(&self) -> f64 {
-        self.faults.false_negative()
-    }
-
-    /// Returns the false-positive (hallucinated-signal) probability.
-    pub fn spurious_beep_prob(&self) -> f64 {
-        self.faults.false_positive()
-    }
-
-    /// Overwrites the state of node `u` (the scenario engine's
-    /// state-injection hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn set_node_state(&mut self, u: NodeId, state: M::State) {
-        let i = u.index();
-        let mut state = state;
-        self.model.adopt_state(&mut state);
-        self.states[i] = state;
-        self.model
-            .refresh_node(i, &self.states[i], self.faults.is_crashed(i));
-    }
-
-    /// Replaces the whole configuration (crashed nodes keep their crash
-    /// mask and stay silent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len()` differs from the node count.
-    pub fn set_states(&mut self, states: Vec<M::State>) {
-        assert_eq!(
-            states.len(),
-            self.states.len(),
-            "one state per node is required"
-        );
-        self.states = states;
-        for s in &mut self.states {
-            self.model.adopt_state(s);
-        }
-        for (i, s) in self.states.iter().enumerate() {
-            self.model.refresh_node(i, s, self.faults.is_crashed(i));
+    /// The scheduler stream position and replay-sweep cursor. The
+    /// replay permutation itself is not captured: it is a pure function
+    /// of the seed and the installation point.
+    pub(crate) fn checkpoint(&self) -> SchedulerCheckpoint {
+        SchedulerCheckpoint {
+            rng_position: self.rng.position(),
+            replay_cursor: self.replay_cursor,
         }
     }
 
-    /// Captures the engine's checkpoint — activation counter, crash
-    /// mask, noise channels, per-node RNG stream positions *and* the
-    /// scheduler half: the scheduler stream position and replay-sweep
-    /// cursor. The replay permutation itself is not captured — it is a
-    /// pure function of the seed and the installation point, so restore
-    /// re-draws it via [`set_scheduler`](Self::set_scheduler). See
-    /// [`EngineCheckpoint`].
-    pub fn checkpoint(&self) -> EngineCheckpoint {
-        let n = self.states.len();
-        EngineCheckpoint {
-            steps: self.activations,
-            crashed: self.faults.flags().to_vec(),
-            false_negative: self.faults.false_negative(),
-            false_positive: self.faults.false_positive(),
-            rng_positions: (0..n).map(|i| self.faults.rng_position(i)).collect(),
-            scheduler: Some(SchedulerCheckpoint {
-                rng_position: self.scheduler_rng.position(),
-                replay_cursor: self.replay_cursor,
-            }),
-        }
-    }
-
-    /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint)
-    /// on an engine built from the same seed. The caller must have
-    /// installed the checkpointed run's scheduler (via
-    /// [`set_scheduler`](Self::set_scheduler)) **before** this call —
-    /// installation re-draws the replay permutation from the scheduler
-    /// stream exactly as the original run did; this method then
-    /// fast-forwards that stream to its checkpointed position (which is
-    /// already past the permutation draws) and restores the sweep
-    /// cursor.
+    /// Restores a [`checkpoint`](Self::checkpoint) onto a state built
+    /// from the same seed with the checkpointed run's scheduler already
+    /// [installed](Self::install): the stream is fast-forwarded to its
+    /// checkpointed position (already past the permutation draws) and
+    /// the sweep cursor is restored.
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint's node count or `states.len()` differs
-    /// from the engine's, or if the checkpoint has no scheduler half.
-    pub fn restore_checkpoint(&mut self, cp: &EngineCheckpoint, states: Vec<M::State>) {
-        let n = self.states.len();
-        assert_eq!(cp.node_count(), n, "checkpoint node count must match");
-        let sched = cp
-            .scheduler
-            .as_ref()
-            .expect("asynchronous checkpoints carry scheduler state");
-        self.faults.set_noise(cp.false_negative, cp.false_positive);
-        for i in 0..n {
-            self.faults
-                .restore_node(i, cp.crashed[i], cp.rng_positions[i]);
-        }
-        self.scheduler_rng
-            .set_position(sched.rng_position.0, sched.rng_position.1);
+    /// Panics if the checkpoint carries a replay cursor while no replay
+    /// permutation is installed.
+    pub(crate) fn restore(&mut self, cp: &SchedulerCheckpoint) {
+        self.rng.set_position(cp.rng_position.0, cp.rng_position.1);
         self.replay_cursor = if self.replay_order.is_empty() {
             assert_eq!(
-                sched.replay_cursor, 0,
+                cp.replay_cursor, 0,
                 "a replay cursor needs the replay scheduler installed"
             );
             0
         } else {
-            sched.replay_cursor % self.replay_order.len()
+            cp.replay_cursor % self.replay_order.len()
         };
-        self.set_states(states);
-        self.activations = cp.steps;
-    }
-
-    /// Turns complexity accounting on: from the next activation the
-    /// engine accumulates a [`ComplexityLedger`] (one entry per
-    /// activation), and — when `recorder_capacity` is given — retains
-    /// the last that many [`TraceEvent`](crate::TraceEvent)s in a
-    /// [`FlightRecorder`]. Instrumentation is purely passive (no RNG
-    /// draws, no reordering), so enabling it never changes an
-    /// execution; disabled engines pay one branch per activation.
-    pub fn enable_instrumentation(&mut self, recorder_capacity: Option<usize>) {
-        self.instr.enable(recorder_capacity);
-    }
-
-    /// Returns `true` if complexity accounting is on.
-    pub fn instrumentation_enabled(&self) -> bool {
-        self.instr.is_on()
-    }
-
-    /// Returns the accumulated complexity counters, if instrumentation
-    /// is on.
-    pub fn complexity_ledger(&self) -> Option<&ComplexityLedger> {
-        self.instr.ledger()
-    }
-
-    /// Returns the flight recorder, if one was attached.
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.instr.recorder()
-    }
-
-    /// Records an event into the flight recorder, stamped with the
-    /// current activation count (no-op unless a recorder is attached).
-    pub fn record_trace_event(&mut self, kind: &str, detail: impl Into<String>) {
-        let step = self.activations;
-        self.instr.record_event(step, kind, detail);
-    }
-}
-
-impl<M: ActivationLeaderModel> ActivationEngine<M> {
-    /// Returns the number of **alive** nodes whose state lies in the
-    /// leader set (a crashed node cannot act as a leader).
-    pub fn leader_count(&self) -> usize {
-        self.states
-            .iter()
-            .zip(self.faults.flags())
-            .filter(|(s, &c)| !c && self.model.is_leader(s))
-            .count()
-    }
-
-    /// Returns the identifiers of all current (alive) leaders.
-    pub fn leaders(&self) -> Vec<NodeId> {
-        self.states
-            .iter()
-            .zip(self.faults.flags())
-            .enumerate()
-            .filter(|(_, (s, &c))| !c && self.model.is_leader(s))
-            .map(|(i, _)| NodeId::new(i))
-            .collect()
-    }
-
-    /// Returns the unique (alive) leader, or `None` if there are zero
-    /// or several leaders.
-    pub fn unique_leader(&self) -> Option<NodeId> {
-        let mut found = None;
-        for (i, (s, &c)) in self.states.iter().zip(self.faults.flags()).enumerate() {
-            if !c && self.model.is_leader(s) {
-                if found.is_some() {
-                    return None;
-                }
-                found = Some(NodeId::new(i));
-            }
-        }
-        found
     }
 }
 
@@ -646,8 +230,8 @@ impl<M: ActivationLeaderModel> ActivationEngine<M> {
 mod tests {
     use super::*;
     use crate::stone_age::{AsyncStoneAgeNetwork, BeepingAsStoneAge};
-    use crate::{BeepingProtocol, LeaderElection};
-    use bfw_graph::generators;
+    use crate::{BeepingProtocol, LeaderElection, NodeCtx};
+    use bfw_graph::{generators, TopologyDelta};
 
     /// Beeps forever; "leaders" are all nodes (crash masking visible).
     #[derive(Debug, Clone)]
@@ -693,7 +277,7 @@ mod tests {
             }
             assert_eq!(*net.state(NodeId::new(2)), 0, "{scheduler}");
             assert_eq!(*net.state(NodeId::new(5)), 0, "{scheduler}");
-            assert_eq!(net.activations(), 200);
+            assert_eq!(net.round(), 200);
             assert_eq!(net.alive_count(), 4);
             assert_eq!(net.leader_count(), 4, "crashed sirens are not leaders");
         }
@@ -706,12 +290,12 @@ mod tests {
             net.crash_node(NodeId::new(i));
         }
         assert_eq!(net.activate_next(), None);
-        net.run_activations(10); // stalls, never spins
-        assert_eq!(net.activations(), 11, "stalled steps still count");
+        net.run(10); // stalls, never spins
+        assert_eq!(net.round(), 11, "stalled steps still count");
         assert!(net.states().iter().all(|&s| s == 0), "nobody transitioned");
         // Explicit activation of a crashed node is an uncounted no-op.
         net.activate(NodeId::new(1));
-        assert_eq!(net.activations(), 11);
+        assert_eq!(net.round(), 11);
         assert!(net.leaders().is_empty());
         assert_eq!(net.unique_leader(), None);
     }
@@ -719,14 +303,14 @@ mod tests {
     #[test]
     fn recover_reboots_into_initial_state_and_reschedules() {
         let mut net = siren_net(4, 7);
-        net.run_activations(40);
+        net.run(40);
         net.crash_node(NodeId::new(1));
         let frozen = *net.state(NodeId::new(1));
-        net.run_activations(40);
+        net.run(40);
         assert_eq!(*net.state(NodeId::new(1)), frozen, "crashed node is inert");
         net.recover_node(NodeId::new(1));
         assert_eq!(*net.state(NodeId::new(1)), 0, "fresh initial state");
-        net.run_activations(200);
+        net.run(200);
         assert!(*net.state(NodeId::new(1)) > 0, "rejoined the schedule");
         // Recovering an alive node is a no-op.
         let s0 = *net.state(NodeId::new(0));
@@ -760,7 +344,7 @@ mod tests {
         let mut net =
             AsyncStoneAgeNetwork::new(BeepingAsStoneAge::new(Siren), generators::star(9).into(), 5);
         net.set_scheduler(Scheduler::Weighted);
-        net.run_activations(900);
+        net.run(900);
         let hub = *net.state(NodeId::new(0)) as f64;
         let leaf_mean: f64 = (1..9)
             .map(|i| *net.state(NodeId::new(i)) as f64)
@@ -778,7 +362,7 @@ mod tests {
             let run = |seed| {
                 let mut net = siren_net(8, seed);
                 net.set_scheduler(scheduler);
-                net.run_activations(100);
+                net.run(100);
                 net.states().to_vec()
             };
             assert_eq!(run(5), run(5), "{scheduler}");

@@ -506,7 +506,7 @@ impl<M: BitModel> BitEngine<M> {
 
         if let Some(sample) = &mut sample {
             // Post-noise perception events of alive nodes — the
-            // generic `perceived_count` as a popcount.
+            // beeping model's perceived count, as a popcount.
             sample.heard = self
                 .heard
                 .iter()

@@ -2,19 +2,19 @@
 //! the two-channel perception-noise model.
 //!
 //! [`FaultLayer`] is the one place where the fault vocabulary of every
-//! runtime lives. Both executors embed it: the synchronous
-//! [`TickEngine`](crate::TickEngine) (the beeping and stone-age round
-//! loops) and the asynchronous
-//! [`ActivationEngine`](crate::ActivationEngine) (activation-based
-//! scheduling). Because the crash bitmask, the ChaCha8 stream carving
-//! and the noise channels are one struct rather than per-runtime
-//! copies, a crash or a noise burst behaves identically under
-//! synchronous rounds and asynchronous activations by construction.
+//! runtime lives. Both kernels embed it: the scalar
+//! [`TickEngine`](crate::TickEngine) (beeping and stone-age rounds, the
+//! recovery layer, and asynchronous activations, one per tick) and the
+//! bit-parallel [`BitEngine`](crate::BitEngine). Because the crash
+//! bitmask, the ChaCha8 stream carving and the noise channels are one
+//! struct rather than per-runtime copies, a crash or a noise burst
+//! behaves identically under synchronous rounds and asynchronous
+//! activations by construction.
 //!
 //! Determinism contract: node `i` draws from a ChaCha8 stream carved
 //! deterministically out of the run seed (`n` node streams in index
-//! order; the activation engine's scheduler stream is carved *after*
-//! them, exactly as the pre-engine asynchronous runtime did — see the
+//! order; the asynchronous model's scheduler stream is carved *after*
+//! them, exactly as the first asynchronous runtime did — see the
 //! `activation_engine_equivalence` workspace test for the pinned
 //! traces). Zero-probability noise channels draw nothing.
 
@@ -45,7 +45,7 @@ impl FaultLayer {
 
     /// Like [`new`](Self::new), but also carves one extra stream for an
     /// activation scheduler, *after* the node streams — the carving
-    /// order the pre-engine asynchronous runtime used, preserved so its
+    /// order the first asynchronous runtime used, preserved so its
     /// pinned traces stay bit-identical. Synchronous engines drop the
     /// extra stream without drawing from it, which leaves the node
     /// streams unchanged.

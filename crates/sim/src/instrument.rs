@@ -1,16 +1,19 @@
-//! Shared complexity accounting and flight recording for both engines.
+//! Shared complexity accounting and flight recording for both kernels.
 //!
 //! The complexity landscape the paper sits in is staked out in **bits
 //! and messages**, not just rounds — the diameter-two message chasm
 //! (Chatterjee–Pandurangan–Robinson) and the `Θ(D + log n)` bit-rounds
 //! bound (Casteigts et al.). This module is the one seam through which
-//! both executors — the synchronous [`TickEngine`](crate::TickEngine)
-//! and the asynchronous [`ActivationEngine`](crate::ActivationEngine) —
-//! account for what their executions actually transmit:
+//! both kernels — the scalar [`TickEngine`](crate::TickEngine), whose
+//! models sample each tick through the one `sample` argument of
+//! [`TickModel::advance`](crate::TickModel::advance), and the
+//! bit-parallel [`BitEngine`](crate::BitEngine) — account for what
+//! their executions actually transmit:
 //!
 //! * a [`ComplexityLedger`] accumulating beeps sent/heard, bits of
 //!   channel information, message deliveries and per-node state size,
-//!   fed once per round (sync) or per activation (async);
+//!   fed once per round (sync) or per activation (async; a stalled
+//!   activation, with every node crashed, feeds nothing);
 //! * a fixed-capacity ring-buffer [`FlightRecorder`] of recent
 //!   [`TraceEvent`]s (scenario events, leader-set changes, anything a
 //!   caller records), bounded even in million-node runs — only the
@@ -95,8 +98,8 @@ impl ComplexityLedger {
         self.state_bytes = state_bytes;
     }
 
-    /// Steps accounted (rounds on the tick engine, activations on the
-    /// activation engine).
+    /// Steps accounted (rounds, or activations on the asynchronous
+    /// runtime).
     pub fn steps(&self) -> u64 {
         self.steps
     }

@@ -10,7 +10,8 @@
 //!   [`Network`];
 //! * a synchronous **stone-age model** (Emek & Wattenhofer): nodes
 //!   display symbols from a finite alphabet and count neighbors per
-//!   symbol only up to a threshold `b` — see [`stone_age`];
+//!   symbol only up to a threshold `b`, and its asynchronous variant,
+//!   one scheduler-picked activation per step — see [`stone_age`];
 //! * a synchronous **message-passing model** used by the strong-model
 //!   baseline (`FloodMax`) — see [`message_passing`].
 //!
@@ -65,7 +66,7 @@ mod snapshot;
 pub mod stone_age;
 mod tick;
 
-pub use activation::{ActivationEngine, ActivationLeaderModel, ActivationModel, Scheduler};
+pub use activation::Scheduler;
 pub use bfw_graph::Topology;
 pub use bitkernel::{bernoulli_words, BitEngine, BitModel, PlaneWord};
 pub use error::SimError;

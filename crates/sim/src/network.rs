@@ -74,6 +74,51 @@ impl<P: BeepingProtocol> BeepingModel<P> {
             uniform_degree: None,
         }
     }
+
+    /// What the pending beeps transmit: `beeps` holds B_t, already
+    /// crash-masked by `refresh_node` / `advance`. One beep carries one
+    /// bit; each beep is delivered to every neighbor of its emitter.
+    fn emission_sample(&self, topology: &Topology) -> RoundSample {
+        let (emitters, messages) = if let Some(d) = self.uniform_degree {
+            let emitters = self.beeps.iter().filter(|&&b| b).count() as u64;
+            (emitters, emitters * d)
+        } else if self.degrees.len() == self.beeps.len() && !self.beeps.is_empty() {
+            // Irregular graph: fused branchless pass — the all-ones /
+            // all-zeros select mask turns `deg(u) if beeping` into an
+            // AND, which the autovectorizer handles where a widening
+            // bool × u32 multiply defeats it.
+            let mut emitters = 0u64;
+            let mut messages = 0u64;
+            for (&d, &b) in self.degrees.iter().zip(&self.beeps) {
+                let select = 0u32.wrapping_sub(u32::from(b));
+                emitters += u64::from(b);
+                messages += u64::from(d & select);
+            }
+            (emitters, messages)
+        } else {
+            fanout_mask(topology, &self.beeps)
+        };
+        RoundSample {
+            emitters,
+            heard: 0,
+            bits: emitters,
+            messages,
+        }
+    }
+
+    /// The alive nodes whose post-noise `heard` flag is set this round;
+    /// crashed nodes perceive nothing. Fault-free runs (the
+    /// instrumented hot path) take the vectorizable count.
+    fn perceived_count(&self, faults: &FaultLayer) -> u64 {
+        if faults.alive_count() == self.heard.len() {
+            return self.heard.iter().filter(|&&h| h).count() as u64;
+        }
+        self.heard
+            .iter()
+            .zip(faults.flags())
+            .filter(|&(&h, &crashed)| h && !crashed)
+            .count() as u64
+    }
 }
 
 impl<P: BeepingProtocol> TickModel for BeepingModel<P> {
@@ -92,7 +137,14 @@ impl<P: BeepingProtocol> TickModel for BeepingModel<P> {
         self.beeps[i] = self.protocol.beeps(state) && !crashed;
     }
 
-    fn advance(&mut self, topology: &Topology, states: &mut [P::State], faults: &mut FaultLayer) {
+    fn advance(
+        &mut self,
+        topology: &Topology,
+        states: &mut [P::State],
+        faults: &mut FaultLayer,
+        sample: Option<&mut RoundSample>,
+    ) -> bool {
+        let emitted = sample.is_some().then(|| self.emission_sample(topology));
         topology.compute_heard(&self.beeps, &mut self.heard);
         if faults.has_noise() {
             // Unreliable perception (extension): a listener misses a
@@ -115,56 +167,16 @@ impl<P: BeepingProtocol> TickModel for BeepingModel<P> {
                 .protocol
                 .transition(state, self.heard[i], faults.rng(i));
         }
+        if let (Some(sample), Some(emitted)) = (sample, emitted) {
+            *sample = RoundSample {
+                heard: self.perceived_count(faults),
+                ..emitted
+            };
+        }
         for (i, s) in states.iter().enumerate() {
             self.beeps[i] = self.protocol.beeps(s) && !faults.is_crashed(i);
         }
-    }
-
-    fn emission_sample(&self, topology: &Topology, _faults: &FaultLayer) -> Option<RoundSample> {
-        // `beeps` holds B_t, already crash-masked by `refresh_node` /
-        // `advance`. One beep carries one bit; each beep is delivered
-        // to every neighbor of its emitter.
-        let (emitters, messages) = if let Some(d) = self.uniform_degree {
-            let emitters = self.beeps.iter().filter(|&&b| b).count() as u64;
-            (emitters, emitters * d)
-        } else if self.degrees.len() == self.beeps.len() && !self.beeps.is_empty() {
-            // Irregular graph: fused branchless pass — the all-ones /
-            // all-zeros select mask turns `deg(u) if beeping` into an
-            // AND, which the autovectorizer handles where a widening
-            // bool × u32 multiply defeats it.
-            let mut emitters = 0u64;
-            let mut messages = 0u64;
-            for (&d, &b) in self.degrees.iter().zip(&self.beeps) {
-                let select = 0u32.wrapping_sub(u32::from(b));
-                emitters += u64::from(b);
-                messages += u64::from(d & select);
-            }
-            (emitters, messages)
-        } else {
-            fanout_mask(topology, &self.beeps)
-        };
-        Some(RoundSample {
-            emitters,
-            heard: 0,
-            bits: emitters,
-            messages,
-        })
-    }
-
-    fn perceived_count(&self, faults: &FaultLayer) -> Option<u64> {
-        // After `advance`, `heard` holds this round's post-noise
-        // perceptions; crashed nodes perceive nothing. Fault-free runs
-        // (the instrumented hot path) take the vectorizable count.
-        if faults.alive_count() == self.heard.len() {
-            return Some(self.heard.iter().filter(|&&h| h).count() as u64);
-        }
-        Some(
-            self.heard
-                .iter()
-                .zip(faults.flags())
-                .filter(|&(&h, &crashed)| h && !crashed)
-                .count() as u64,
-        )
+        true
     }
 
     fn refresh_sampler_caches(&mut self, topology: &Topology) {
@@ -216,7 +228,8 @@ impl<P: BeepingProtocol> TickEngine<BeepingModel<P>> {
     /// `seed` determines the entire execution: node `i` draws from a
     /// ChaCha8 stream carved deterministically out of `seed`.
     pub fn new(protocol: P, topology: Topology, seed: u64) -> Self {
-        TickEngine::from_model(BeepingModel::new(protocol), topology, seed)
+        let faults = FaultLayer::new(topology.node_count(), seed);
+        TickEngine::from_model(BeepingModel::new(protocol), topology, faults)
     }
 
     /// Creates a network in round 0 from an **explicit** configuration,
@@ -232,7 +245,8 @@ impl<P: BeepingProtocol> TickEngine<BeepingModel<P>> {
     ///
     /// Panics if `states.len()` differs from the topology's node count.
     pub fn with_states(protocol: P, topology: Topology, seed: u64, states: Vec<P::State>) -> Self {
-        TickEngine::from_parts(BeepingModel::new(protocol), topology, seed, states)
+        let faults = FaultLayer::new(topology.node_count(), seed);
+        TickEngine::from_parts(BeepingModel::new(protocol), topology, faults, states)
     }
 
     /// Enables **unreliable hearing** — an extension beyond the paper's

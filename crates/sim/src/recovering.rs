@@ -72,20 +72,18 @@ where
         state.sync_clock(self.round);
     }
 
-    fn advance(&mut self, topology: &Topology, states: &mut [P::State], faults: &mut FaultLayer) {
-        self.inner.advance(topology, states, faults);
+    // Slot multiplexing changes what the bits mean, not how many cross
+    // the channel: the wrapped beeping model samples the round.
+    fn advance(
+        &mut self,
+        topology: &Topology,
+        states: &mut [P::State],
+        faults: &mut FaultLayer,
+        sample: Option<&mut RoundSample>,
+    ) -> bool {
+        let moved = self.inner.advance(topology, states, faults, sample);
         self.round += 1;
-    }
-
-    // Complexity accounting delegates to the wrapped beeping model —
-    // slot multiplexing changes what the bits mean, not how many cross
-    // the channel.
-    fn emission_sample(&self, topology: &Topology, faults: &FaultLayer) -> Option<RoundSample> {
-        self.inner.emission_sample(topology, faults)
-    }
-
-    fn perceived_count(&self, faults: &FaultLayer) -> Option<u64> {
-        self.inner.perceived_count(faults)
+        moved
     }
 
     fn refresh_sampler_caches(&mut self, topology: &Topology) {
@@ -109,13 +107,14 @@ where
     /// Creates a slot-synchronized network in round 0 with every node
     /// in its initial state (mirrors [`Network::new`](crate::Network)).
     pub fn new(protocol: P, topology: Topology, seed: u64) -> Self {
+        let faults = FaultLayer::new(topology.node_count(), seed);
         TickEngine::from_model(
             SlotSyncedModel {
                 inner: BeepingModel::new(protocol),
                 round: 0,
             },
             topology,
-            seed,
+            faults,
         )
     }
 
@@ -136,13 +135,14 @@ where
         for s in &mut states {
             s.sync_clock(0);
         }
+        let faults = FaultLayer::new(topology.node_count(), seed);
         TickEngine::from_parts(
             SlotSyncedModel {
                 inner: BeepingModel::new(protocol),
                 round: 0,
             },
             topology,
-            seed,
+            faults,
             states,
         )
     }

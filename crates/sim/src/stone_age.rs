@@ -1,6 +1,7 @@
-//! A synchronous variant of the stone-age model (Emek & Wattenhofer,
-//! PODC 2013), as a model adapter over the shared
-//! [`TickEngine`].
+//! The stone-age model (Emek & Wattenhofer, PODC 2013), synchronous
+//! and asynchronous, as two model adapters over the shared
+//! [`TickEngine`]: [`StoneAgeNetwork`] steps every node once per tick,
+//! [`AsyncStoneAgeNetwork`] one scheduler-picked node per tick.
 //!
 //! In the stone-age model, each node displays a symbol from a finite
 //! alphabet `Σ`. When activated, a node observes, for every symbol
@@ -52,9 +53,10 @@
 //! assert_eq!(net.round(), 1);
 //! ```
 
-use crate::activation::{ActivationEngine, ActivationLeaderModel, ActivationModel};
+use crate::activation::{Scheduler, SchedulerState};
 use crate::fault::FaultLayer;
 use crate::instrument::{bits_per_symbol, fanout, RoundSample};
+use crate::snapshot::SchedulerCheckpoint;
 use crate::tick::{LeaderModel, TickEngine, TickModel};
 use crate::{BeepingProtocol, LeaderElection, NodeCtx, Topology};
 use bfw_graph::NodeId;
@@ -182,10 +184,33 @@ impl<P: StoneAgeProtocol> TickModel for StoneAgeModel<P> {
         self.symbols[i] = self.protocol.displayed_symbol(state);
     }
 
-    fn advance(&mut self, topology: &Topology, states: &mut [P::State], faults: &mut FaultLayer) {
+    // Unlike the beeping model, `symbols` always mirrors the states even
+    // for crashed nodes (crash visibility is enforced at observation
+    // time), so the sampler re-checks alive-ness. A transmission is any
+    // alive node displaying a non-quiescent symbol; each carries
+    // ⌈log₂ |Σ|⌉ bits. The per-symbol observation scratch is reused
+    // across nodes, so per-node perception events are not recorded: the
+    // ledger's `beeps_heard` column reads 0 for stone-age runs.
+    fn advance(
+        &mut self,
+        topology: &Topology,
+        states: &mut [P::State],
+        faults: &mut FaultLayer,
+        sample: Option<&mut RoundSample>,
+    ) -> bool {
         let sigma = self.protocol.alphabet_size();
         let b = self.protocol.counting_threshold();
         assert!(b >= 1, "counting threshold must be at least 1");
+        if let Some(sample) = sample {
+            let (emitters, messages) =
+                fanout(topology, |i| self.symbols[i] != 0 && !faults.is_crashed(i));
+            *sample = RoundSample {
+                emitters,
+                heard: 0,
+                bits: emitters * bits_per_symbol(sigma),
+                messages,
+            };
+        }
         self.observed.resize(sigma, 0);
         let noisy = faults.has_noise();
         match topology {
@@ -242,26 +267,7 @@ impl<P: StoneAgeProtocol> TickModel for StoneAgeModel<P> {
         for (symbol, state) in self.symbols.iter_mut().zip(states.iter()) {
             *symbol = self.protocol.displayed_symbol(state);
         }
-    }
-
-    // Unlike the beeping model, `symbols` always mirrors the states even
-    // for crashed nodes (crash visibility is enforced at observation
-    // time), so alive-ness is re-checked here. A transmission is any
-    // alive node displaying a non-quiescent symbol; each carries
-    // ⌈log₂ |Σ|⌉ bits. The per-symbol observation scratch is reused
-    // across nodes within `advance`, so per-node perception events are
-    // not recoverable post-hoc: `perceived_count` stays at its `None`
-    // default and the ledger's `beeps_heard` column reads 0 for
-    // stone-age runs.
-    fn emission_sample(&self, topology: &Topology, faults: &FaultLayer) -> Option<RoundSample> {
-        let (emitters, messages) =
-            fanout(topology, |i| self.symbols[i] != 0 && !faults.is_crashed(i));
-        Some(RoundSample {
-            emitters,
-            heard: 0,
-            bits: emitters * bits_per_symbol(self.protocol.alphabet_size()),
-            messages,
-        })
+        true
     }
 }
 
@@ -277,7 +283,8 @@ impl<P: StoneAgeProtocol> TickEngine<StoneAgeModel<P>> {
     /// Seeding matches [`Network::new`](crate::Network::new): the same
     /// `seed` gives every node the same ChaCha stream in both runtimes.
     pub fn new(protocol: P, topology: Topology, seed: u64) -> Self {
-        TickEngine::from_model(StoneAgeModel::new(protocol), topology, seed)
+        let faults = FaultLayer::new(topology.node_count(), seed);
+        TickEngine::from_model(StoneAgeModel::new(protocol), topology, faults)
     }
 
     /// Returns the protocol.
@@ -369,11 +376,12 @@ impl<P: LeaderElection> StoneAgeLeaderElection for BeepingAsStoneAge<P> {
 }
 
 /// **Asynchronous** executor of a [`StoneAgeProtocol`]: nodes are
-/// activated one at a time by a pluggable scheduler (uniformly random
-/// by default — the randomized fair scheduler common in
+/// activated one at a time by a pluggable [`Scheduler`] (uniformly
+/// random by default — the randomized fair scheduler common in
 /// self-stabilization work; the original stone-age model of Emek &
-/// Wattenhofer is asynchronous). This is the asynchronous adapter over
-/// the shared [`ActivationEngine`].
+/// Wattenhofer is asynchronous). One tick of the shared [`TickEngine`]
+/// is one scheduler pick and one activation, so
+/// [`round`](TickEngine::round) counts activations.
 ///
 /// The paper is careful to claim BFW only for a *synchronous* version
 /// of the stone-age model. This executor exists to probe why: under
@@ -381,32 +389,34 @@ impl<P: LeaderElection> StoneAgeLeaderElection for BeepingAsStoneAge<P> {
 /// next activated, wave timing desynchronizes, and the freeze no
 /// longer shields a leader from its own (now smeared-out) wave. The
 /// `async` experiments use it exploratorily; no correctness claim from
-/// the paper applies here. Since the engine embeds the same
-/// [`FaultLayer`] as the synchronous runtimes, crashes, perception
-/// noise, delta-applied dynamic topology and scenario timelines (with
-/// positions read in activations) all work here too — see
-/// [`Scheduler`](crate::Scheduler) for the available schedulers.
-pub type AsyncStoneAgeNetwork<P> = ActivationEngine<AsyncStoneAgeModel<P>>;
+/// the paper applies here. Since it is the same engine as the
+/// synchronous runtimes, crashes, perception noise, delta-applied
+/// dynamic topology, checkpoints, instrumentation and scenario
+/// timelines (with positions read in activations) all work here too.
+/// When every node is crashed a tick stalls: time passes, nobody moves,
+/// nothing is drawn and the complexity ledger adds no step.
+pub type AsyncStoneAgeNetwork<P> = TickEngine<AsyncStoneAgeModel<P>>;
 
 /// The asynchronous stone-age communication model: one activated node
 /// observes the *current* displayed symbols of its alive neighbors
 /// (clamped at the counting threshold) and transitions.
 ///
-/// This is the [`ActivationModel`] behind [`AsyncStoneAgeNetwork`]; it
-/// owns the protocol, the displayed-symbol cache and the observation
-/// scratch. Perception noise acts on the same per-symbol presence bits
-/// as in the synchronous [`StoneAgeModel`] (see the module docs): for
-/// the activated node, each non-quiescent symbol it is not itself
-/// displaying can be lost or hallucinated; symbol 0 and the node's own
-/// symbol are noise-free.
+/// This is the [`TickModel`] behind [`AsyncStoneAgeNetwork`]; it owns
+/// the protocol, the displayed-symbol cache, the observation scratch
+/// and the scheduler. Perception noise acts on the same per-symbol
+/// presence bits as in the synchronous [`StoneAgeModel`] (see the
+/// module docs): for the activated node, each non-quiescent symbol it
+/// is not itself displaying can be lost or hallucinated; symbol 0 and
+/// the node's own symbol are noise-free.
 #[derive(Debug, Clone)]
 pub struct AsyncStoneAgeModel<P: StoneAgeProtocol> {
     protocol: P,
     symbols: Vec<usize>,
     observed: Vec<u8>,
+    scheduler: SchedulerState,
 }
 
-impl<P: StoneAgeProtocol> ActivationModel for AsyncStoneAgeModel<P> {
+impl<P: StoneAgeProtocol> TickModel for AsyncStoneAgeModel<P> {
     type State = P::State;
 
     fn initial_state(&self, ctx: NodeCtx) -> P::State {
@@ -424,93 +434,92 @@ impl<P: StoneAgeProtocol> ActivationModel for AsyncStoneAgeModel<P> {
         self.symbols[i] = self.protocol.displayed_symbol(state);
     }
 
-    fn activate(
+    // In the asynchronous (pull-style) model the activated node reads
+    // each alive neighbor's display: every such read is one message.
+    // The node itself is the only possible transmitter of the
+    // activation — it counts as an emitter if it displayed a
+    // non-quiescent symbol when activated, carrying ⌈log₂ |Σ|⌉ bits —
+    // and it perceived a signal if its post-noise observation holds
+    // any non-quiescent symbol.
+    fn advance(
         &mut self,
         topology: &Topology,
-        u: usize,
         states: &mut [P::State],
         faults: &mut FaultLayer,
-    ) {
+        sample: Option<&mut RoundSample>,
+    ) -> bool {
+        let Some(u) = self.scheduler.pick(topology, faults) else {
+            return false;
+        };
         let sigma = self.protocol.alphabet_size();
         let b = self.protocol.counting_threshold();
         assert!(b >= 1, "counting threshold must be at least 1");
+        let own = self.symbols[u];
         self.observed.clear();
         self.observed.resize(sigma, 0);
+        let mut reads = 0u64;
         topology.for_each_neighbor(NodeId::new(u), |v| {
             let s = self.symbols[v.index()];
             assert!(s < sigma, "displayed symbol {s} outside alphabet");
-            if !faults.is_crashed(v.index()) && self.observed[s] < b {
-                self.observed[s] += 1;
+            if !faults.is_crashed(v.index()) {
+                reads += 1;
+                if self.observed[s] < b {
+                    self.observed[s] += 1;
+                }
             }
         });
         if faults.has_noise() {
-            apply_presence_noise(self.symbols[u], &mut self.observed, u, faults);
+            apply_presence_noise(own, &mut self.observed, u, faults);
         }
         states[u] = self
             .protocol
             .transition(&states[u], &self.observed, faults.rng(u));
         self.symbols[u] = self.protocol.displayed_symbol(&states[u]);
+        if let Some(sample) = sample {
+            let emitters = u64::from(own != 0);
+            *sample = RoundSample {
+                emitters,
+                heard: u64::from(self.observed.iter().skip(1).any(|&c| c > 0)),
+                bits: emitters * bits_per_symbol(sigma),
+                messages: reads,
+            };
+        }
+        true
     }
 
-    // In the asynchronous (pull-style) model the activated node reads
-    // each alive neighbor's display: every such read is one message.
-    // The node itself is the only possible transmitter of the
-    // activation — it counts as an emitter if it displays a
-    // non-quiescent symbol, carrying ⌈log₂ |Σ|⌉ bits.
-    fn activation_sample(
-        &self,
-        topology: &Topology,
-        u: usize,
-        faults: &FaultLayer,
-    ) -> Option<RoundSample> {
-        let mut alive_neighbors = 0u64;
-        topology.for_each_neighbor(NodeId::new(u), |v| {
-            if !faults.is_crashed(v.index()) {
-                alive_neighbors += 1;
-            }
-        });
-        let emitters = u64::from(self.symbols[u] != 0);
-        Some(RoundSample {
-            emitters,
-            heard: 0,
-            bits: emitters * bits_per_symbol(self.protocol.alphabet_size()),
-            messages: alive_neighbors,
-        })
+    fn scheduler_checkpoint(&self) -> Option<SchedulerCheckpoint> {
+        Some(self.scheduler.checkpoint())
     }
 
-    // The observation scratch still holds the activated node's
-    // post-noise view when this is called (immediately after
-    // `activate`): a perception event is any non-quiescent symbol seen.
-    fn perceived_after(&self, _u: usize) -> Option<u64> {
-        Some(u64::from(self.observed.iter().skip(1).any(|&c| c > 0)))
+    fn restore_scheduler(&mut self, checkpoint: Option<&SchedulerCheckpoint>) {
+        let checkpoint = checkpoint.expect("asynchronous checkpoints carry scheduler state");
+        self.scheduler.restore(checkpoint);
     }
 }
 
-impl<P: StoneAgeLeaderElection> ActivationLeaderModel for AsyncStoneAgeModel<P> {
+impl<P: StoneAgeLeaderElection> LeaderModel for AsyncStoneAgeModel<P> {
     fn is_leader(&self, state: &P::State) -> bool {
         self.protocol.is_leader(state)
     }
 }
 
-impl<P: StoneAgeProtocol> ActivationEngine<AsyncStoneAgeModel<P>> {
+impl<P: StoneAgeProtocol> TickEngine<AsyncStoneAgeModel<P>> {
     /// Creates a network with zero activations performed, under the
     /// default uniform scheduler.
     ///
     /// Seeding carves the node streams exactly as
     /// [`StoneAgeNetwork::new`] does, then one scheduler stream — the
-    /// carving order of the pre-engine asynchronous runtime, so its
-    /// pinned traces reproduce bit-for-bit (see the
-    /// `activation_engine_equivalence` workspace test).
+    /// carving order the `activation_engine_equivalence` workspace test
+    /// pins.
     pub fn new(protocol: P, topology: Topology, seed: u64) -> Self {
-        ActivationEngine::from_model(
-            AsyncStoneAgeModel {
-                protocol,
-                symbols: Vec::new(),
-                observed: Vec::new(),
-            },
-            topology,
-            seed,
-        )
+        let (faults, scheduler) = FaultLayer::with_scheduler(topology.node_count(), seed);
+        let model = AsyncStoneAgeModel {
+            protocol,
+            symbols: Vec::new(),
+            observed: Vec::new(),
+            scheduler: SchedulerState::new(scheduler),
+        };
+        TickEngine::from_model(model, topology, faults)
     }
 
     /// Returns the protocol.
@@ -523,10 +532,58 @@ impl<P: StoneAgeProtocol> ActivationEngine<AsyncStoneAgeModel<P>> {
         &self.model.symbols
     }
 
-    /// Activates one uniformly scheduler-chosen node (the historical
-    /// name of [`activate_next`](ActivationEngine::activate_next)).
-    pub fn activate_random(&mut self) {
-        self.activate_next();
+    /// Returns the installed scheduler.
+    pub fn scheduler(&self) -> Scheduler {
+        self.model.scheduler.kind()
+    }
+
+    /// Installs a scheduler for all subsequent activations.
+    ///
+    /// Installing [`Scheduler::Replay`] draws the replay permutation
+    /// from the scheduler stream at this point (a Fisher–Yates shuffle)
+    /// and resets the sweep cursor, so the adversarial order is a pure
+    /// function of the seed and the moment of installation.
+    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
+        let n = self.node_count();
+        self.model.scheduler.install(scheduler, n);
+    }
+
+    /// [Steps](TickEngine::step) once and returns the node the
+    /// scheduler activated, or `None` for a stalled step (every node
+    /// crashed). Crash-masked nodes are never activated, under any
+    /// scheduler.
+    pub fn activate_next(&mut self) -> Option<NodeId> {
+        self.step();
+        self.model.scheduler.last().map(NodeId::new)
+    }
+
+    /// Activates a specific node (for externally scripted adversarial
+    /// schedules) as one step: it observes the *current* emissions of
+    /// its alive neighbors and transitions; everyone else is untouched
+    /// and the scheduler draws nothing. A crashed node performs no
+    /// transition and the activation is not counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn activate(&mut self, u: NodeId) {
+        if self.is_crashed(u) {
+            return;
+        }
+        self.model.scheduler.script(u.index());
+        self.step();
+    }
+
+    /// Activations performed so far: the asynchronous name of
+    /// [`round`](TickEngine::round).
+    pub fn activations(&self) -> u64 {
+        self.round()
+    }
+
+    /// Performs `count` scheduler-chosen activations, stalled ones
+    /// included: the asynchronous name of [`run`](TickEngine::run).
+    pub fn run_activations(&mut self, count: u64) {
+        self.run(count);
     }
 }
 
@@ -765,7 +822,7 @@ mod tests {
         let after = net.states();
         let changed: Vec<usize> = (0..6).filter(|&i| before[i] != after[i]).collect();
         assert!(changed.is_empty() || changed == [2], "{changed:?}");
-        assert_eq!(net.activations(), 1);
+        assert_eq!(net.round(), 1);
     }
 
     #[test]
@@ -773,7 +830,7 @@ mod tests {
         let run = |seed| {
             let adapter = BeepingAsStoneAge::new(RandomBeeper);
             let mut net = AsyncStoneAgeNetwork::new(adapter, generators::cycle(8).into(), seed);
-            net.run_activations(200);
+            net.run(200);
             net.states().to_vec()
         };
         assert_eq!(run(5), run(5));
@@ -785,7 +842,7 @@ mod tests {
         let adapter = BeepingAsStoneAge::new(RandomBeeper);
         let mut net = AsyncStoneAgeNetwork::new(adapter, generators::cycle(8).into(), 1);
         assert_eq!(net.leader_count(), 0);
-        net.run_activations(500);
+        net.run(500);
         assert_eq!(net.node_count(), 8);
         // RandomBeeper's "leaders" are the currently-beeping nodes;
         // count is whatever it is, but never exceeds n.

@@ -1,38 +1,48 @@
-//! The shared tick engine: one fault substrate and one round loop for
-//! every synchronous runtime.
+//! The shared tick engine: one fault substrate and one step loop for
+//! every scalar runtime.
 //!
 //! The paper's point is that a single minimalist protocol family runs
 //! unchanged across weak models; this module is the executor-side
 //! mirror of that claim. [`TickEngine`] owns everything that is *not*
 //! model-specific — the topology (including delta-applied dynamic
 //! topology), the crash bitmask, the per-node ChaCha streams, the
-//! two-channel perception-noise model and the round counter — and a
-//! [`TickModel`] contributes only what a communication model actually
-//! defines: how states are emitted and perceived within one round. The
-//! beeping [`Network`](crate::Network) and the stone-age
-//! [`StoneAgeNetwork`](crate::stone_age::StoneAgeNetwork) are thin
-//! aliases over this engine, so crash masking, topology swapping and
-//! noise each exist in exactly one place and automatically behave
-//! identically across models.
+//! two-channel perception-noise model, the tick counter, checkpoints
+//! and the instrumentation seam — and a [`TickModel`] contributes only
+//! what a communication model actually defines: what one tick does.
+//! For the beeping [`Network`](crate::Network), the stone-age
+//! [`StoneAgeNetwork`](crate::stone_age::StoneAgeNetwork) and the
+//! recovery layer's [`SlotSyncedModel`](crate::SlotSyncedModel) a tick
+//! is one synchronous round; for the asynchronous
+//! [`AsyncStoneAgeNetwork`](crate::stone_age::AsyncStoneAgeNetwork) it
+//! is one scheduler pick and one activation. All of them are thin
+//! aliases over this engine, so crash masking, topology swapping, noise
+//! and complexity accounting each exist in exactly one place and behave
+//! identically across models. (The bit-parallel
+//! [`BitEngine`](crate::BitEngine) is the one other kernel.)
 //!
 //! Determinism contract: node `i` draws from a ChaCha8 stream carved
 //! deterministically out of the run seed, exactly as the pre-engine
-//! runtimes did (see the `tick_engine_equivalence` workspace test for
-//! the pinned traces). Zero-probability noise channels draw nothing.
+//! runtimes did (see the `tick_engine_equivalence` and
+//! `activation_engine_equivalence` workspace tests for the pinned
+//! traces). Zero-probability noise channels draw nothing.
 
 use crate::fault::FaultLayer;
 use crate::instrument::{ComplexityLedger, FlightRecorder, Instrumentation, RoundSample};
-use crate::snapshot::EngineCheckpoint;
+use crate::snapshot::{EngineCheckpoint, SchedulerCheckpoint};
 use crate::{NodeCtx, Topology};
 use bfw_graph::{NodeId, TopologyDelta};
 
-/// A synchronous communication model, pluggable into [`TickEngine`].
+/// A communication model, pluggable into [`TickEngine`].
 ///
 /// A model owns the protocol and its emission caches (beep flags,
-/// displayed symbols, …) and defines how one round of perception and
-/// transition works; the engine owns everything else. Implementations:
-/// [`BeepingModel`](crate::BeepingModel) and
-/// [`StoneAgeModel`](crate::stone_age::StoneAgeModel).
+/// displayed symbols, …) and defines what one tick does; the engine
+/// owns everything else. Implementations:
+/// [`BeepingModel`](crate::BeepingModel),
+/// [`StoneAgeModel`](crate::stone_age::StoneAgeModel) and
+/// [`SlotSyncedModel`](crate::SlotSyncedModel) (a tick is one
+/// synchronous round), and
+/// [`AsyncStoneAgeModel`](crate::stone_age::AsyncStoneAgeModel) (a tick
+/// is one activation of one scheduler-picked node).
 pub trait TickModel {
     /// Per-node protocol state.
     type State: Clone + PartialEq + std::fmt::Debug;
@@ -57,31 +67,27 @@ pub trait TickModel {
     /// a node.
     fn adopt_state(&self, _state: &mut Self::State) {}
 
-    /// Executes one synchronous round in place: perceive the cached
-    /// emissions over `topology` (honoring the crash mask and noise
-    /// channels in `faults`), transition every alive node using its RNG
-    /// stream, and refresh the emission caches.
-    fn advance(&mut self, topology: &Topology, states: &mut [Self::State], faults: &mut FaultLayer);
-
-    /// Samples what the *pending* emission caches would transmit this
-    /// round (called by an instrumented engine immediately before
-    /// [`advance`](Self::advance); see [`crate::instrument`] for the
-    /// accounting conventions). Must only read caches the model already
-    /// maintains — never draw from an RNG stream. The default (`None`)
-    /// opts a model out of complexity accounting; the engine then
-    /// records an all-zero sample.
-    fn emission_sample(&self, _topology: &Topology, _faults: &FaultLayer) -> Option<RoundSample> {
-        None
-    }
-
-    /// Counts the nodes that perceived a non-quiescent signal in the
-    /// round [`advance`](Self::advance) just executed (post-noise).
-    /// Same passivity contract as
-    /// [`emission_sample`](Self::emission_sample); the default (`None`)
-    /// leaves the ledger's heard counter at the sample's value.
-    fn perceived_count(&self, _faults: &FaultLayer) -> Option<u64> {
-        None
-    }
+    /// Executes one tick in place: perceive the cached emissions over
+    /// `topology` (honoring the crash mask and noise channels in
+    /// `faults`), transition the nodes the tick moves using their RNG
+    /// streams, and refresh the emission caches.
+    ///
+    /// `sample` is given on an instrumented engine: the model then
+    /// writes what the tick transmitted and perceived into it (see
+    /// [`crate::instrument`] for the accounting conventions), reading
+    /// only caches it maintains anyway — never drawing from an RNG
+    /// stream. A model that does not sample leaves it all-zero.
+    ///
+    /// Returns `false` when the tick could move no node at all (an
+    /// asynchronous model whose nodes are all crashed): the engine
+    /// still counts the tick, but records no ledger step.
+    fn advance(
+        &mut self,
+        topology: &Topology,
+        states: &mut [Self::State],
+        faults: &mut FaultLayer,
+        sample: Option<&mut RoundSample>,
+    ) -> bool;
 
     /// Rebuilds any topology-derived caches the sampler keeps (e.g. the
     /// beeping model's per-node degree cache for message accounting).
@@ -90,6 +96,26 @@ pub trait TickModel {
     /// never on the uninstrumented path, so churn stays `O(deg)` per
     /// edge when nobody is counting. The default is a no-op.
     fn refresh_sampler_caches(&mut self, _topology: &Topology) {}
+
+    /// The model's own half of the engine checkpoint: the asynchronous
+    /// scheduler's. Synchronous models have none (the default).
+    fn scheduler_checkpoint(&self) -> Option<SchedulerCheckpoint> {
+        None
+    }
+
+    /// Restores what [`scheduler_checkpoint`](Self::scheduler_checkpoint)
+    /// returned.
+    ///
+    /// # Panics
+    ///
+    /// The default panics on a scheduler half: synchronous models have
+    /// no scheduler.
+    fn restore_scheduler(&mut self, checkpoint: Option<&SchedulerCheckpoint>) {
+        assert!(
+            checkpoint.is_none(),
+            "synchronous engines have no scheduler state"
+        );
+    }
 }
 
 /// A [`TickModel`] whose protocol designates a leader subset of its
@@ -99,13 +125,16 @@ pub trait LeaderModel: TickModel {
     fn is_leader(&self, state: &Self::State) -> bool;
 }
 
-/// Synchronous executor generic over the communication model.
+/// Executor generic over the communication model, one tick at a time.
 ///
 /// Use the model-specific aliases and constructors —
 /// [`Network`](crate::Network) for the beeping model,
 /// [`StoneAgeNetwork`](crate::stone_age::StoneAgeNetwork) for the
-/// stone-age model; everything documented here is shared verbatim by
-/// both.
+/// stone-age model,
+/// [`AsyncStoneAgeNetwork`](crate::stone_age::AsyncStoneAgeNetwork) for
+/// its asynchronous variant; everything documented here is shared
+/// verbatim by all of them. "Round" is the engine's tick count: rounds
+/// for the synchronous models, activations for the asynchronous one.
 #[derive(Debug, Clone)]
 pub struct TickEngine<M: TickModel> {
     pub(crate) model: M,
@@ -117,8 +146,9 @@ pub struct TickEngine<M: TickModel> {
 }
 
 impl<M: TickModel> TickEngine<M> {
-    /// Builds an engine in round 0 from a model and an explicit
-    /// configuration.
+    /// Builds an engine in round 0 from a model, an explicit
+    /// configuration and the fault layer carved for it (see
+    /// [`FaultLayer::new`]).
     ///
     /// # Panics
     ///
@@ -126,7 +156,7 @@ impl<M: TickModel> TickEngine<M> {
     pub(crate) fn from_parts(
         mut model: M,
         topology: Topology,
-        seed: u64,
+        faults: FaultLayer,
         states: Vec<M::State>,
     ) -> Self {
         let n = topology.node_count();
@@ -139,7 +169,7 @@ impl<M: TickModel> TickEngine<M> {
             model,
             topology,
             states,
-            faults: FaultLayer::new(n, seed),
+            faults,
             round: 0,
             instr: Instrumentation::off(),
         }
@@ -147,7 +177,7 @@ impl<M: TickModel> TickEngine<M> {
 
     /// Builds an engine in round 0 with every node in the model's
     /// initial state.
-    pub(crate) fn from_model(model: M, topology: Topology, seed: u64) -> Self {
+    pub(crate) fn from_model(model: M, topology: Topology, faults: FaultLayer) -> Self {
         let n = topology.node_count();
         let states = (0..n)
             .map(|i| {
@@ -157,7 +187,7 @@ impl<M: TickModel> TickEngine<M> {
                 })
             })
             .collect();
-        Self::from_parts(model, topology, seed, states)
+        Self::from_parts(model, topology, faults, states)
     }
 
     /// Returns the number of nodes.
@@ -189,28 +219,24 @@ impl<M: TickModel> TickEngine<M> {
         &self.states
     }
 
-    /// Advances one synchronous round.
+    /// Advances one tick: a synchronous round, or one asynchronous
+    /// activation.
     pub fn step(&mut self) {
-        if self.instr.is_on() {
-            let mut sample = self
-                .model
-                .emission_sample(&self.topology, &self.faults)
-                .unwrap_or_default();
-            self.model
-                .advance(&self.topology, &mut self.states, &mut self.faults);
-            if let Some(heard) = self.model.perceived_count(&self.faults) {
-                sample.heard = heard;
-            }
+        let mut sample = self.instr.is_on().then(RoundSample::default);
+        let moved = self.model.advance(
+            &self.topology,
+            &mut self.states,
+            &mut self.faults,
+            sample.as_mut(),
+        );
+        if let (true, Some(sample)) = (moved, sample) {
             self.instr
                 .record_step(sample, self.states.len(), std::mem::size_of::<M::State>());
-        } else {
-            self.model
-                .advance(&self.topology, &mut self.states, &mut self.faults);
         }
         self.round += 1;
     }
 
-    /// Advances `rounds` rounds.
+    /// Advances `rounds` ticks.
     pub fn run(&mut self, rounds: u64) {
         for _ in 0..rounds {
             self.step();
@@ -380,10 +406,10 @@ impl<M: TickModel> TickEngine<M> {
     }
 
     /// Captures the engine's checkpoint — round counter, crash mask,
-    /// noise channels and per-node RNG stream positions (see
-    /// [`EngineCheckpoint`]). Node states and topology are captured
-    /// separately through [`states`](Self::states) and
-    /// [`topology`](Self::topology).
+    /// noise channels, per-node RNG stream positions and the model's
+    /// scheduler half, if it has one (see [`EngineCheckpoint`]). Node
+    /// states and topology are captured separately through
+    /// [`states`](Self::states) and [`topology`](Self::topology).
     pub fn checkpoint(&self) -> EngineCheckpoint {
         let n = self.states.len();
         EngineCheckpoint {
@@ -392,7 +418,7 @@ impl<M: TickModel> TickEngine<M> {
             false_negative: self.faults.false_negative(),
             false_positive: self.faults.false_positive(),
             rng_positions: (0..n).map(|i| self.faults.rng_position(i)).collect(),
-            scheduler: None,
+            scheduler: self.model.scheduler_checkpoint(),
         }
     }
 
@@ -402,20 +428,21 @@ impl<M: TickModel> TickEngine<M> {
     /// mask is installed before `states`, so the model's emission
     /// caches refresh against the restored flags; the caller installs
     /// the checkpointed topology separately (before or after — the next
-    /// [`step`](Self::step) reads both).
+    /// [`step`](Self::step) reads both). An asynchronous engine must
+    /// have the checkpointed run's scheduler installed first: the
+    /// installation re-draws the replay permutation, and the restore
+    /// then fast-forwards the scheduler stream past it.
     ///
     /// # Panics
     ///
     /// Panics if the checkpoint's node count or `states.len()` differs
-    /// from the engine's, or if the checkpoint carries a scheduler half
-    /// (synchronous engines have no scheduler).
+    /// from the engine's, or if the checkpoint's scheduler half does not
+    /// fit the model (present on a synchronous engine, missing on an
+    /// asynchronous one).
     pub fn restore_checkpoint(&mut self, cp: &EngineCheckpoint, states: Vec<M::State>) {
         let n = self.states.len();
         assert_eq!(cp.node_count(), n, "checkpoint node count must match");
-        assert!(
-            cp.scheduler.is_none(),
-            "synchronous engines have no scheduler state"
-        );
+        self.model.restore_scheduler(cp.scheduler.as_ref());
         self.faults.set_noise(cp.false_negative, cp.false_positive);
         for i in 0..n {
             self.faults
@@ -427,7 +454,8 @@ impl<M: TickModel> TickEngine<M> {
 
     /// Turns complexity accounting on: from the next
     /// [`step`](Self::step) the engine accumulates a
-    /// [`ComplexityLedger`], and — when `recorder_capacity` is given —
+    /// [`ComplexityLedger`] (one entry per tick that moved a node), and —
+    /// when `recorder_capacity` is given —
     /// retains the last that many [`TraceEvent`](crate::TraceEvent)s in
     /// a [`FlightRecorder`]. Instrumentation is purely passive (no RNG
     /// draws, no reordering), so enabling it never changes an

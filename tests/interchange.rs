@@ -160,6 +160,70 @@ fn tracked_heal_report_validates_and_is_canonical() {
 }
 
 #[test]
+fn async_storm_fixtures_regenerate_byte_for_byte() {
+    // The asynchronous runtime's pinned outputs, each regenerated
+    // through the CLI entry point from `examples/scenarios/async_storm.toml`
+    // at seed 42: the text report `scenario run` prints (the binary adds
+    // one newline), the `--trace` bfw/scenario-report, and the
+    // bfw/engine-snapshot of `scenario step --rounds 30000`, taken inside
+    // the noise burst (activations 24000–32000), so it carries noise
+    // channels and the scheduler half.
+    let dir = std::env::temp_dir().join(format!("bfw_async_storm_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (trace, snapshot) = (dir.join("report.json"), dir.join("snapshot.json"));
+    let scenario = workspace_root().join("examples/scenarios/async_storm.toml");
+    let path = |p: &Path| p.to_str().expect("UTF-8 path").to_owned();
+    let bfw = |args: &[&str]| {
+        let argv: Vec<String> = args.iter().map(|&a| a.to_owned()).collect();
+        bfw_cli::run(&argv).unwrap_or_else(|e| panic!("{args:?}: {e}"))
+    };
+    let scenario = path(&scenario);
+    let report = bfw(&["scenario", "run", &scenario, "--seed", "42"]);
+    let traced = bfw(&[
+        "scenario",
+        "run",
+        &scenario,
+        "--seed",
+        "42",
+        "--trace",
+        &path(&trace),
+    ]);
+    bfw(&[
+        "scenario",
+        "step",
+        &scenario,
+        "--seed",
+        "42",
+        "--rounds",
+        "30000",
+        "--out",
+        &path(&snapshot),
+    ]);
+    let trace = std::fs::read_to_string(&trace).expect("the traced run writes its report");
+    let snapshot = std::fs::read_to_string(&snapshot).expect("the step writes its snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(
+        format!("{report}\n") == include_str!("fixtures/async_storm_report.txt"),
+        "tests/fixtures/async_storm_report.txt: the text report differs:\n{report}"
+    );
+    assert!(traced.starts_with(&report), "tracing changed the report");
+    assert!(
+        trace == include_str!("fixtures/async_storm_report.json"),
+        "tests/fixtures/async_storm_report.json: the trace report differs"
+    );
+    assert!(
+        snapshot == include_str!("fixtures/async_storm_round30000.snapshot.json"),
+        "tests/fixtures/async_storm_round30000.snapshot.json: the snapshot differs"
+    );
+    let summary = bfw_scenario::validate_run_report(&trace).expect("the trace report validates");
+    assert!(summary.traced);
+    let summary =
+        bfw_scenario::validate_engine_snapshot(&snapshot).expect("the snapshot validates");
+    assert_eq!(summary.round, 30_000);
+}
+
+#[test]
 fn hundred_thousand_node_graph_round_trips_byte_identically() {
     let n = 100_000;
     let doc = GraphDoc {

@@ -653,9 +653,9 @@ fn shipped_async_storm_scenario_is_byte_deterministic() {
 
 #[test]
 fn async_runtime_with_recovery_protocol_is_a_hard_spec_error() {
-    // Satellite of the ActivationEngine PR, mirroring the PR 3 negative
-    // parser tests: the recovery layer multiplexes slots over round
-    // parity, which does not exist under asynchronous activation.
+    // Mirrors the recovery-timing negative parser tests: the recovery
+    // layer multiplexes slots over round parity, which does not exist
+    // under asynchronous activation.
     let e = ScenarioSpec::parse(
         "[scenario]\ngraph = \"cycle:8\"\nruntime = \"async\"\nprotocol = \"bfw+recovery\"",
     )
@@ -779,7 +779,7 @@ fn async_schedulers_drive_distinct_but_deterministic_runs() {
             3,
         );
         net.set_scheduler(scheduler);
-        net.run_activations(400);
+        net.run(400);
         format!("{:?}", net.states())
     };
     for s in [
@@ -801,6 +801,47 @@ fn async_schedulers_drive_distinct_but_deterministic_runs() {
     .map(mk)
     .collect();
     assert!(outcomes.len() >= 2, "schedulers must matter");
+}
+
+#[test]
+fn a_fully_crashed_async_network_keeps_time_but_adds_no_ledger_step() {
+    let mut net = AsyncStoneAgeNetwork::new(
+        BeepingAsStoneAge::new(Bfw::new(0.5)),
+        generators::cycle(5).into(),
+        9,
+    );
+    net.enable_instrumentation(None);
+    for _ in 0..7 {
+        net.step();
+    }
+    let steps = |net: &AsyncStoneAgeNetwork<_>| net.complexity_ledger().unwrap().steps();
+    assert_eq!(steps(&net), 7, "one ledger step per live activation");
+    for i in 0..5 {
+        net.crash_node(NodeId::new(i));
+    }
+    // Everything but the step counter: states, crash mask, noise, node
+    // streams and the scheduler half.
+    let frozen = |net: &AsyncStoneAgeNetwork<_>| {
+        let mut checkpoint = net.checkpoint();
+        checkpoint.steps = 0;
+        (net.states().to_vec(), checkpoint)
+    };
+    let before = frozen(&net);
+    let ledger = net.complexity_ledger().unwrap().clone();
+    // A stalled activation: time passes, nobody moves, nothing is drawn
+    // and the ledger adds no step.
+    for k in 1..=4 {
+        net.step();
+        assert_eq!(DynamicHost::round(&net), 7 + k);
+        assert_eq!(net.complexity_ledger(), Some(&ledger));
+    }
+    assert_eq!(frozen(&net), before);
+    // A scripted activation of a crashed node changes nothing at all,
+    // not even the clock.
+    net.activate(NodeId::new(2));
+    assert_eq!(DynamicHost::round(&net), 11);
+    assert_eq!(net.complexity_ledger(), Some(&ledger));
+    assert_eq!(frozen(&net), before);
 }
 
 #[test]

@@ -120,7 +120,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The `ActivationEngine`'s uniform scheduler is exactly the
+    /// The asynchronous runtime's uniform scheduler is exactly the
     /// reference schedule drawn directly from the same ChaCha8 stream —
     /// the master seed carves n node streams, then the scheduler
     /// stream, and each activation is one `random_range(0..n)` draw
